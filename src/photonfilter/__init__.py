@@ -7,11 +7,11 @@ and ensemble-comparison tooling.
 
 from .config import SimConfig
 from .filter_generic import GenericFilterState, SLHModel, init_filter
-from .filter_moments import MomentState, init_moments
+from .filter_moments import CompiledFilter, compile_filter
 from .master_ensemble import (
     EnsembleStats,
     SeriesND,
-    analytic_mean_photon,
+    analytic_mean_photon_series,
     integrate_master,
     run_ensemble,
 )
@@ -25,11 +25,11 @@ __all__ = [
     "SLHModel",
     "GenericFilterState",
     "init_filter",
-    "MomentState",
-    "init_moments",
+    "CompiledFilter",
+    "compile_filter",
     "EnsembleStats",
     "SeriesND",
-    "analytic_mean_photon",
+    "analytic_mean_photon_series",
     "integrate_master",
     "run_ensemble",
     "SimGrid",

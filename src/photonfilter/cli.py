@@ -2,7 +2,7 @@
 
 Subcommands:
 
-  me          deterministic master-equation series (+ quadrature oracle)
+  me          deterministic master-equation series (+ closed-form oracle)
   trajectory  one seeded stochastic trajectory
   ensemble    M trajectories, pointwise mean/stderr with ME overlay columns
   verify      invariant suite; exit 0 iff every check passes
@@ -41,7 +41,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=2, help="Fock truncation")
     p.add_argument("--ntraj", type=int, default=100, help="ensemble size")
     p.add_argument("--seed", type=int, default=1, help="master seed")
-    p.add_argument("--engine", choices=ENGINES, default="moments")
+    p.add_argument("--engine", choices=ENGINES, default="moments",
+                   help="label written to the output header; both run the "
+                        "compiled filter at --dim")
     p.add_argument("--detector", choices=DETECTORS, default="homodyne")
     p.add_argument("--out", default=None, help="output file path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -157,7 +159,7 @@ def _cmd_ensemble(cfg: SimConfig, args) -> int:
 
 
 def _cmd_verify(cfg: SimConfig, args) -> int:
-    checks = run_checks(engine=cfg.engine, seed=cfg.seed)
+    checks = run_checks(seed=cfg.seed)
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}")
     return 0 if all(c.passed for c in checks) else 1

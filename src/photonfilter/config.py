@@ -14,6 +14,8 @@ class SimConfig:
 
     Defaults reproduce the headline run: kappa = gamma = 0.1, no detuning,
     photon arriving at t0 = 3, horizon t0 + 100 (over ten cavity lifetimes).
+    ``engine`` is a label kept in the output header: every run steps the
+    filter compiled from (S, L, H) at ``fock_dim``.
     """
 
     kappa: float = 0.1
@@ -33,6 +35,10 @@ class SimConfig:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if self.t0 < 0:
+            # The grid starts at 0: a photon switched on earlier would be
+            # partly lost without a trace.
+            raise ValueError(f"t0 must be >= 0, got {self.t0}")
         if self.t_end <= self.t0:
             raise ValueError(f"t_end ({self.t_end}) must exceed t0 ({self.t0})")
         if self.dt <= 0:

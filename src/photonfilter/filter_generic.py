@@ -11,10 +11,11 @@ in the hierarchy, e.g. trace(rho * LX) = trace(Lind(rho) * X) with Lind the
 usual Lindblad superoperator.  That adjoint form is what is implemented
 below; it is exact, not an approximation.
 
-This module is the oracle against which the specialized cavity moment
-filter (:mod:`photonfilter.filter_moments`) is validated.  The two are kept
-deliberately independent: nothing here is shared with the moment-equation
-coefficients.
+This module is the oracle the compiled filter
+(:mod:`photonfilter.filter_moments`) is validated against.  The two are kept
+deliberately independent: the compiled maps are built from (S, L, H) by
+Kronecker products, never by probing the step functions here.  Only the
+model type and the guard thresholds below are shared.
 
 All step functions accept stacked states: the rho arrays may carry leading
 batch dimensions (..., D, D), with dW / jump supplied per batch element.
@@ -33,9 +34,8 @@ from .errors import (
     NonRealInnovationError,
 )
 
-# Imaginary residue handling for K_t and nu_t: silently truncated below
-# _IM_TRUNC, hard error above _IM_ERR (signals an index-ordering bug).
-_IM_TRUNC = 1e-9
+# Imaginary residue of K_t and nu_t: dropped up to _IM_ERR, a hard error
+# above it (signals an index-ordering bug).
 _IM_ERR = 1e-6
 
 # Jump intensities in [-_NU_EPS, 0) are rounding noise and clamp to zero;

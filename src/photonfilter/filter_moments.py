@@ -1,276 +1,162 @@
-"""Closed-form cavity moment filter.
+"""Single-photon filter compiled from (S, L, H) into packed superoperators.
 
-The one-sided cavity driven by a single-photon wavepacket closes on the 16
-scalar conditional expectations
+The filter state is the four coefficient matrices rho^{ij} of the
+conditional moments pi^{ij}(|m><n|), ij in {11, 10, 01, 00} (see
+:mod:`photonfilter.filter_generic`), stacked as one vector of 4 D^2
+entries: block ij holds vec(rho^{ij}) in column-major order, so that
 
-    pi^{ij}(X),   ij in {11, 10, 01, 00},   X in {n, a, a^dag, I},
+    vec(A rho B) = (B^T (x) A) vec(rho)    and    tr(rho X) = X.ravel() . vec(rho).
 
-once the cavity starts in vacuum: the higher-order moments (aa, a^dag
-a^dag, na, a^dag n, a^dag n a, ...) vanish identically on the <=1-excitation
-subspace and are treated as exact zero closures here.  At D >= 3 only the
-generic filter is authoritative.
+Every map of the hierarchy is linear in the state and a polynomial in the
+wavepacket amplitude xi,
 
-The stochastic equations are linear in the moments apart from the
-measurement-gain terms, so each detection scheme is encoded as a set of
-16x16 coefficient matrices acting on the packed moment vector:
+    F(xi) = F0 + xi F1 + xi* F2 + |xi|^2 F3,
+
+so each is compiled once into a packed array of shape (4, ...) and
+evaluated per step as one (4,) . (4, r c) product:
 
     drift:      dx = Fd x dt
-    homodyne:   dx += (Fg x - K x) dW,        K = k_row . x   (real)
-    counting:   dx += (nu^-1 Fj x - x) dN,    nu = Re[(Fj x)_I11]
+    homodyne:   dx += (Fg x - K x) dW,        K  = k_row . x    (real)
+    counting:   dx += (Fj x / nu - x) dN,     nu = nu_row . x   (real)
 
-The innovation gain uses the general-filter ordering (pi10 pairs with xi*,
-pi01 with xi); for real wavepackets this coincides with every other printed
-ordering.  The detuning enters a^dag-type moments with +i*delta and a-type
-moments with -i*delta, as dictated by -i[X, H]; at delta = 0 (all headline
-experiments) this is invisible.
-
-Index layout of the packed vector (a-dagger moments are the "D" block):
+Every term is built from S, L and H with the Kronecker identity above;
+nothing is taken from the einsum step functions of ``filter_generic``,
+which stay the independent oracle the compiled maps are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, astuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FilterDivergenceError, InvalidJumpError, NonRealInnovationError
+from . import operators as ops
+from .filter_generic import SLHModel
 
-# fmt: off
-(N11, N10, N01, N00,
- D11, D10, D01, D00,
- A11, A10, A01, A00,
- I11, I10, I01, I00) = range(16)
-# fmt: on
+# Block order of the packed state and the powers of the xi polynomial.
+B11, B10, B01, B00 = range(4)
+ONE, XI, CXI, AXI2 = range(4)
 
-NVARS = 16
-
-_IM_TRUNC = 1e-9
-_IM_ERR = 1e-6
-_NU_EPS = 1e-10
-_NU_ERR = 1e-6
+# Rows of the readout matrix: pi^{ij}(X) for the invariants the runner
+# accumulates; "d" is a^dag, "a" the annihilation operator.  The runner
+# relies on this order: n11 first, the conjugation pairs adjacent.
+READOUTS = ("n11", "n00", "i00", "i11", "d10", "a01", "i10", "i01", "d01", "a10")
 
 
-def nu_floor(dt: float | None = None) -> float:
-    """Strong-negativity threshold for the jump intensity.
+@dataclass(frozen=True)
+class CompiledFilter:
+    """Packed maps of one (S, L, H) model; N = 4 D^2 state entries."""
 
-    The exact no-jump intensity touches zero quadratically where the source
-    and cavity fields interfere destructively, so an Euler step undershoots
-    it by O(dt); with the step known the floor is widened accordingly.
-    """
-    return _NU_ERR if dt is None else max(_NU_ERR, 0.1 * dt)
-
-
-@dataclass
-class MomentState:
-    """The 16 conditional moments; ``d*`` fields hold the a^dag moments."""
-
-    n11: complex = 0.0
-    n10: complex = 0.0
-    n01: complex = 0.0
-    n00: complex = 0.0
-    ad11: complex = 0.0
-    ad10: complex = 0.0
-    ad01: complex = 0.0
-    ad00: complex = 0.0
-    a11: complex = 0.0
-    a10: complex = 0.0
-    a01: complex = 0.0
-    a00: complex = 0.0
-    i11: complex = 0.0
-    i10: complex = 0.0
-    i01: complex = 0.0
-    i00: complex = 0.0
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(astuple(self), dtype=np.complex128)
-
-    @classmethod
-    def from_vector(cls, x: np.ndarray) -> "MomentState":
-        return cls(*(complex(v) for v in x))
+    drift: np.ndarray      # (4, N, N)
+    diffusion: np.ndarray  # (4, N, N), without the -K x term
+    jump_gain: np.ndarray  # (4, N, N)
+    k: np.ndarray          # (4, N)
+    nu: np.ndarray         # (4, N)
+    readout: np.ndarray    # (len(READOUTS), N), real
+    initial: np.ndarray    # (N,) vacuum cavity: rho11 = rho00 = |0><0|
 
 
-def init_moments() -> MomentState:
-    """Vacuum-cavity initial conditions: everything zero except i11 = i00 = 1."""
-    return MomentState(i11=1.0, i00=1.0)
-
-
-def drift_matrix(kappa: float, delta: float, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
-    """dt-coefficient matrix Fd (shared by both detection schemes).
-
-    Passing ``out`` (a matrix previously produced by this function for the
-    same kappa/delta) updates only the xi-dependent entries in place.
-    """
-    sk = np.sqrt(kappa)
-    cxi = np.conj(xi)
-    if out is None:
-        out = np.zeros((NVARS, NVARS), dtype=np.complex128)
-        cd = 1j * delta - 0.5 * kappa   # a^dag-type decay
-        ca = -1j * delta - 0.5 * kappa  # a-type decay
-        for i in (N11, N10, N01, N00):
-            out[i, i] = -kappa
-        for i in (D11, D10, D01, D00):
-            out[i, i] = cd
-        for i in (A11, A10, A01, A00):
-            out[i, i] = ca
-    out[N11, A01] = -sk * cxi
-    out[N11, D10] = -sk * xi
-    out[N10, A00] = -sk * cxi
-    out[N01, D00] = -sk * xi
-    out[D11, I01] = -sk * cxi
-    out[D10, I00] = -sk * cxi
-    out[A11, I10] = -sk * xi
-    out[A01, I00] = -sk * xi
+def _superop(dim: int, terms) -> np.ndarray:
+    """Sum of ``w_p * A rho_src B`` into block ``dst`` for (p, dst, src, A, B)."""
+    n = dim * dim
+    out = np.zeros((4, 4 * n, 4 * n), dtype=np.complex128)
+    for p, dst, src, a, b in terms:
+        out[p, dst * n:(dst + 1) * n, src * n:(src + 1) * n] += np.kron(b.T, a)
     return out
 
 
-def diffusion_matrix(kappa: float, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
+def _row(dim: int, terms) -> np.ndarray:
+    """Sum of ``w_p * tr(rho_src X)`` for (p, src, X)."""
+    n = dim * dim
+    out = np.zeros((4, 4 * n), dtype=np.complex128)
+    for p, src, x in terms:
+        out[p, src * n:(src + 1) * n] += x.ravel()
+    return out
+
+
+def compile_filter(model: SLHModel) -> CompiledFilter:
+    """Compile the drift, diffusion, jump-gain, K and nu maps of ``model``."""
+    dim = model.dim
+    S, L, H = (np.asarray(v, dtype=np.complex128) for v in (model.S, model.L, model.H))
+    Sd, Ld = S.conj().T, L.conj().T
+    ldl = Ld @ L
+    eye = np.eye(dim, dtype=np.complex128)
+
+    def lindblad(blk):
+        return [
+            (ONE, blk, blk, -1j * H, eye), (ONE, blk, blk, eye, 1j * H),
+            (ONE, blk, blk, L, Ld),
+            (ONE, blk, blk, -0.5 * ldl, eye), (ONE, blk, blk, eye, -0.5 * ldl),
+        ]
+
+    drift = _superop(dim, [
+        *(t for blk in range(4) for t in lindblad(blk)),
+        (CXI, B11, B01, L, Sd), (CXI, B11, B01, -eye, Sd @ L),
+        (XI, B11, B10, S, Ld), (XI, B11, B10, -Ld @ S, eye),
+        (AXI2, B11, B00, S, Sd), (AXI2, B11, B00, -eye, eye),
+        (CXI, B10, B00, L, Sd), (CXI, B10, B00, -eye, Sd @ L),
+        (XI, B01, B00, S, Ld), (XI, B01, B00, -Ld @ S, eye),
+    ])
+    diffusion = _superop(dim, [
+        *(t for blk in range(4) for t in ((ONE, blk, blk, L, eye), (ONE, blk, blk, eye, Ld))),
+        (CXI, B11, B01, eye, Sd), (XI, B11, B10, S, eye),
+        (CXI, B10, B00, eye, Sd), (XI, B01, B00, S, eye),
+    ])
+    jump_gain = _superop(dim, [
+        *((ONE, blk, blk, L, Ld) for blk in range(4)),
+        (CXI, B11, B01, L, Sd), (XI, B11, B10, S, Ld), (AXI2, B11, B00, S, Sd),
+        (CXI, B10, B00, L, Sd), (XI, B01, B00, S, Ld),
+    ])
+    k = _row(dim, [(ONE, B11, L + Ld), (CXI, B10, Sd), (XI, B01, S)])
+    # nu is the trace of the 11 block of the jump gain.
+    n = dim * dim
+    nu = eye.ravel() @ jump_gain[:, B11 * n:(B11 + 1) * n, :]
+
+    a = ops.annihilation(dim)
+    x_of = {"n": ops.number_op(dim), "i": eye, "d": a.conj().T, "a": a}
+    blk_of = {"11": B11, "10": B10, "01": B01, "00": B00}
+    # The readout operators are real in the Fock basis.
+    readout = np.stack([
+        _row(dim, [(ONE, blk_of[name[1:]], x_of[name[0]])])[ONE].real for name in READOUTS
+    ])
+    vac = np.zeros((dim, dim), dtype=np.complex128)
+    vac[0, 0] = 1.0
+    initial = np.zeros(4 * n, dtype=np.complex128)
+    initial[B11 * n:(B11 + 1) * n] = vac.ravel(order="F")
+    initial[B00 * n:(B00 + 1) * n] = vac.ravel(order="F")
+    return CompiledFilter(drift, diffusion, jump_gain, k, nu, readout, initial)
+
+
+def _evaluate(poly: np.ndarray, xi: complex, out: np.ndarray | None) -> np.ndarray:
+    """F0 + xi F1 + xi* F2 + |xi|^2 F3, written into ``out`` when given."""
+    w = np.array([1.0, xi, np.conj(xi), abs(xi) ** 2], dtype=np.complex128)
+    flat = poly.reshape(4, -1)
+    if out is None:
+        return (w @ flat).reshape(poly.shape[1:])
+    np.dot(w, flat, out=out.reshape(-1))
+    return out
+
+
+def drift_matrix(f: CompiledFilter, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
+    """dt-coefficient matrix Fd (shared by both detection schemes)."""
+    return _evaluate(f.drift, xi, out)
+
+
+def diffusion_matrix(f: CompiledFilter, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
     """Homodyne dW-coefficients, excluding the common -K x term."""
-    sk = np.sqrt(kappa)
-    cxi = np.conj(xi)
-    if out is None:
-        out = np.zeros((NVARS, NVARS), dtype=np.complex128)
-        for row, src in (
-            (D11, N11), (D10, N10), (D01, N01), (D00, N00),
-            (A11, N11), (A10, N10), (A01, N01), (A00, N00),
-            (I00, A00), (I00, D00),
-            (I10, A10), (I10, D10),
-            (I01, A01), (I01, D01),
-            (I11, A11), (I11, D11),
-        ):
-            out[row, src] = sk
-    out[N11, N01] = cxi
-    out[N11, N10] = xi
-    out[N10, N00] = cxi
-    out[N01, N00] = xi
-    out[D11, D01] = cxi
-    out[D11, D10] = xi
-    out[D10, D00] = cxi
-    out[D01, D00] = xi
-    out[A11, A01] = cxi
-    out[A11, A10] = xi
-    out[A10, A00] = cxi
-    out[A01, A00] = xi
-    out[I11, I01] = cxi
-    out[I11, I10] = xi
-    out[I10, I00] = cxi
-    out[I01, I00] = xi
-    return out
+    return _evaluate(f.diffusion, xi, out)
 
 
-def jump_gain_matrix(kappa: float, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
-    """Photon-counting gains Fj: post-jump moments are (Fj x) / nu.
-
-    Row I11 of Fj x is exactly the intensity nu.
-    """
-    sk = np.sqrt(kappa)
-    cxi = np.conj(xi)
-    ax2 = abs(xi) ** 2
-    if out is None:
-        out = np.zeros((NVARS, NVARS), dtype=np.complex128)
-        out[I11, N11] = kappa
-        out[I10, N10] = kappa
-        out[I01, N01] = kappa
-        out[I00, N00] = kappa
-    out[N11, N00] = ax2
-    out[D11, N01] = sk * cxi
-    out[D11, D00] = ax2
-    out[D10, N00] = sk * cxi
-    out[A11, N10] = sk * xi
-    out[A11, A00] = ax2
-    out[A01, N00] = sk * xi
-    out[I11, A01] = sk * cxi
-    out[I11, D10] = sk * xi
-    out[I11, I00] = ax2
-    out[I10, A00] = sk * cxi
-    out[I01, D00] = sk * xi
-    return out
+def jump_gain_matrix(f: CompiledFilter, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
+    """Photon-counting gains Fj: the post-jump state is (Fj x) / nu."""
+    return _evaluate(f.jump_gain, xi, out)
 
 
-def k_row(kappa: float, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
+def k_row(f: CompiledFilter, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
     """Row vector such that K_t = Re[k_row . x]."""
-    if out is None:
-        out = np.zeros(NVARS, dtype=np.complex128)
-        sk = np.sqrt(kappa)
-        out[A11] = sk
-        out[D11] = sk
-    out[I10] = np.conj(xi)
-    out[I01] = xi
-    return out
+    return _evaluate(f.k, xi, out)
 
 
-def _real_guard(value, label: str):
-    value = np.asarray(value)
-    im = np.abs(value.imag)
-    worst = float(im.max()) if im.ndim else float(im)
-    if worst > _IM_ERR:
-        raise NonRealInnovationError(f"{label} has imaginary part {worst:.3e} > {_IM_ERR:g}")
-    return value.real
-
-
-def moment_k(s: MomentState, kappa: float, xi: complex) -> float:
-    """Homodyne gain K_t evaluated on a moment state."""
-    val = np.sqrt(kappa) * (s.a11 + s.ad11) + s.i10 * np.conj(xi) + s.i01 * xi
-    return float(_real_guard(val, "K_t"))
-
-
-def moment_nu(s: MomentState, kappa: float, xi: complex, dt: float | None = None) -> float:
-    """Jump intensity nu_t evaluated on a moment state (clamped at zero)."""
-    val = (
-        kappa * s.n11
-        + np.sqrt(kappa) * (s.a01 * np.conj(xi) + s.ad10 * xi)
-        + s.i00 * abs(xi) ** 2
-    )
-    nu = float(_real_guard(val, "nu_t"))
-    if nu < -nu_floor(dt):
-        raise FilterDivergenceError(f"jump intensity nu_t = {nu:.3e} strongly negative")
-    return max(nu, 0.0)
-
-
-def homodyne_moment_step(
-    s: MomentState, kappa: float, delta: float, xi: complex, dt: float, dW: float
-) -> tuple[MomentState, float]:
-    """One Euler-Maruyama step of the homodyne moment hierarchy.
-
-    Returns the advanced state and dY = K_t dt + dW.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    x = s.as_vector()
-    k = moment_k(s, kappa, xi)
-    fd = drift_matrix(kappa, delta, xi)
-    fg = diffusion_matrix(kappa, xi)
-    x2 = x + (fd @ x) * dt + (fg @ x - k * x) * dW
-    if not np.all(np.isfinite(x2)):
-        raise FilterDivergenceError("homodyne moment step produced NaN/inf")
-    return MomentState.from_vector(x2), k * dt + dW
-
-
-def photocount_moment_step(
-    s: MomentState, kappa: float, delta: float, xi: complex, dt: float, jump: bool
-) -> MomentState:
-    """One step of the photon-counting moment hierarchy.
-
-    Between jumps the compensated drift A - B nu is applied; jump=True
-    replaces the step with the pure reset pi <- (Fj x) / nu (the O(dt)
-    drift contribution is dropped so the collapse is exact).  With nu below
-    1e-10 the compensator is dropped and jumps are rejected.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    x = s.as_vector()
-    nu = moment_nu(s, kappa, xi, dt)
-    fd = drift_matrix(kappa, delta, xi)
-    gains = jump_gain_matrix(kappa, xi) @ x
-    if nu >= _NU_EPS:
-        comp = gains - nu * x
-    else:
-        if jump:
-            raise InvalidJumpError("jump requested while nu_t < 1e-10")
-        comp = np.zeros_like(x)
-    if jump:
-        x2 = gains / nu
-    else:
-        x2 = x + ((fd @ x) - comp) * dt
-    if not np.all(np.isfinite(x2)):
-        raise FilterDivergenceError("photocount moment step produced NaN/inf")
-    return MomentState.from_vector(x2)
+def nu_row(f: CompiledFilter, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
+    """Row vector such that nu_t = Re[nu_row . x]."""
+    return _evaluate(f.nu, xi, out)

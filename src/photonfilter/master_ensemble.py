@@ -2,16 +2,18 @@
 
 The master equation is obtained by zeroing the martingale terms of the Ito
 hierarchy (classical averaging kills dW and the compensated counting
-increments), which leaves the linear drift system of the moment filter.
-That system is integrated with classical fixed-step RK4.
+increments), which leaves the linear drift of the compiled filter.  That
+system is integrated with classical fixed-step RK4 at the configured Fock
+truncation.
 
 An independent closed-form oracle is provided as well: integrating the
 drift of the off-diagonal coherence and substituting into the photon-number
-equation gives
+equation gives, with tau = t - t0, c = i delta + kappa/2 and z = c - gamma/2,
 
-    <n>(t) = kappa * | integral_{t0}^{t} exp(-(i delta + kappa/2)(t-s)) xi(s) ds |^2,
+    <n>(t) = kappa * | integral_{t0}^{t} exp(-c (t-s)) xi(s) ds |^2
+           = kappa gamma | exp(-c tau) tau expm1(z tau) / (z tau) |^2,
 
-evaluated here by quadrature, never by the RK4 path it cross-checks.
+never computed from the RK4 path it cross-checks.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
+from . import filter_generic as fg
 from . import filter_moments as fm
 from . import sde_engine as se
 from . import wavepacket as wp
 from .config import SimConfig
 
-_GL_NODES = 160
 _ENSEMBLE_BLOCK = 500
 
 
@@ -50,88 +51,62 @@ class EnsembleStats:
 
 
 def integrate_master(cfg: SimConfig) -> SeriesND:
-    """RK4 integration of the drift-only moment hierarchy; returns <n>(t)."""
+    """RK4 integration of the compiled drift at ``cfg.fock_dim``; returns <n>(t)."""
     grid = se.SimGrid(0.0, cfg.t_end, cfg.dt)
     times = grid.times()
     w = wp.Wavepacket(cfg.gamma, cfg.t0)
     dt = cfg.dt
     xi_full = np.asarray(wp.xi(w, times))
     xi_half = np.asarray(wp.xi(w, times[:-1] + 0.5 * dt))
-    fd_a = fm.drift_matrix(cfg.kappa, cfg.delta, 0j)
-    fd_b = fm.drift_matrix(cfg.kappa, cfg.delta, 0j)
-    fd_c = fm.drift_matrix(cfg.kappa, cfg.delta, 0j)
-    x = fm.init_moments().as_vector()
+    f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
+    fd_a, fd_b, fd_c = (fm.drift_matrix(f, 0j) for _ in range(3))
+    n_row = f.readout[0]
+    x = f.initial.copy()
     out = np.empty(times.shape)
-    out[0] = x[fm.N11].real
+    out[0] = (n_row @ x).real
     for k in range(grid.steps):
         # The state is exactly the initial one until the wavepacket arrives;
         # starting the RK4 there keeps the right-hand side smooth.
         if times[k + 1] <= cfg.t0:
             out[k + 1] = out[0]
             continue
-        fm.drift_matrix(cfg.kappa, cfg.delta, complex(xi_full[k]), out=fd_a)
-        fm.drift_matrix(cfg.kappa, cfg.delta, complex(xi_half[k]), out=fd_b)
-        fm.drift_matrix(cfg.kappa, cfg.delta, complex(xi_full[k + 1]), out=fd_c)
+        fm.drift_matrix(f, complex(xi_full[k]), out=fd_a)
+        fm.drift_matrix(f, complex(xi_half[k]), out=fd_b)
+        fm.drift_matrix(f, complex(xi_full[k + 1]), out=fd_c)
         k1 = fd_a @ x
         k2 = fd_b @ (x + 0.5 * dt * k1)
         k3 = fd_b @ (x + 0.5 * dt * k2)
         k4 = fd_c @ (x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = x[fm.N11].real
+        out[k + 1] = (n_row @ x).real
         if not np.isfinite(out[k + 1]):
             raise RuntimeError(f"master-equation integration diverged at t={times[k+1]:.6g}")
     return SeriesND(times, out)
 
 
-def analytic_mean_photon(cfg: SimConfig, t: float) -> float:
-    """Quadrature oracle for the master-equation photon number at time t."""
-    if t <= cfg.t0:
-        return 0.0
-    w = wp.Wavepacket(cfg.gamma, cfg.t0)
-    c = 1j * cfg.delta + 0.5 * cfg.kappa
-
-    def integrand(s, part):
-        val = np.exp(-c * (t - s)) * wp.xi(w, s)
-        return val.real if part == "re" else val.imag
-
-    re, _ = quad(integrand, cfg.t0, t, args=("re",), limit=200)
-    im, _ = quad(integrand, cfg.t0, t, args=("im",), limit=200)
-    return cfg.kappa * (re * re + im * im)
-
-
 def analytic_mean_photon_series(cfg: SimConfig, times: np.ndarray) -> np.ndarray:
-    """Vectorized Gauss-Legendre evaluation of the quadrature oracle.
+    """Closed-form master-equation photon number at each of ``times``.
 
-    Agrees with :func:`analytic_mean_photon` to machine precision for the
-    smooth exponential wavepacket (cross-checked in the test suite).
+    The factor expm1(z tau) / (z tau) is 1 at z tau = 0, which covers the
+    matched pulse (delta = 0, gamma = kappa) and the times up to t0.
     """
-    times = np.asarray(times, dtype=float)
-    out = np.zeros(times.shape)
-    w = wp.Wavepacket(cfg.gamma, cfg.t0)
+    tau = np.clip(np.asarray(times, dtype=float) - cfg.t0, 0.0, None)
     c = 1j * cfg.delta + 0.5 * cfg.kappa
-    nodes, wts = np.polynomial.legendre.leggauss(_GL_NODES)
-    mask = times > cfg.t0
-    idx = np.nonzero(mask)[0]
-    for lo in range(0, idx.size, 8192):
-        sel = idx[lo:lo + 8192]
-        ts = times[sel]
-        half = 0.5 * (ts - cfg.t0)
-        xs = cfg.t0 + half[:, None] * (nodes + 1.0)
-        vals = np.exp(-c * (ts[:, None] - xs)) * wp.xi(w, xs)
-        integral = (vals @ wts) * half
-        out[sel] = cfg.kappa * np.abs(integral) ** 2
-    return out
+    zt = (c - 0.5 * cfg.gamma) * tau
+    nonzero = zt != 0
+    ratio = np.ones_like(zt)
+    ratio[nonzero] = np.expm1(zt[nonzero]) / zt[nonzero]
+    return cfg.kappa * cfg.gamma * np.abs(np.exp(-c * tau) * tau * ratio) ** 2
 
 
 def _ensemble_block(args):
-    cfg, detector, engine, seqs = args
-    return se.run_block(cfg, detector, engine, seqs)
+    cfg, detector, seqs = args
+    return se.run_block(cfg, detector, seed_seqs=seqs)
 
 
 def run_ensemble(
     cfg: SimConfig,
     detector: str | None = None,
-    engine: str | None = None,
     M: int | None = None,
     master_seed: int | None = None,
     workers: int = 1,
@@ -144,12 +119,11 @@ def run_ensemble(
     for any worker count.
     """
     detector = detector or cfg.detector
-    engine = engine or cfg.engine
     m_total = M if M is not None else cfg.ntraj
     seed = master_seed if master_seed is not None else cfg.seed
     children = np.random.SeedSequence(seed).spawn(m_total)
     tasks = [
-        (cfg, detector, engine, children[lo:lo + _ENSEMBLE_BLOCK])
+        (cfg, detector, children[lo:lo + _ENSEMBLE_BLOCK])
         for lo in range(0, m_total, _ENSEMBLE_BLOCK)
     ]
     if workers > 1 and len(tasks) > 1:
@@ -175,7 +149,7 @@ def weak_convergence_bias(
     master_seed: int,
     detector: str = "homodyne",
 ) -> tuple[float, float]:
-    """Ensemble-mean bias vs the quadrature oracle at dt and dt/2.
+    """Ensemble-mean bias vs the closed-form oracle at dt and dt/2.
 
     Uses common random numbers: each trajectory's fine-grid Wiener
     increments are drawn once and pairwise-summed to form its coarse-grid
@@ -193,8 +167,8 @@ def weak_convergence_bias(
         noise_f[:, j] = g.standard_normal(2 * steps) * sfine
     noise_c = noise_f[0::2] + noise_f[1::2]
 
-    stats_c = se.run_block(cfg, detector, "moments", children, noise=noise_c)
-    stats_f = se.run_block(cfg_f, detector, "moments", children, noise=noise_f)
+    stats_c = se.run_block(cfg, detector, seed_seqs=children, noise=noise_c)
+    stats_f = se.run_block(cfg_f, detector, seed_seqs=children, noise=noise_f)
     mean_c = stats_c.sum_n / M
     mean_f = stats_f.sum_n[::2] / M
     oracle = analytic_mean_photon_series(cfg, stats_c.times)

@@ -57,25 +57,3 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch in commutator: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def fock_ket(dim: int, n: int) -> np.ndarray:
-    """Basis ket |n> in a D-dimensional truncation."""
-    if dim < 1:
-        raise ValueError(f"Fock dimension must be >= 1, got {dim}")
-    if not 0 <= n < dim:
-        raise ValueError(f"level {n} outside truncation D={dim}")
-    ket = np.zeros(dim, dtype=np.complex128)
-    ket[n] = 1.0
-    return ket
-
-
-def expectation(psi: np.ndarray, x: np.ndarray) -> complex:
-    """<psi| X |psi> for a ket ``psi`` and operator ``X``."""
-    psi = np.asarray(psi)
-    x = np.asarray(x)
-    if x.shape != (psi.shape[0], psi.shape[0]):
-        raise ValueError(
-            f"shape mismatch in expectation: ket dim {psi.shape[0]}, operator {x.shape}"
-        )
-    return complex(np.vdot(psi, x @ psi))

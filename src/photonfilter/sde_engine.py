@@ -7,13 +7,15 @@ any degree of parallelism.  Integration is fixed-step Euler-Maruyama on the
 Ito equations; photon-counting jumps use per-step Bernoulli thinning, valid
 because nu * dt <= 0.1 is enforced.
 
-The workhorse is :func:`run_block`, which advances a whole block of
-trajectories in lock-step with vectorized state arrays.  A trajectory's
-noise depends only on its own seed sequence, so a trajectory inside a block
-matches the same trajectory run alone to rounding (BLAS kernels may pick a
-different summation order for different batch widths); rerunning the same
-command, including under parallel workers, is bit-identical because the
-block decomposition is fixed.
+The workhorse is :func:`run_block`, the one stepping loop for every Fock
+truncation: it advances a whole block of trajectories in lock-step with the
+filter compiled from (S, L, H) by :mod:`photonfilter.filter_moments`.  A
+trajectory's noise depends only on its own seed sequence, so a trajectory
+inside a block matches the same trajectory run alone to rounding (BLAS
+kernels may pick a different summation order for different batch widths);
+rerunning the same command, including under parallel workers, is
+bit-identical because the block decomposition is fixed.  Every error the
+runner raises names the time and the trajectory.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import (
     FilterDivergenceError,
     GridTooCoarseError,
     NonRealInnovationError,
-    PhotonFilterError,
 )
 
 _CHUNK = 4096
@@ -73,23 +74,6 @@ class Trajectory:
     record: np.ndarray
     jumps: list[float]
     seed: object
-
-
-def wiener_increment(stream: np.random.Generator, dt: float) -> float:
-    """One Gaussian increment with mean 0 and variance dt."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    return stream.standard_normal() * np.sqrt(dt)
-
-
-def jump_draw(stream: np.random.Generator, nu: float, dt: float) -> bool:
-    """Bernoulli thinning of the point process: True with probability nu*dt."""
-    if nu < 0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
-    p = nu * dt
-    if p > 0.1:
-        raise GridTooCoarseError(f"nu*dt = {p:.3g} > 0.1; refine the grid")
-    return bool(stream.random() < p)
 
 
 @dataclass
@@ -155,30 +139,6 @@ def _chunk_noise(gens, n: int, homodyne: bool, sqrt_dt: float) -> np.ndarray:
     return out
 
 
-def run_block(
-    cfg: SimConfig,
-    detector: str,
-    engine: str,
-    seed_seqs,
-    *,
-    noise: np.ndarray | None = None,
-    drift_only: bool = False,
-    record_series: bool = False,
-) -> BlockStats:
-    """Advance a block of trajectories (one per seed sequence) in lock-step."""
-    if engine == "moments":
-        return _run_moment_block(
-            cfg, detector, seed_seqs, noise=noise, drift_only=drift_only,
-            record_series=record_series,
-        )
-    if engine == "generic":
-        return _run_generic_block(
-            cfg, detector, seed_seqs, noise=noise, drift_only=drift_only,
-            record_series=record_series,
-        )
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 def _init_stats(m: int, times: np.ndarray, homodyne: bool, record_series: bool, steps: int) -> BlockStats:
     z = np.zeros(steps + 1)
     stats = BlockStats(
@@ -199,7 +159,32 @@ def _init_stats(m: int, times: np.ndarray, homodyne: bool, record_series: bool, 
     return stats
 
 
-def _run_moment_block(cfg, detector, seed_seqs, *, noise, drift_only, record_series):
+def _fail(exc, fmt: str, values, bad, t: float, seed_seqs):
+    """Raise ``exc`` with ``fmt`` of the first flagged entry of ``values``, t and
+    the trajectory: its index in the ensemble (the last entry of its seed
+    sequence's spawn key), or else its column in the block."""
+    j = int(np.flatnonzero(bad)[0])
+    key = getattr(seed_seqs[j], "spawn_key", ())
+    who = key[-1] if key else j
+    raise exc(f"{fmt.format(values[j])} at t={t:.6g} in trajectory {who}")
+
+
+def run_block(
+    cfg: SimConfig,
+    detector: str,
+    seed_seqs,
+    *,
+    noise: np.ndarray | None = None,
+    record_series: bool = False,
+) -> BlockStats:
+    """Advance a block of trajectories (one per seed sequence) in lock-step.
+
+    The filter is compiled once from the cavity's (S, L, H) at
+    ``cfg.fock_dim``; each step evaluates its maps at xi(t) and applies them
+    to the (4 D^2, m) state with one matmul each.  ``noise`` (steps x m)
+    replaces the trajectories' own draws: Wiener increments for homodyne
+    detection, uniforms for photon counting.
+    """
     homodyne = detector == "homodyne"
     grid = SimGrid(0.0, cfg.t_end, cfg.dt)
     steps = grid.steps
@@ -211,48 +196,44 @@ def _run_moment_block(cfg, detector, seed_seqs, *, noise, drift_only, record_ser
     m = len(seed_seqs)
     gens = [np.random.default_rng(ss) for ss in seed_seqs]
 
-    x = np.zeros((fm.NVARS, m), dtype=np.complex128)
-    x[fm.I11] = 1.0
-    x[fm.I00] = 1.0
-
-    fd = fm.drift_matrix(cfg.kappa, cfg.delta, 0j)
-    fgm = fm.diffusion_matrix(cfg.kappa, 0j)
-    fj = fm.jump_gain_matrix(cfg.kappa, 0j)
-    kr = fm.k_row(cfg.kappa, 0j)
+    f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
+    x = np.repeat(f.initial[:, None], m, axis=1)
+    fd = fm.drift_matrix(f, 0j)
+    if homodyne:
+        fgm = fm.diffusion_matrix(f, 0j)
+        kr = fm.k_row(f, 0j)
+    else:
+        fj = fm.jump_gain_matrix(f, 0j)
+        nr = fm.nu_row(f, 0j)
+    floor = fg.nu_floor(dt)
 
     stats = _init_stats(m, times, homodyne, record_series, steps)
     counts = np.zeros(m)
-    _accumulate(stats, 0, x[fm.N11], x[fm.N00], x[fm.I00], x[fm.I11], x[fm.D10],
-                x[fm.A01], x[fm.I10], x[fm.I01], x[fm.D01], x[fm.A10])
+    r = _readout(f, x)
+    _accumulate(stats, 0, r)
     if record_series:
-        stats.series[0] = x[fm.N11].real
+        stats.series[0] = r[0].real
 
     for start in range(0, steps, _CHUNK):
         n = min(_CHUNK, steps - start)
-        if drift_only:
-            nz = None
-        elif noise is not None:
+        if noise is not None:
             nz = noise[start:start + n]
         else:
             nz = _chunk_noise(gens, n, homodyne, sqrt_dt)
         for i in range(n):
             k = start + i
             xi_k = complex(xi_arr[k])
-            fm.drift_matrix(cfg.kappa, cfg.delta, xi_k, out=fd)
-            drift = fd @ x
-            if drift_only:
-                x = x + drift * dt
-            elif homodyne:
-                fm.diffusion_matrix(cfg.kappa, xi_k, out=fgm)
-                fm.k_row(cfg.kappa, xi_k, out=kr)
-                kc = kr @ x
-                im = np.abs(kc.imag).max()
-                if im > fm._IM_ERR:
-                    raise NonRealInnovationError(
-                        f"K_t imaginary part {im:.3e} at t={times[k]:.6g}"
-                    )
+            drift = fm.drift_matrix(f, xi_k, out=fd) @ x
+            if homodyne:
+                fm.diffusion_matrix(f, xi_k, out=fgm)
+                kc = fm.k_row(f, xi_k, out=kr) @ x
+                im = np.abs(kc.imag)
+                im_max = float(im.max())
+                if im_max > fg._IM_ERR:
+                    _fail(NonRealInnovationError, "K_t has imaginary part {:.3e}", im,
+                          im > fg._IM_ERR, times[k], seed_seqs)
+                stats.max_im_k = max(stats.max_im_k, im_max)
                 kk = kc.real
-                stats.max_im_k = max(stats.max_im_k, float(im))
                 dw = nz[i]
                 x = x + drift * dt + ((fgm @ x) - kk * x) * dw
                 dy = kk * dt + dw
@@ -261,28 +242,25 @@ def _run_moment_block(cfg, detector, seed_seqs, *, noise, drift_only, record_ser
                 if record_series:
                     stats.record[k + 1] = dy
             else:
-                fm.jump_gain_matrix(cfg.kappa, xi_k, out=fj)
-                gains = fj @ x
-                nuc = gains[fm.I11]
-                im = np.abs(nuc.imag).max()
-                if im > fm._IM_ERR:
-                    raise NonRealInnovationError(
-                        f"nu_t imaginary part {im:.3e} at t={times[k]:.6g}"
-                    )
-                stats.max_im_nu = max(stats.max_im_nu, float(im))
+                gains = fm.jump_gain_matrix(f, xi_k, out=fj) @ x
+                nuc = fm.nu_row(f, xi_k, out=nr) @ x
+                im = np.abs(nuc.imag)
+                im_max = float(im.max())
+                if im_max > fg._IM_ERR:
+                    _fail(NonRealInnovationError, "nu_t has imaginary part {:.3e}", im,
+                          im > fg._IM_ERR, times[k], seed_seqs)
+                stats.max_im_nu = max(stats.max_im_nu, im_max)
                 nu = nuc.real
-                if nu.min() < -fm.nu_floor(dt):
-                    raise FilterDivergenceError(
-                        f"nu_t = {nu.min():.3e} at t={times[k]:.6g}"
-                    )
+                if nu.min() < -floor:
+                    _fail(FilterDivergenceError, "jump intensity nu_t = {:.3e} strongly negative",
+                          nu, nu < -floor, times[k], seed_seqs)
                 nu = np.where(nu < 0.0, 0.0, nu)
                 stats.min_nu = min(stats.min_nu, float(nu.min()))
                 nudt = nu * dt
                 if nudt.max() > 0.1:
-                    raise GridTooCoarseError(
-                        f"nu*dt = {nudt.max():.3g} > 0.1 at t={times[k]:.6g}"
-                    )
-                active = nu >= fm._NU_EPS
+                    _fail(GridTooCoarseError, "nu*dt = {:.3g} > 0.1 (refine the grid)", nudt,
+                          nudt > 0.1, times[k], seed_seqs)
+                active = nu >= fg._NU_EPS
                 jump = active & (nz[i] < nudt)
                 comp = np.where(active, gains - nu * x, 0.0)
                 x_new = x + (drift - comp) * dt
@@ -293,155 +271,51 @@ def _run_moment_block(cfg, detector, seed_seqs, *, noise, drift_only, record_ser
                     x = np.where(jump, gains / nu_safe, x_new)
                     counts += jump
                     stats.jump_counts += jump
-                    stats.post_jump_max_n = max(
-                        stats.post_jump_max_n, float(x[fm.N11].real[jump].max())
-                    )
+                    post_n = (f.readout[0] @ x[:, jump]).real
+                    stats.post_jump_max_n = max(stats.post_jump_max_n, float(post_n.max()))
                     for idx in np.nonzero(jump)[0]:
                         stats.jump_times[idx].append(float(times[k + 1]))
                 else:
                     x = x_new
                 if record_series:
                     stats.record[k + 1] = counts
-            if not np.isfinite(x[fm.N11]).all():
-                raise FilterDivergenceError(
-                    f"moment filter diverged at t={times[k + 1]:.6g}"
-                )
-            _accumulate(stats, k + 1, x[fm.N11], x[fm.N00], x[fm.I00], x[fm.I11],
-                        x[fm.D10], x[fm.A01], x[fm.I10], x[fm.I01], x[fm.D01],
-                        x[fm.A10])
+            r = _readout(f, x)
+            finite = np.isfinite(r[0])
+            if not finite.all():
+                _fail(FilterDivergenceError, "filter diverged to pi11(n) = {}", r[0].real,
+                      ~finite, times[k + 1], seed_seqs)
+            _accumulate(stats, k + 1, r)
             if record_series:
-                stats.series[k + 1] = x[fm.N11].real
+                stats.series[k + 1] = r[0].real
     return stats
 
 
-def _accumulate(stats, k, n11, n00, i00, i11, d10, a01, i10, i01, d01, a10):
-    v = n11.real
+def _readout(f, x: np.ndarray) -> np.ndarray:
+    """Readouts of the (N, m) state: the real readout matrix acts on its float view."""
+    return (f.readout @ x.view(np.float64)).view(np.complex128)
+
+
+def _accumulate(stats, k, r):
+    """Fold the readouts ``r`` (rows as in ``filter_moments.READOUTS``) at step k."""
+    v = r[0].real
     stats.sum_n[k] = np.add.reduce(v)
     stats.sumsq_n[k] = v @ v
-    u = i00.real
+    u = r[2].real
     stats.sum_i00[k] = np.add.reduce(u)
     stats.sumsq_i00[k] = u @ u
     stats.n_min = min(stats.n_min, float(v.min()))
     stats.n_max = max(stats.n_max, float(v.max()))
-    stats.max_im_n = max(
-        stats.max_im_n,
-        float(np.abs(n11.imag).max()),
-        float(np.abs(n00.imag).max()),
-    )
-    stats.max_i11_dev = max(stats.max_i11_dev, float(np.abs(i11 - 1.0).max()))
-    dev = max(
-        float(np.abs(d10 - a01.conj()).max()),
-        float(np.abs(i10 - i01.conj()).max()),
-        float(np.abs(d01 - a10.conj()).max()),
-    )
+    stats.max_im_n = max(stats.max_im_n, float(np.abs(r[:2].imag).max()))
+    stats.max_i11_dev = max(stats.max_i11_dev, float(np.abs(r[3] - 1.0).max()))
+    # The conjugation pairs (d10, a01), (i10, i01) and (d01, a10).
+    dev = float(np.abs(r[4::2] - r[5::2].conj()).max())
     stats.max_pair_dev = max(stats.max_pair_dev, dev)
-
-
-def _run_generic_block(cfg, detector, seed_seqs, *, noise, drift_only, record_series):
-    homodyne = detector == "homodyne"
-    grid = SimGrid(0.0, cfg.t_end, cfg.dt)
-    steps = grid.steps
-    times = grid.times()
-    dt = cfg.dt
-    sqrt_dt = np.sqrt(dt)
-    w = wp.Wavepacket(cfg.gamma, cfg.t0)
-    xi_arr = np.asarray(wp.xi(w, times[:-1]))
-    m = len(seed_seqs)
-    gens = [np.random.default_rng(ss) for ss in seed_seqs]
-    dim = cfg.fock_dim
-    model = fg.SLHModel.cavity(dim, cfg.kappa, cfg.delta)
-    n_op = np.diag(np.arange(dim, dtype=np.complex128))
-    a_op = model.L / np.sqrt(cfg.kappa)
-    ad_op = a_op.conj().T
-
-    vac = np.zeros((dim, dim), dtype=np.complex128)
-    vac[0, 0] = 1.0
-    proj = np.broadcast_to(vac, (m, dim, dim)).copy()
-    zero = np.zeros_like(proj)
-    state = fg.GenericFilterState(proj.copy(), zero.copy(), zero.copy(), proj.copy())
-
-    stats = _init_stats(m, times, homodyne, record_series, steps)
-    counts = np.zeros(m)
-    _accumulate_generic(stats, 0, state, n_op, a_op, ad_op)
-    if record_series:
-        stats.series[0] = np.einsum("mij,ji->m", state.rho11, n_op).real
-
-    for start in range(0, steps, _CHUNK):
-        n = min(_CHUNK, steps - start)
-        if drift_only:
-            nz = None
-        elif noise is not None:
-            nz = noise[start:start + n]
-        else:
-            nz = _chunk_noise(gens, n, homodyne, sqrt_dt)
-        for i in range(n):
-            k = start + i
-            xi_k = complex(xi_arr[k])
-            try:
-                if drift_only:
-                    a11, a10, a01, a00 = fg._drifts(state, model, xi_k)
-                    state = fg.GenericFilterState(
-                        state.rho11 + a11 * dt,
-                        state.rho10 + a10 * dt,
-                        state.rho01 + a01 * dt,
-                        state.rho00 + a00 * dt,
-                    )
-                elif homodyne:
-                    state, dy = fg.homodyne_step(state, model, xi_k, dt, nz[i])
-                    stats.sum_dy[k] = np.add.reduce(dy)
-                    stats.sum_kdt[k] = np.add.reduce(dy - nz[i])
-                    if record_series:
-                        stats.record[k + 1] = dy
-                else:
-                    nu = np.asarray(fg.nu_t(state, model, xi_k, dt))
-                    stats.min_nu = min(stats.min_nu, float(nu.min()))
-                    nudt = nu * dt
-                    if nudt.max() > 0.1:
-                        raise GridTooCoarseError(
-                            f"nu*dt = {nudt.max():.3g} > 0.1 at t={times[k]:.6g}"
-                        )
-                    jump = (nu >= fm._NU_EPS) & (nz[i] < nudt)
-                    state = fg.photocount_step(state, model, xi_k, dt, jump)
-                    if jump.any():
-                        counts += jump
-                        stats.jump_counts += jump
-                        pj = np.einsum("mij,ji->m", state.rho11, n_op).real
-                        stats.post_jump_max_n = max(
-                            stats.post_jump_max_n, float(pj[jump].max())
-                        )
-                        for idx in np.nonzero(jump)[0]:
-                            stats.jump_times[idx].append(float(times[k + 1]))
-                    if record_series:
-                        stats.record[k + 1] = counts
-            except PhotonFilterError as exc:
-                raise type(exc)(f"{exc} (t={times[k]:.6g})") from exc
-            _accumulate_generic(stats, k + 1, state, n_op, a_op, ad_op)
-            if record_series:
-                stats.series[k + 1] = np.einsum("mij,ji->m", state.rho11, n_op).real
-    return stats
-
-
-def _accumulate_generic(stats, k, state, n_op, a_op, ad_op):
-    n11 = np.einsum("mij,ji->m", state.rho11, n_op)
-    n00 = np.einsum("mij,ji->m", state.rho00, n_op)
-    i00 = np.einsum("mii->m", state.rho00)
-    i11 = np.einsum("mii->m", state.rho11)
-    d10 = np.einsum("mij,ji->m", state.rho10, ad_op)
-    a01 = np.einsum("mij,ji->m", state.rho01, a_op)
-    i10 = np.einsum("mii->m", state.rho10)
-    i01 = np.einsum("mii->m", state.rho01)
-    d01 = np.einsum("mij,ji->m", state.rho01, ad_op)
-    a10 = np.einsum("mij,ji->m", state.rho10, a_op)
-    _accumulate(stats, k, n11, n00, i00, i11, d10, a01, i10, i01, d01, a10)
 
 
 def simulate_trajectory(
     cfg: SimConfig,
     detector: str | None = None,
-    engine: str | None = None,
     seed=None,
-    *,
-    drift_only: bool = False,
 ) -> Trajectory:
     """Run one seeded trajectory and return its full time series.
 
@@ -450,13 +324,10 @@ def simulate_trajectory(
     detection and cumulative counts for photon counting.
     """
     detector = detector or cfg.detector
-    engine = engine or cfg.engine
     if seed is None:
         seed = cfg.seed
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    stats = run_block(
-        cfg, detector, engine, [ss], drift_only=drift_only, record_series=True
-    )
+    stats = run_block(cfg, detector, seed_seqs=[ss], record_series=True)
     return Trajectory(
         times=stats.times,
         n_cond=stats.series[:, 0].copy(),

@@ -22,7 +22,7 @@ def _check(results, name, passed, detail):
     results.append(CheckResult(name, bool(passed), detail))
 
 
-def run_checks(engine: str = "moments", seed: int = 2024) -> list[CheckResult]:
+def run_checks(seed: int = 2024) -> list[CheckResult]:
     """Run the full invariant suite; all checks must pass for a clean build."""
     results: list[CheckResult] = []
 
@@ -37,8 +37,7 @@ def run_checks(engine: str = "moments", seed: int = 2024) -> list[CheckResult]:
            f"max deviation {worst:.2e}")
 
     # Homodyne run: conjugation pairs, reality, unit-trace drift.
-    cfg = SimConfig(t_end=23.0, ntraj=200, seed=seed, engine=engine,
-                    detector="homodyne")
+    cfg = SimConfig(t_end=23.0, ntraj=200, seed=seed, detector="homodyne")
     hd = run_ensemble(cfg).diagnostics
     _check(results, "conjugation pairs pi10(adag)=conj(pi01(a)) etc.",
            hd.max_pair_dev <= 1e-9, f"max deviation {hd.max_pair_dev:.2e}")
@@ -51,7 +50,7 @@ def run_checks(engine: str = "moments", seed: int = 2024) -> list[CheckResult]:
 
     # Photon counting: nonnegative intensity, single jump, unit mean count.
     cfg_pc = SimConfig(t_end=203.0, dt=1e-2, ntraj=1000, seed=seed,
-                       engine=engine, detector="photocount")
+                       detector="photocount")
     pc = run_ensemble(cfg_pc).diagnostics
     _check(results, "nu_t >= -1e-10 at all steps",
            pc.min_nu >= -1e-10, f"min nu_t {pc.min_nu:.2e}")

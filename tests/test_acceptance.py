@@ -8,8 +8,8 @@ import pytest
 from photonfilter import cli
 from photonfilter import sde_engine as se
 from photonfilter.config import SimConfig
+from einsum_oracle import einsum_block
 from photonfilter.master_ensemble import (
-    analytic_mean_photon,
     analytic_mean_photon_series,
     integrate_master,
     run_ensemble,
@@ -58,8 +58,8 @@ def test_criterion_1_matched_pulse_peak(me_coarse):
 def test_criterion_2_me_oracle_agreement(me_coarse):
     oracle = analytic_mean_photon_series(SimConfig(dt=1e-2), me_coarse.times)
     sup = float(np.abs(me_coarse.values - oracle).max())
-    # spot-check the vectorized oracle against adaptive quadrature
-    spot = abs(analytic_mean_photon(SimConfig(), 23.0) - PEAK_VALUE)
+    # spot-check the closed form at the matched-pulse peak
+    spot = abs(analytic_mean_photon_series(SimConfig(), np.array([23.0]))[0] - PEAK_VALUE)
     _report(2, "master equation vs closed-form oracle",
             sup <= 1e-5 and spot <= 1e-10,
             f"sup|ME - oracle| = {sup:.2e}")
@@ -90,17 +90,16 @@ def test_criterion_5_oracle_equivalence():
     for j, child in enumerate(children):
         noise[:, j] = np.random.default_rng(child).standard_normal(steps)
     noise *= np.sqrt(cfg.dt)
-    sm = se.run_block(cfg, "homodyne", "moments", children,
+    c2 = se.run_block(cfg, "homodyne", seed_seqs=children,
                       noise=noise, record_series=True)
-    g2 = se.run_block(cfg, "homodyne", "generic", children,
+    c3 = se.run_block(cfg.with_(fock_dim=3), "homodyne", seed_seqs=children,
                       noise=noise, record_series=True)
-    g3 = se.run_block(cfg.with_(fock_dim=3), "homodyne", "generic", children,
-                      noise=noise, record_series=True)
-    dev_m = float(np.abs(sm.series - g2.series).max())
-    dev_3 = float(np.abs(g3.series - g2.series).max())
-    _report(5, "moment filter vs operator filter (100 seeds x 1e4 steps)",
-            dev_m <= 1e-9 and dev_3 <= 1e-9,
-            f"max|moments - D=2| = {dev_m:.2e}, max|D=3 - D=2| = {dev_3:.2e}")
+    oracle, _, _ = einsum_block(cfg, "homodyne", noise)
+    dev_2 = float(np.abs(c2.series - oracle).max())
+    dev_3 = float(np.abs(c3.series - oracle).max())
+    _report(5, "compiled filter vs einsum oracle (100 seeds x 1e4 steps)",
+            dev_2 <= 1e-9 and dev_3 <= 1e-9,
+            f"max|D=2 - oracle| = {dev_2:.2e}, max|D=3 - oracle| = {dev_3:.2e}")
 
 
 def test_criterion_6_invariant_suite():

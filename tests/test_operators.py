@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonfilter import filter_generic as fg
 from photonfilter import operators as ops
 
 
@@ -25,7 +26,7 @@ def test_annihilation_rejects_bad_dim():
 
 def test_creation_raises_vacuum():
     adag = ops.creation(2)
-    np.testing.assert_allclose(adag @ ops.fock_ket(2, 0), ops.fock_ket(2, 1))
+    np.testing.assert_allclose(adag @ np.eye(2)[0], np.eye(2)[1])
 
 
 def test_creation_is_adjoint_of_annihilation():
@@ -64,27 +65,25 @@ def test_commutator_shape_mismatch():
         ops.commutator(ops.annihilation(2), ops.annihilation(3))
 
 
-def test_fock_ket_bounds():
-    np.testing.assert_array_equal(ops.fock_ket(3, 2), [0, 0, 1])
-    with pytest.raises(ValueError):
-        ops.fock_ket(2, 2)
-    with pytest.raises(ValueError):
-        ops.fock_ket(2, -1)
+# Expectations <psi|X|psi> read from the filter state of a pure ket,
+# pi11(X) = tr(|psi><psi| X).
+def expectation(psi, x):
+    return fg.init_filter(psi).pi("11", x)
 
 
 def test_expectation_eigenstate():
-    assert ops.expectation(ops.fock_ket(2, 1), ops.number_op(2)) == pytest.approx(1.0)
+    assert expectation(np.eye(2)[1], ops.number_op(2)) == pytest.approx(1.0)
 
 
 def test_expectation_superposition():
-    psi = (ops.fock_ket(2, 0) + ops.fock_ket(2, 1)) / np.sqrt(2.0)
+    psi = (np.eye(2)[0] + np.eye(2)[1]) / np.sqrt(2.0)
     x = ops.annihilation(2) + ops.creation(2)
-    assert ops.expectation(psi, x) == pytest.approx(1.0)
+    assert expectation(psi, x) == pytest.approx(1.0)
 
 
 def test_expectation_shape_mismatch():
     with pytest.raises(ValueError):
-        ops.expectation(ops.fock_ket(2, 0), ops.number_op(3))
+        expectation(np.eye(2)[0], ops.number_op(3))
 
 
 @settings(max_examples=50, deadline=None)
@@ -95,5 +94,5 @@ def test_expectation_real_for_hermitian(dim, seed):
     psi /= np.linalg.norm(psi)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     herm = m + ops.adjoint(m)
-    val = ops.expectation(psi, herm)
+    val = expectation(psi, herm)
     assert abs(val.imag) <= 1e-12

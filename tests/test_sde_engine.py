@@ -1,10 +1,20 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from einsum_oracle import einsum_block
 from photonfilter import sde_engine as se
 from photonfilter.config import SimConfig
-from photonfilter.errors import GridTooCoarseError
+from photonfilter.errors import FilterDivergenceError, GridTooCoarseError
 from photonfilter.master_ensemble import integrate_master
+
+
+def _noise(cfg, m, seed, homodyne=True):
+    """Per-trajectory draws as the runner makes them, steps x m."""
+    steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
+    gens = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(m)]
+    return se._chunk_noise(gens, steps, homodyne, np.sqrt(cfg.dt))
 
 
 class TestSimGrid:
@@ -28,33 +38,44 @@ class TestSimGrid:
 
 class TestNoise:
     def test_wiener_increment_mean(self):
-        g = np.random.default_rng(0)
         n = 10**6
         dt = 1e-3
-        total = sum(se.wiener_increment(g, dt) for _ in range(n))
-        assert abs(total / n) <= 3.0 * np.sqrt(dt / n)
+        dw = se._chunk_noise([np.random.default_rng(0)], n, True, np.sqrt(dt))
+        assert abs(dw.mean()) <= 3.0 * np.sqrt(dt / n)
 
     def test_wiener_increment_deterministic(self):
-        a = [se.wiener_increment(np.random.default_rng(7), 1e-3) for _ in range(3)]
-        b = [se.wiener_increment(np.random.default_rng(7), 1e-3) for _ in range(3)]
-        assert a == b
+        a = se._chunk_noise([np.random.default_rng(7)], 3, True, np.sqrt(1e-3))
+        b = se._chunk_noise([np.random.default_rng(7)], 3, True, np.sqrt(1e-3))
+        np.testing.assert_array_equal(a, b)
 
     def test_jump_draw_never_fires_at_zero(self):
-        g = np.random.default_rng(0)
-        assert not any(se.jump_draw(g, 0.0, 1e-3) for _ in range(1000))
+        # before t0 the intensity is exactly zero: even uniforms of 0, which
+        # fire at any positive intensity, draw no count
+        cfg = SimConfig(t0=5.0, t_end=6.0, dt=1e-2, detector="photocount")
+        seqs = np.random.SeedSequence(0).spawn(4)
+        stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.zeros((600, 4)))
+        assert all(times == [pytest.approx(5.01)] for times in stats.jump_times)
 
     def test_jump_draw_empirical_rate(self):
-        # nu*dt = 1e-4; the count over 1e6 draws should sit within 5%
-        g = np.random.default_rng(1)
-        count = sum(se.jump_draw(g, 0.1, 1e-3) for _ in range(10**6))
-        assert abs(count - 100) <= 5
+        # The photon is counted by t, left in the cavity or not yet emitted:
+        # P(count by t) = 1 - <n>(t) - tail(t) = 1 - 5 e^-2 at t = t0 + 20.
+        # With M = 2000 the counted fraction has sd 0.0105; the bound is 4 sd.
+        cfg = SimConfig(t_end=23.0, dt=1e-2, detector="photocount")
+        seqs = np.random.SeedSequence(1).spawn(2000)
+        counted = np.concatenate([
+            se.run_block(cfg, "photocount", seed_seqs=seqs[lo:lo + 500]).jump_counts
+            for lo in range(0, 2000, 500)
+        ])
+        expect = 1.0 - 5.0 * np.exp(-2.0)
+        assert abs(counted.mean() - expect) <= 4.0 * np.sqrt(expect * (1 - expect) / 2000)
 
     def test_jump_draw_guards(self):
-        g = np.random.default_rng(0)
-        with pytest.raises(GridTooCoarseError):
-            se.jump_draw(g, 200.0, 1e-3)
-        with pytest.raises(ValueError):
-            se.jump_draw(g, -0.1, 1e-3)
+        # a grid coarser than the validator allows: nu dt = 0.2 at t0
+        cfg = SimpleNamespace(kappa=0.1, gamma=0.1, delta=0.0, t0=2.0, t_end=8.0,
+                              dt=2.0, fock_dim=2)
+        seqs = np.random.SeedSequence(0).spawn(3)
+        with pytest.raises(GridTooCoarseError, match=r"at t=2 in trajectory 0"):
+            se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.ones((4, 3)))
 
 
 class TestTrajectory:
@@ -72,24 +93,35 @@ class TestTrajectory:
         np.testing.assert_array_equal(a.record, b.record)
 
     def test_drift_only_tracks_master_equation(self):
+        # with dW = 0 the homodyne step is the explicit Euler step of the drift
         cfg = SimConfig(t_end=33.0, dt=1e-2)
-        traj = se.simulate_trajectory(cfg, drift_only=True, seed=0)
+        steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
+        stats = se.run_block(cfg, "homodyne", seed_seqs=[np.random.SeedSequence(0)],
+                             noise=np.zeros((steps, 1)), record_series=True)
         me = integrate_master(cfg)
         # explicit Euler vs RK4: O(dt) agreement
-        assert np.abs(traj.n_cond - me.values).max() <= 1e-3
+        assert np.abs(stats.series[:, 0] - me.values).max() <= 1e-3
 
     def test_engines_agree_homodyne(self):
-        cfg = SimConfig(t_end=8.0, dt=1e-3, detector="homodyne")
-        a = se.simulate_trajectory(cfg, engine="moments", seed=5)
-        b = se.simulate_trajectory(cfg, engine="generic", seed=5)
-        assert np.abs(a.n_cond - b.n_cond).max() <= 1e-12
+        # the compiled runner vs the einsum filter on shared noise, at D=3
+        cfg = SimConfig(t_end=8.0, dt=1e-3, fock_dim=3, detector="homodyne")
+        noise = _noise(cfg, 2, seed=5)
+        seqs = np.random.SeedSequence(5).spawn(2)
+        a = se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=noise, record_series=True)
+        series, record, _ = einsum_block(cfg, "homodyne", noise)
+        assert np.abs(a.series - series).max() <= 1e-12
+        assert np.abs(a.record - record).max() <= 1e-12
 
     def test_engines_agree_photocount(self):
         cfg = SimConfig(t_end=23.0, dt=1e-2, detector="photocount")
-        a = se.simulate_trajectory(cfg, engine="moments", seed=9)
-        b = se.simulate_trajectory(cfg, engine="generic", seed=9)
-        assert a.jumps == b.jumps
-        assert np.abs(a.n_cond - b.n_cond).max() <= 1e-12
+        noise = _noise(cfg, 8, seed=9, homodyne=False)
+        seqs = np.random.SeedSequence(9).spawn(8)
+        a = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=noise, record_series=True)
+        series, record, jumps = einsum_block(cfg, "photocount", noise)
+        assert a.jump_times == jumps
+        assert any(jumps)
+        np.testing.assert_array_equal(a.record, record)
+        assert np.abs(a.series - series).max() <= 1e-12
 
     def test_photocount_single_jump_and_collapse(self):
         cfg = SimConfig(t_end=103.0, dt=1e-2, detector="photocount")
@@ -108,12 +140,21 @@ class TestTrajectory:
         # summation-order rounding, which depends on the batch width)
         cfg = SimConfig(t_end=13.0, dt=1e-2)
         children = np.random.SeedSequence(11).spawn(3)
-        block = se.run_block(cfg, "homodyne", "moments", children, record_series=True)
+        block = se.run_block(cfg, "homodyne", seed_seqs=children, record_series=True)
         for j, child in enumerate(children):
             solo = se.simulate_trajectory(cfg, seed=child)
             np.testing.assert_allclose(block.series[:, j], solo.n_cond, atol=1e-13)
 
     def test_unknown_engine(self):
-        cfg = SimConfig(t_end=13.0, dt=1e-2)
         with pytest.raises(ValueError, match="engine"):
-            se.run_block(cfg, "homodyne", "exact", [np.random.SeedSequence(0)])
+            SimConfig(engine="exact")
+
+    def test_error_names_time_and_trajectory(self):
+        # trajectories 4..7 of an ensemble; a NaN increment in the third
+        # column at step 250 makes the state non-finite at t = 2.51
+        cfg = SimConfig(t_end=13.0, dt=1e-2)
+        seqs = np.random.SeedSequence(3).spawn(8)[4:]
+        noise = _noise(cfg, 4, seed=3)
+        noise[250, 2] = np.nan
+        with pytest.raises(FilterDivergenceError, match=r"at t=2\.51 in trajectory 6$"):
+            se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=noise)
