@@ -147,9 +147,8 @@ def weak_convergence_bias(
     cfg: SimConfig,
     M: int,
     master_seed: int,
-    detector: str = "homodyne",
 ) -> tuple[float, float]:
-    """Ensemble-mean bias vs the closed-form oracle at dt and dt/2.
+    """Homodyne ensemble-mean bias vs the closed-form oracle at dt and dt/2.
 
     Uses common random numbers: each trajectory's fine-grid Wiener
     increments are drawn once and pairwise-summed to form its coarse-grid
@@ -167,8 +166,8 @@ def weak_convergence_bias(
         noise_f[:, j] = g.standard_normal(2 * steps) * sfine
     noise_c = noise_f[0::2] + noise_f[1::2]
 
-    stats_c = se.run_block(cfg, detector, seed_seqs=children, noise=noise_c)
-    stats_f = se.run_block(cfg_f, detector, seed_seqs=children, noise=noise_f)
+    stats_c = se.run_block(cfg, "homodyne", seed_seqs=children, noise=noise_c)
+    stats_f = se.run_block(cfg_f, "homodyne", seed_seqs=children, noise=noise_f)
     mean_c = stats_c.sum_n / M
     mean_f = stats_f.sum_n[::2] / M
     oracle = analytic_mean_photon_series(cfg, stats_c.times)

@@ -9,13 +9,16 @@ because nu * dt <= 0.1 is enforced.
 
 The workhorse is :func:`run_block`, the one stepping loop for every Fock
 truncation: it advances a whole block of trajectories in lock-step with the
-filter compiled from (S, L, H) by :mod:`photonfilter.filter_moments`.  A
-trajectory's noise depends only on its own seed sequence, so a trajectory
-inside a block matches the same trajectory run alone to rounding (BLAS
-kernels may pick a different summation order for different batch widths);
-rerunning the same command, including under parallel workers, is
-bit-identical because the block decomposition is fixed.  Every error the
-runner raises names the time and the trajectory.
+filter compiled from (S, L, H) by :mod:`photonfilter.filter_moments`.
+Photon counting steps one shared column: until its count every trajectory
+has seen the same empty record, so all share one no-jump state, and the
+count leaves the cavity in vacuum with nu = 0 for good.  A trajectory's
+noise depends only on its own seed sequence, so a trajectory inside a block
+matches the same trajectory run alone to rounding (BLAS kernels may pick a
+different summation order for different batch widths); rerunning the same
+command, including under parallel workers, is bit-identical because the
+block decomposition is fixed.  Every error the runner raises names the time
+and the trajectory.
 """
 
 from __future__ import annotations
@@ -87,8 +90,6 @@ class BlockStats:
     sum_i00: np.ndarray
     sumsq_i00: np.ndarray
     jump_counts: np.ndarray
-    sum_dy: np.ndarray | None = None
-    sum_kdt: np.ndarray | None = None
     n_min: float = np.inf
     n_max: float = -np.inf
     post_jump_max_n: float = -np.inf
@@ -113,9 +114,6 @@ def _fold(blocks: list[BlockStats]) -> BlockStats:
         out.sum_i00 += b.sum_i00
         out.sumsq_i00 += b.sumsq_i00
         out.jump_counts = np.concatenate([out.jump_counts, b.jump_counts])
-        if out.sum_dy is not None and b.sum_dy is not None:
-            out.sum_dy += b.sum_dy
-            out.sum_kdt += b.sum_kdt
         out.n_min = min(out.n_min, b.n_min)
         out.n_max = max(out.n_max, b.n_max)
         out.post_jump_max_n = max(out.post_jump_max_n, b.post_jump_max_n)
@@ -139,7 +137,7 @@ def _chunk_noise(gens, n: int, homodyne: bool, sqrt_dt: float) -> np.ndarray:
     return out
 
 
-def _init_stats(m: int, times: np.ndarray, homodyne: bool, record_series: bool, steps: int) -> BlockStats:
+def _init_stats(m: int, times: np.ndarray, record_series: bool, steps: int) -> BlockStats:
     z = np.zeros(steps + 1)
     stats = BlockStats(
         m=m,
@@ -149,8 +147,6 @@ def _init_stats(m: int, times: np.ndarray, homodyne: bool, record_series: bool, 
         sum_i00=z.copy(),
         sumsq_i00=z.copy(),
         jump_counts=np.zeros(m, dtype=np.int64),
-        sum_dy=np.zeros(steps) if homodyne else None,
-        sum_kdt=np.zeros(steps) if homodyne else None,
         jump_times=[[] for _ in range(m)],
     )
     if record_series:
@@ -159,14 +155,16 @@ def _init_stats(m: int, times: np.ndarray, homodyne: bool, record_series: bool, 
     return stats
 
 
-def _fail(exc, fmt: str, values, bad, t: float, seed_seqs):
-    """Raise ``exc`` with ``fmt`` of the first flagged entry of ``values``, t and
-    the trajectory: its index in the ensemble (the last entry of its seed
-    sequence's spawn key), or else its column in the block."""
-    j = int(np.flatnonzero(bad)[0])
+def _fail(exc, fmt: str, values, bad, t: float, seed_seqs, alive):
+    """Raise ``exc`` with ``fmt`` of the value, t and the first flagged trajectory
+    still in ``alive`` (one entry each, or one for the shared column): its index
+    in the ensemble (the last entry of its seed sequence's spawn key), or else
+    its column in the block."""
+    j = int(np.flatnonzero(np.broadcast_to(bad, alive.shape) & alive)[0])
     key = getattr(seed_seqs[j], "spawn_key", ())
     who = key[-1] if key else j
-    raise exc(f"{fmt.format(values[j])} at t={t:.6g} in trajectory {who}")
+    value = np.broadcast_to(values, alive.shape)[j]
+    raise exc(f"{fmt.format(value)} at t={t:.6g} in trajectory {who}")
 
 
 def run_block(
@@ -181,9 +179,11 @@ def run_block(
 
     The filter is compiled once from the cavity's (S, L, H) at
     ``cfg.fock_dim``; each step evaluates its maps at xi(t) and applies them
-    to the (4 D^2, m) state with one matmul each.  ``noise`` (steps x m)
-    replaces the trajectories' own draws: Wiener increments for homodyne
-    detection, uniforms for photon counting.
+    with one matmul each, to a (4 D^2, m) state for homodyne detection and
+    to the one shared no-jump column for photon counting, which stops once
+    every trajectory has counted.  ``noise`` (steps x m) replaces the
+    trajectories' own draws: Wiener increments for homodyne detection,
+    uniforms for photon counting.
     """
     homodyne = detector == "homodyne"
     grid = SimGrid(0.0, cfg.t_end, cfg.dt)
@@ -197,7 +197,9 @@ def run_block(
     gens = [np.random.default_rng(ss) for ss in seed_seqs]
 
     f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
-    x = np.repeat(f.initial[:, None], m, axis=1)
+    x = np.repeat(f.initial[:, None], m if homodyne else 1, axis=1)
+    # The trajectories on the state: all, or for photon counting those yet to count.
+    alive = np.ones(m, dtype=bool)
     fd = fm.drift_matrix(f, 0j)
     if homodyne:
         fgm = fm.diffusion_matrix(f, 0j)
@@ -207,10 +209,9 @@ def run_block(
         nr = fm.nu_row(f, 0j)
     floor = fg.nu_floor(dt)
 
-    stats = _init_stats(m, times, homodyne, record_series, steps)
-    counts = np.zeros(m)
+    stats = _init_stats(m, times, record_series, steps)
     r = _readout(f, x)
-    _accumulate(stats, 0, r)
+    _accumulate(stats, 0, r, 1 if homodyne else m)
     if record_series:
         stats.series[0] = r[0].real
 
@@ -231,62 +232,55 @@ def run_block(
                 im_max = float(im.max())
                 if im_max > fg._IM_ERR:
                     _fail(NonRealInnovationError, "K_t has imaginary part {:.3e}", im,
-                          im > fg._IM_ERR, times[k], seed_seqs)
+                          im > fg._IM_ERR, times[k], seed_seqs, alive)
                 stats.max_im_k = max(stats.max_im_k, im_max)
                 kk = kc.real
                 dw = nz[i]
                 x = x + drift * dt + ((fgm @ x) - kk * x) * dw
-                dy = kk * dt + dw
-                stats.sum_dy[k] = np.add.reduce(dy)
-                stats.sum_kdt[k] = np.add.reduce(kk) * dt
                 if record_series:
-                    stats.record[k + 1] = dy
+                    stats.record[k + 1] = kk * dt + dw
             else:
                 gains = fm.jump_gain_matrix(f, xi_k, out=fj) @ x
-                nuc = fm.nu_row(f, xi_k, out=nr) @ x
-                im = np.abs(nuc.imag)
-                im_max = float(im.max())
-                if im_max > fg._IM_ERR:
+                nuc = (fm.nu_row(f, xi_k, out=nr) @ x)[0]
+                im = float(abs(nuc.imag))
+                if im > fg._IM_ERR:
                     _fail(NonRealInnovationError, "nu_t has imaginary part {:.3e}", im,
-                          im > fg._IM_ERR, times[k], seed_seqs)
-                stats.max_im_nu = max(stats.max_im_nu, im_max)
-                nu = nuc.real
-                if nu.min() < -floor:
+                          True, times[k], seed_seqs, alive)
+                stats.max_im_nu = max(stats.max_im_nu, im)
+                nu = float(nuc.real)
+                if nu < -floor:
                     _fail(FilterDivergenceError, "jump intensity nu_t = {:.3e} strongly negative",
-                          nu, nu < -floor, times[k], seed_seqs)
-                nu = np.where(nu < 0.0, 0.0, nu)
-                stats.min_nu = min(stats.min_nu, float(nu.min()))
+                          nu, True, times[k], seed_seqs, alive)
+                nu = max(nu, 0.0)
+                stats.min_nu = min(stats.min_nu, nu)
                 nudt = nu * dt
-                if nudt.max() > 0.1:
+                if nudt > 0.1:
                     _fail(GridTooCoarseError, "nu*dt = {:.3g} > 0.1 (refine the grid)", nudt,
-                          nudt > 0.1, times[k], seed_seqs)
-                active = nu >= fg._NU_EPS
-                jump = active & (nz[i] < nudt)
-                comp = np.where(active, gains - nu * x, 0.0)
-                x_new = x + (drift - comp) * dt
-                if jump.any():
-                    # A jump step applies the pure reset; the O(dt) drift
-                    # contribution is dropped so the collapse is exact.
-                    nu_safe = np.where(active, nu, 1.0)
-                    x = np.where(jump, gains / nu_safe, x_new)
-                    counts += jump
-                    stats.jump_counts += jump
-                    post_n = (f.readout[0] @ x[:, jump]).real
-                    stats.post_jump_max_n = max(stats.post_jump_max_n, float(post_n.max()))
-                    for idx in np.nonzero(jump)[0]:
-                        stats.jump_times[idx].append(float(times[k + 1]))
+                          True, times[k], seed_seqs, alive)
+                if nu >= fg._NU_EPS:
+                    jump = alive & (nz[i] < nudt)
+                    if jump.any():
+                        post_n = float(_readout(f, gains / nu)[0, 0].real)
+                        stats.post_jump_max_n = max(stats.post_jump_max_n, post_n)
+                        stats.jump_counts += jump
+                        for idx in np.nonzero(jump)[0]:
+                            stats.jump_times[idx].append(float(times[k + 1]))
+                        if record_series:
+                            stats.record[k + 1:, jump] = 1.0
+                        alive &= ~jump
+                    x = x + (drift - (gains - nu * x)) * dt
                 else:
-                    x = x_new
-                if record_series:
-                    stats.record[k + 1] = counts
+                    x = x + drift * dt
+                if not alive.any():
+                    return stats
             r = _readout(f, x)
             finite = np.isfinite(r[0])
             if not finite.all():
                 _fail(FilterDivergenceError, "filter diverged to pi11(n) = {}", r[0].real,
-                      ~finite, times[k + 1], seed_seqs)
-            _accumulate(stats, k + 1, r)
+                      ~finite, times[k + 1], seed_seqs, alive)
+            _accumulate(stats, k + 1, r, 1 if homodyne else np.count_nonzero(alive))
             if record_series:
-                stats.series[k + 1] = r[0].real
+                stats.series[k + 1] = np.where(alive, r[0].real, 0.0)
     return stats
 
 
@@ -295,14 +289,15 @@ def _readout(f, x: np.ndarray) -> np.ndarray:
     return (f.readout @ x.view(np.float64)).view(np.complex128)
 
 
-def _accumulate(stats, k, r):
-    """Fold the readouts ``r`` (rows as in ``filter_moments.READOUTS``) at step k."""
+def _accumulate(stats, k, r, weight):
+    """Fold the readouts ``r`` (rows as in ``filter_moments.READOUTS``) at
+    step k, each column standing for ``weight`` trajectories."""
     v = r[0].real
-    stats.sum_n[k] = np.add.reduce(v)
-    stats.sumsq_n[k] = v @ v
+    stats.sum_n[k] = np.add.reduce(v) * weight
+    stats.sumsq_n[k] = (v @ v) * weight
     u = r[2].real
-    stats.sum_i00[k] = np.add.reduce(u)
-    stats.sumsq_i00[k] = u @ u
+    stats.sum_i00[k] = np.add.reduce(u) * weight
+    stats.sumsq_i00[k] = (u @ u) * weight
     stats.n_min = min(stats.n_min, float(v.min()))
     stats.n_max = max(stats.n_max, float(v.max()))
     stats.max_im_n = max(stats.max_im_n, float(np.abs(r[:2].imag).max()))

@@ -19,8 +19,6 @@ from .errors import DepletedSourceError
 
 _TAIL_EPS = 1e-12
 
-KINDS = ("decaying-exponential",)
-
 
 @dataclass(frozen=True)
 class Wavepacket:
@@ -32,19 +30,14 @@ class Wavepacket:
         Decay rate of the emitting two-level atom (> 0).
     t0 : float
         Arrival (switch-on) time of the wavepacket.
-    kind : str
-        Shape tag; only "decaying-exponential" is implemented.
     """
 
     gamma: float
     t0: float = 0.0
-    kind: str = "decaying-exponential"
 
     def __post_init__(self) -> None:
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown wavepacket kind {self.kind!r}")
 
 
 def xi(w: Wavepacket, t):

@@ -80,21 +80,27 @@ def test_moment_nu_at_onset():
 
 
 def test_jump_consumes_photon():
+    # the count leaves the cavity in vacuum with the photon gone: the
+    # post-jump state neither drifts nor counts again, at any truncation
     dt = 1e-3
     w = Wavepacket(GAMMA, 0.0)
-    x = F2.initial
-    for k in range(2000):
-        z = xi(w, k * dt)
-        nu = (fm.nu_row(F2, z) @ x).real
-        comp = fm.jump_gain_matrix(F2, z) @ x - nu * x
-        x = x + (fm.drift_matrix(F2, z) @ x - comp) * dt
-    z = xi(w, 2.0)
-    post = fm.jump_gain_matrix(F2, z) @ x / (fm.nu_row(F2, z) @ x).real
-    assert abs(read(F2, post, "i00")) <= 1e-12
-    assert abs(read(F2, post, "n11")) <= 1e-12
-    assert read(F2, post, "i11").real == pytest.approx(1.0, abs=1e-9)
-    # with the photon consumed the intensity is gone for good
-    assert abs(fm.nu_row(F2, z) @ post) == pytest.approx(0.0, abs=1e-12)
+    for dim in (2, 3, 4):
+        for delta in (0.0, 0.7):
+            f = fm.compile_filter(fg.SLHModel.cavity(dim, KAPPA, delta))
+            x = f.initial
+            for k in range(2000):
+                z = xi(w, k * dt)
+                nu = (fm.nu_row(f, z) @ x).real
+                comp = fm.jump_gain_matrix(f, z) @ x - nu * x
+                x = x + (fm.drift_matrix(f, z) @ x - comp) * dt
+            z = xi(w, 2.0)
+            post = fm.jump_gain_matrix(f, z) @ x / (fm.nu_row(f, z) @ x).real
+            assert abs(read(f, post, "i00")) <= 1e-12
+            assert abs(read(f, post, "n11")) <= 1e-12
+            assert read(f, post, "i11").real == pytest.approx(1.0, abs=1e-9)
+            for later in (z, xi(w, 5.0)):
+                assert abs(fm.nu_row(f, later) @ post) <= 1e-12
+                assert np.abs(fm.drift_matrix(f, later) @ post).max() <= 1e-12
 
 
 def test_jump_rejected_at_zero_intensity():

@@ -53,8 +53,14 @@ class TestNoise:
         # fire at any positive intensity, draw no count
         cfg = SimConfig(t0=5.0, t_end=6.0, dt=1e-2, detector="photocount")
         seqs = np.random.SeedSequence(0).spawn(4)
-        stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.zeros((600, 4)))
+        stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.zeros((600, 4)),
+                             record_series=True)
         assert all(times == [pytest.approx(5.01)] for times in stats.jump_times)
+        # every trajectory has counted: the runner stops, and the rest of
+        # the series reads the vacuum and the record one count
+        after = stats.times > 5.005
+        assert (stats.record[after] == 1.0).all() and (stats.series[after] == 0.0).all()
+        assert (stats.record[~after] == 0.0).all()
 
     def test_jump_draw_empirical_rate(self):
         # The photon is counted by t, left in the cavity or not yet emitted:
@@ -76,6 +82,14 @@ class TestNoise:
         seqs = np.random.SeedSequence(0).spawn(3)
         with pytest.raises(GridTooCoarseError, match=r"at t=2 in trajectory 0"):
             se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.ones((4, 3)))
+        # the no-jump path grows until nu dt passes 0.1 at t = 85.5;
+        # trajectory 0 counted at t = 2.5, so the first one still waiting is named
+        cfg = SimpleNamespace(kappa=0.1, gamma=0.1, delta=0.0, t0=2.0, t_end=102.0,
+                              dt=0.5, fock_dim=2)
+        noise = np.ones((200, 3))
+        noise[:, 0] = 0.0
+        with pytest.raises(GridTooCoarseError, match=r"at t=85\.5 in trajectory 1"):
+            se.run_block(cfg, "photocount", seed_seqs=seqs, noise=noise)
 
 
 class TestTrajectory:

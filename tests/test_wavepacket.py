@@ -68,5 +68,3 @@ def test_source_coupling_depletes(pulse):
 def test_wavepacket_validation():
     with pytest.raises(ValueError):
         wp.Wavepacket(gamma=0.0)
-    with pytest.raises(ValueError):
-        wp.Wavepacket(gamma=0.1, kind="gaussian")
