@@ -17,7 +17,7 @@ evaluated per step as one (4,) . (4, r c) product:
 
     drift:      dx = Fd x dt
     homodyne:   dx += (Fg x - K x) dW,        K  = k_row . x    (real)
-    counting:   dx += (Fj x / nu - x) dN,     nu = nu_row . x   (real)
+    counting:   dx += (Fj x / nu - x) dN,     nu = pi11(I) of Fj x  (real)
 
 Every term is built from S, L and H with the Kronecker identity above;
 nothing is taken from the einsum step functions of ``filter_generic``,
@@ -51,7 +51,6 @@ class CompiledFilter:
     diffusion: np.ndarray  # (4, N, N), without the -K x term
     jump_gain: np.ndarray  # (4, N, N)
     k: np.ndarray          # (4, N)
-    nu: np.ndarray         # (4, N)
     readout: np.ndarray    # (len(READOUTS), N), real
     initial: np.ndarray    # (N,) vacuum cavity: rho11 = rho00 = |0><0|
 
@@ -75,7 +74,7 @@ def _row(dim: int, terms) -> np.ndarray:
 
 
 def compile_filter(model: SLHModel) -> CompiledFilter:
-    """Compile the drift, diffusion, jump-gain, K and nu maps of ``model``."""
+    """Compile the drift, diffusion, jump-gain and K maps of ``model``."""
     dim = model.dim
     S, L, H = (np.asarray(v, dtype=np.complex128) for v in (model.S, model.L, model.H))
     Sd, Ld = S.conj().T, L.conj().T
@@ -108,9 +107,6 @@ def compile_filter(model: SLHModel) -> CompiledFilter:
         (CXI, B10, B00, L, Sd), (XI, B01, B00, S, Ld),
     ])
     k = _row(dim, [(ONE, B11, L + Ld), (CXI, B10, Sd), (XI, B01, S)])
-    # nu is the trace of the 11 block of the jump gain.
-    n = dim * dim
-    nu = eye.ravel() @ jump_gain[:, B11 * n:(B11 + 1) * n, :]
 
     a = ops.annihilation(dim)
     x_of = {"n": ops.number_op(dim), "i": eye, "d": a.conj().T, "a": a}
@@ -121,10 +117,11 @@ def compile_filter(model: SLHModel) -> CompiledFilter:
     ])
     vac = np.zeros((dim, dim), dtype=np.complex128)
     vac[0, 0] = 1.0
+    n = dim * dim
     initial = np.zeros(4 * n, dtype=np.complex128)
     initial[B11 * n:(B11 + 1) * n] = vac.ravel(order="F")
     initial[B00 * n:(B00 + 1) * n] = vac.ravel(order="F")
-    return CompiledFilter(drift, diffusion, jump_gain, k, nu, readout, initial)
+    return CompiledFilter(drift, diffusion, jump_gain, k, readout, initial)
 
 
 def _evaluate(poly: np.ndarray, xi: complex, out: np.ndarray | None) -> np.ndarray:
@@ -148,7 +145,8 @@ def diffusion_matrix(f: CompiledFilter, xi: complex, out: np.ndarray | None = No
 
 
 def jump_gain_matrix(f: CompiledFilter, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
-    """Photon-counting gains Fj: the post-jump state is (Fj x) / nu."""
+    """Photon-counting gains Fj: the post-jump state is (Fj x) / nu, nu its pi11(I);
+    between counts the unnormalised state follows Fd - Fj."""
     return _evaluate(f.jump_gain, xi, out)
 
 
@@ -156,7 +154,3 @@ def k_row(f: CompiledFilter, xi: complex, out: np.ndarray | None = None) -> np.n
     """Row vector such that K_t = Re[k_row . x]."""
     return _evaluate(f.k, xi, out)
 
-
-def nu_row(f: CompiledFilter, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
-    """Row vector such that nu_t = Re[nu_row . x]."""
-    return _evaluate(f.nu, xi, out)

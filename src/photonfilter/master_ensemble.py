@@ -3,8 +3,9 @@
 The master equation is obtained by zeroing the martingale terms of the Ito
 hierarchy (classical averaging kills dW and the compensated counting
 increments), which leaves the linear drift of the compiled filter.  That
-system is integrated with classical fixed-step RK4 at the configured Fock
-truncation.
+system is integrated at the configured Fock truncation with the classical
+fixed-step RK4 of :func:`photonfilter.sde_engine.linear_path`, which also
+integrates the no-count path of photon counting.
 
 An independent closed-form oracle is provided as well: integrating the
 drift of the off-diagonal coherence and substituting into the photon-number
@@ -25,7 +26,6 @@ import numpy as np
 from . import filter_generic as fg
 from . import filter_moments as fm
 from . import sde_engine as se
-from . import wavepacket as wp
 from .config import SimConfig
 
 _ENSEMBLE_BLOCK = 500
@@ -52,35 +52,18 @@ class EnsembleStats:
 
 def integrate_master(cfg: SimConfig) -> SeriesND:
     """RK4 integration of the compiled drift at ``cfg.fock_dim``; returns <n>(t)."""
-    grid = se.SimGrid(0.0, cfg.t_end, cfg.dt)
-    times = grid.times()
-    w = wp.Wavepacket(cfg.gamma, cfg.t0)
-    dt = cfg.dt
-    xi_full = np.asarray(wp.xi(w, times))
-    xi_half = np.asarray(wp.xi(w, times[:-1] + 0.5 * dt))
     f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
-    fd_a, fd_b, fd_c = (fm.drift_matrix(f, 0j) for _ in range(3))
-    n_row = f.readout[0]
-    x = f.initial.copy()
+    times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
     out = np.empty(times.shape)
-    out[0] = (n_row @ x).real
-    for k in range(grid.steps):
-        # The state is exactly the initial one until the wavepacket arrives;
-        # starting the RK4 there keeps the right-hand side smooth.
-        if times[k + 1] <= cfg.t0:
-            out[k + 1] = out[0]
-            continue
-        fm.drift_matrix(f, complex(xi_full[k]), out=fd_a)
-        fm.drift_matrix(f, complex(xi_half[k]), out=fd_b)
-        fm.drift_matrix(f, complex(xi_full[k + 1]), out=fd_c)
-        k1 = fd_a @ x
-        k2 = fd_b @ (x + 0.5 * dt * k1)
-        k3 = fd_b @ (x + 0.5 * dt * k2)
-        k4 = fd_c @ (x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = (n_row @ x).real
-        if not np.isfinite(out[k + 1]):
-            raise RuntimeError(f"master-equation integration diverged at t={times[k+1]:.6g}")
+    buf = np.empty((se._PATH + 1, f.initial.size), dtype=np.complex128)
+    x = f.initial
+    for k in range(0, len(times) - 1, se._PATH):
+        states = se.linear_path(f.drift, cfg, x, k, buf[:min(se._PATH, len(times) - 1 - k) + 1])
+        x = states[-1]
+        n = out[k:k + len(states)] = (states @ f.readout[0]).real
+        if not np.isfinite(n).all():
+            t = times[k + int(np.argmin(np.isfinite(n)))]
+            raise RuntimeError(f"master-equation integration diverged at t={t:.6g}")
     return SeriesND(times, out)
 
 

@@ -1,24 +1,14 @@
 """Time grids, reproducible noise, and the trajectory driver.
 
-Every trajectory owns an independent random stream derived from a
-``numpy.random.SeedSequence``; ensembles spawn one child sequence per
-trajectory index from the master seed, so results are reproducible under
-any degree of parallelism.  Integration is fixed-step Euler-Maruyama on the
-Ito equations; photon-counting jumps use per-step Bernoulli thinning, valid
-because nu * dt <= 0.1 is enforced.
-
-The workhorse is :func:`run_block`, the one stepping loop for every Fock
-truncation: it advances a whole block of trajectories in lock-step with the
-filter compiled from (S, L, H) by :mod:`photonfilter.filter_moments`.
-Photon counting steps one shared column: until its count every trajectory
-has seen the same empty record, so all share one no-jump state, and the
-count leaves the cavity in vacuum with nu = 0 for good.  A trajectory's
-noise depends only on its own seed sequence, so a trajectory inside a block
-matches the same trajectory run alone to rounding (BLAS kernels may pick a
-different summation order for different batch widths); rerunning the same
-command, including under parallel workers, is bit-identical because the
-block decomposition is fixed.  Every error the runner raises names the time
-and the trajectory.
+Every trajectory draws from its own ``numpy.random.SeedSequence`` (an
+ensemble spawns child i of the master seed for trajectory i), so results do
+not depend on scheduling, and a trajectory inside a block matches the same
+trajectory run alone to rounding.  :func:`run_block` runs a block on the
+filter compiled from (S, L, H) by :mod:`photonfilter.filter_moments`:
+homodyne detection by Euler-Maruyama in lock-step, photon counting as a
+first passage over the one no-count path, which the master equation's RK4
+(:func:`linear_path`) integrates.  Every error names the time and the
+trajectory.
 """
 
 from __future__ import annotations
@@ -37,7 +27,8 @@ from .errors import (
     NonRealInnovationError,
 )
 
-_CHUNK = 4096
+_CHUNK = 4096  # steps of noise drawn at once
+_PATH = 256  # steps of a linear path held at once
 
 
 @dataclass(frozen=True)
@@ -95,10 +86,10 @@ class BlockStats:
     post_jump_max_n: float = -np.inf
     max_pair_dev: float = 0.0
     max_im_k: float = 0.0
-    max_im_nu: float = 0.0
+    max_im_s: float = 0.0  # photon counting: |Im| of the no-count probability
     max_im_n: float = 0.0
     max_i11_dev: float = 0.0
-    min_nu: float = np.inf
+    min_nu: float = np.inf  # photon counting: least p_k / dt, unclamped
     series: np.ndarray | None = None
     record: np.ndarray | None = None
     jump_times: list[list[float]] = field(default_factory=list)
@@ -109,179 +100,211 @@ def _fold(blocks: list[BlockStats]) -> BlockStats:
     out = blocks[0]
     for b in blocks[1:]:
         out.m += b.m
-        out.sum_n += b.sum_n
-        out.sumsq_n += b.sumsq_n
-        out.sum_i00 += b.sum_i00
-        out.sumsq_i00 += b.sumsq_i00
-        out.jump_counts = np.concatenate([out.jump_counts, b.jump_counts])
+        for name in ("sum_n", "sumsq_n", "sum_i00", "sumsq_i00"):
+            getattr(out, name)[:] += getattr(b, name)
+        for name in ("n_max", "post_jump_max_n", "max_pair_dev", "max_im_k", "max_im_s",
+                     "max_im_n", "max_i11_dev"):
+            setattr(out, name, max(getattr(out, name), getattr(b, name)))
         out.n_min = min(out.n_min, b.n_min)
-        out.n_max = max(out.n_max, b.n_max)
-        out.post_jump_max_n = max(out.post_jump_max_n, b.post_jump_max_n)
-        out.max_pair_dev = max(out.max_pair_dev, b.max_pair_dev)
-        out.max_im_k = max(out.max_im_k, b.max_im_k)
-        out.max_im_nu = max(out.max_im_nu, b.max_im_nu)
-        out.max_im_n = max(out.max_im_n, b.max_im_n)
-        out.max_i11_dev = max(out.max_i11_dev, b.max_i11_dev)
         out.min_nu = min(out.min_nu, b.min_nu)
+        out.jump_counts = np.concatenate([out.jump_counts, b.jump_counts])
         out.jump_times.extend(b.jump_times)
     return out
 
 
-def _chunk_noise(gens, n: int, homodyne: bool, sqrt_dt: float) -> np.ndarray:
+def _chunk_noise(gens, n: int, sqrt_dt: float) -> np.ndarray:
     out = np.empty((n, len(gens)))
     for j, g in enumerate(gens):
-        if homodyne:
-            out[:, j] = g.standard_normal(n) * sqrt_dt
-        else:
-            out[:, j] = g.random(n)
+        out[:, j] = g.standard_normal(n) * sqrt_dt
     return out
 
 
-def _init_stats(m: int, times: np.ndarray, record_series: bool, steps: int) -> BlockStats:
-    z = np.zeros(steps + 1)
-    stats = BlockStats(
-        m=m,
-        times=times,
-        sum_n=z.copy(),
-        sumsq_n=z.copy(),
-        sum_i00=z.copy(),
-        sumsq_i00=z.copy(),
-        jump_counts=np.zeros(m, dtype=np.int64),
-        jump_times=[[] for _ in range(m)],
-    )
-    if record_series:
-        stats.series = np.zeros((steps + 1, m))
-        stats.record = np.zeros((steps + 1, m))
-    return stats
-
-
-def _fail(exc, fmt: str, values, bad, t: float, seed_seqs, alive):
-    """Raise ``exc`` with ``fmt`` of the value, t and the first flagged trajectory
-    still in ``alive`` (one entry each, or one for the shared column): its index
-    in the ensemble (the last entry of its seed sequence's spawn key), or else
-    its column in the block."""
-    j = int(np.flatnonzero(np.broadcast_to(bad, alive.shape) & alive)[0])
+def _fail(exc, what: str, t: float, seed_seqs, j: int):
+    """Raise ``exc`` naming t and trajectory j: its index in the ensemble (the
+    last entry of its seed sequence's spawn key), or else its block column."""
     key = getattr(seed_seqs[j], "spawn_key", ())
-    who = key[-1] if key else j
-    value = np.broadcast_to(values, alive.shape)[j]
-    raise exc(f"{fmt.format(value)} at t={t:.6g} in trajectory {who}")
+    raise exc(f"{what} at t={t:.6g} in trajectory {key[-1] if key else j}")
 
 
-def run_block(
-    cfg: SimConfig,
-    detector: str,
-    seed_seqs,
-    *,
-    noise: np.ndarray | None = None,
-    record_series: bool = False,
-) -> BlockStats:
+def linear_path(poly: np.ndarray, cfg: SimConfig, x: np.ndarray, k0: int,
+                out: np.ndarray, amplitude=None) -> np.ndarray:
+    """Classical RK4 for dx = F(xi(t)) x dt, F the packed polynomial ``poly``.
+
+    Writes into ``out`` the states at steps k0, k0 + 1, ... of the grid of
+    ``cfg``, from ``x`` at step k0; ``amplitude(wavepacket, t)`` replaces
+    ``wavepacket.xi`` when given.  The state is held until the wavepacket
+    arrives at t0, and the step t0 falls in is integrated from t0 on, so the
+    right-hand side is smooth within every step.
+    """
+    dt = cfg.dt
+    w = wp.Wavepacket(cfg.gamma, cfg.t0)
+    amp = amplitude or wp.xi
+    t = dt * np.arange(k0, k0 + len(out))  # bit for bit the grid's times
+    xf, xh = amp(w, t), amp(w, t[:-1] + 0.5 * dt)
+    fa, fb, fc = (np.empty(poly.shape[1:], dtype=np.complex128) for _ in range(3))
+    out[0] = x
+    for i in range(len(out) - 1):
+        x = out[i]
+        if t[i + 1] <= cfg.t0:
+            out[i + 1] = x
+            continue
+        h, a, b = dt, xf[i], xh[i]
+        if t[i] < cfg.t0:
+            h = t[i + 1] - cfg.t0
+            a, b = amp(w, cfg.t0), amp(w, t[i + 1] - 0.5 * h)
+        fm._evaluate(poly, complex(a), fa)
+        fm._evaluate(poly, complex(b), fb)
+        fm._evaluate(poly, complex(xf[i + 1]), fc)
+        k1 = fa @ x
+        k2 = fb @ (x + 0.5 * h * k1)
+        k3 = fb @ (x + 0.5 * h * k2)
+        k4 = fc @ (x + h * k3)
+        out[i + 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | None = None,
+              record_series: bool = False) -> BlockStats:
     """Advance a block of trajectories (one per seed sequence) in lock-step.
 
     The filter is compiled once from the cavity's (S, L, H) at
-    ``cfg.fock_dim``; each step evaluates its maps at xi(t) and applies them
-    with one matmul each, to a (4 D^2, m) state for homodyne detection and
-    to the one shared no-jump column for photon counting, which stops once
-    every trajectory has counted.  ``noise`` (steps x m) replaces the
-    trajectories' own draws: Wiener increments for homodyne detection,
-    uniforms for photon counting.
+    ``cfg.fock_dim``.  Homodyne detection evaluates its maps at xi(t) each
+    step and applies them with one matmul each to a (4 D^2, m) state;
+    photon counting is the first passage of :func:`_first_passage`.
+    ``noise`` (steps x m) replaces the trajectories' own draws: Wiener
+    increments for homodyne detection, uniforms for photon counting.
     """
-    homodyne = detector == "homodyne"
     grid = SimGrid(0.0, cfg.t_end, cfg.dt)
     steps = grid.steps
     times = grid.times()
-    dt = cfg.dt
-    sqrt_dt = np.sqrt(dt)
-    w = wp.Wavepacket(cfg.gamma, cfg.t0)
-    xi_arr = np.asarray(wp.xi(w, times[:-1]))
     m = len(seed_seqs)
     gens = [np.random.default_rng(ss) for ss in seed_seqs]
-
     f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
-    x = np.repeat(f.initial[:, None], m if homodyne else 1, axis=1)
-    # The trajectories on the state: all, or for photon counting those yet to count.
-    alive = np.ones(m, dtype=bool)
-    fd = fm.drift_matrix(f, 0j)
-    if homodyne:
-        fgm = fm.diffusion_matrix(f, 0j)
-        kr = fm.k_row(f, 0j)
-    else:
-        fj = fm.jump_gain_matrix(f, 0j)
-        nr = fm.nu_row(f, 0j)
-    floor = fg.nu_floor(dt)
+    stats = BlockStats(m, times, *(np.zeros(steps + 1) for _ in range(4)),
+                       jump_counts=np.zeros(m, dtype=np.int64), jump_times=[[] for _ in range(m)])
+    if record_series:
+        stats.series, stats.record = np.zeros((steps + 1, m)), np.zeros((steps + 1, m))
+    if detector != "homodyne":
+        _first_passage(cfg, f, stats, seed_seqs, gens, noise)
+        return stats
 
-    stats = _init_stats(m, times, record_series, steps)
+    dt = cfg.dt
+    sqrt_dt = np.sqrt(dt)
+    xi_arr = np.asarray(wp.xi(wp.Wavepacket(cfg.gamma, cfg.t0), times[:-1]))
+    x = np.repeat(f.initial[:, None], m, axis=1)
+    fd = fm.drift_matrix(f, 0j)
+    fgm = fm.diffusion_matrix(f, 0j)
+    kr = fm.k_row(f, 0j)
     r = _readout(f, x)
-    _accumulate(stats, 0, r, 1 if homodyne else m)
+    _accumulate(stats, 0, r)
     if record_series:
         stats.series[0] = r[0].real
 
     for start in range(0, steps, _CHUNK):
         n = min(_CHUNK, steps - start)
-        if noise is not None:
-            nz = noise[start:start + n]
-        else:
-            nz = _chunk_noise(gens, n, homodyne, sqrt_dt)
+        nz = noise[start:start + n] if noise is not None else _chunk_noise(gens, n, sqrt_dt)
         for i in range(n):
             k = start + i
             xi_k = complex(xi_arr[k])
             drift = fm.drift_matrix(f, xi_k, out=fd) @ x
-            if homodyne:
-                fm.diffusion_matrix(f, xi_k, out=fgm)
-                kc = fm.k_row(f, xi_k, out=kr) @ x
-                im = np.abs(kc.imag)
-                im_max = float(im.max())
-                if im_max > fg._IM_ERR:
-                    _fail(NonRealInnovationError, "K_t has imaginary part {:.3e}", im,
-                          im > fg._IM_ERR, times[k], seed_seqs, alive)
-                stats.max_im_k = max(stats.max_im_k, im_max)
-                kk = kc.real
-                dw = nz[i]
-                x = x + drift * dt + ((fgm @ x) - kk * x) * dw
-                if record_series:
-                    stats.record[k + 1] = kk * dt + dw
-            else:
-                gains = fm.jump_gain_matrix(f, xi_k, out=fj) @ x
-                nuc = (fm.nu_row(f, xi_k, out=nr) @ x)[0]
-                im = float(abs(nuc.imag))
-                if im > fg._IM_ERR:
-                    _fail(NonRealInnovationError, "nu_t has imaginary part {:.3e}", im,
-                          True, times[k], seed_seqs, alive)
-                stats.max_im_nu = max(stats.max_im_nu, im)
-                nu = float(nuc.real)
-                if nu < -floor:
-                    _fail(FilterDivergenceError, "jump intensity nu_t = {:.3e} strongly negative",
-                          nu, True, times[k], seed_seqs, alive)
-                nu = max(nu, 0.0)
-                stats.min_nu = min(stats.min_nu, nu)
-                nudt = nu * dt
-                if nudt > 0.1:
-                    _fail(GridTooCoarseError, "nu*dt = {:.3g} > 0.1 (refine the grid)", nudt,
-                          True, times[k], seed_seqs, alive)
-                if nu >= fg._NU_EPS:
-                    jump = alive & (nz[i] < nudt)
-                    if jump.any():
-                        post_n = float(_readout(f, gains / nu)[0, 0].real)
-                        stats.post_jump_max_n = max(stats.post_jump_max_n, post_n)
-                        stats.jump_counts += jump
-                        for idx in np.nonzero(jump)[0]:
-                            stats.jump_times[idx].append(float(times[k + 1]))
-                        if record_series:
-                            stats.record[k + 1:, jump] = 1.0
-                        alive &= ~jump
-                    x = x + (drift - (gains - nu * x)) * dt
-                else:
-                    x = x + drift * dt
-                if not alive.any():
-                    return stats
+            fm.diffusion_matrix(f, xi_k, out=fgm)
+            kc = fm.k_row(f, xi_k, out=kr) @ x
+            im = np.abs(kc.imag)
+            im_max = float(im.max())
+            if im_max > fg._IM_ERR:
+                j = int(np.argmax(im > fg._IM_ERR))
+                _fail(NonRealInnovationError, f"K_t has imaginary part {im[j]:.3e}",
+                      times[k], seed_seqs, j)
+            stats.max_im_k = max(stats.max_im_k, im_max)
+            kk = kc.real
+            dw = nz[i]
+            x = x + drift * dt + ((fgm @ x) - kk * x) * dw
+            if record_series:
+                stats.record[k + 1] = kk * dt + dw
             r = _readout(f, x)
             finite = np.isfinite(r[0])
             if not finite.all():
-                _fail(FilterDivergenceError, "filter diverged to pi11(n) = {}", r[0].real,
-                      ~finite, times[k + 1], seed_seqs, alive)
-            _accumulate(stats, k + 1, r, 1 if homodyne else np.count_nonzero(alive))
+                j = int(np.argmin(finite))
+                _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {r[0, j].real}",
+                      times[k + 1], seed_seqs, j)
+            _accumulate(stats, k + 1, r)
             if record_series:
-                stats.series[k + 1] = np.where(alive, r[0].real, 0.0)
+                stats.series[k + 1] = r[0].real
     return stats
+
+
+def _first_passage(cfg: SimConfig, f, stats: BlockStats, seed_seqs, gens, noise) -> None:
+    """Photon counting as the first passage over the one no-count path.
+
+    The unnormalised no-count state follows dx = (Fd - Fj) x dt; its pi11(I)
+    s_k is the probability of no count by step k.  A waiting trajectory
+    counts in the first step whose uniform falls below p_k = 1 - s_{k+1}/s_k,
+    and the count leaves the cavity in vacuum, which adds nothing to the
+    sums.  Guards and invariants read only steps where someone still waits.
+    """
+    times, dt = stats.times, cfg.dt
+    w = wp.Wavepacket(cfg.gamma, cfg.t0)
+    # The path runs in the frame of the photon yet to come: blocks 11, 10 and
+    # 01, and 00 hold the state over T, sqrt(T) and 1 (T = tail_norm), and the
+    # maps take g = xi / sqrt(T) for xi plus |g|^2 times those powers on the
+    # diagonal.  The share of the photon still in the source is then a fixed
+    # point, not a difference that the RK4 error overtakes at long horizons.
+    power = np.repeat([1.0, 0.5, 0.5, 0.0], f.initial.size // 4)
+    poly = f.drift - f.jump_gain
+    poly[fm.AXI2] += np.diag(power)
+    buf = np.empty((_PATH + 1, f.initial.size), dtype=np.complex128)
+    x, waiting = f.initial, np.arange(stats.m)  # those yet to count, in index order
+    for k0 in range(0, len(times) - 1, _PATH):
+        n = min(_PATH, len(times) - 1 - k0)
+        z = linear_path(poly, cfg, x, k0, buf[:n + 1], wp.coupling)
+        x = z[n] / (z[n] @ f.readout[3])  # the next chunk starts at pi11(I) = 1
+        lt = wp.log_tail_norm(w, times[k0:k0 + n + 1])
+        states = z * np.exp(np.outer(lt - lt[0], power))  # unnormalised, up to a factor
+        r = (states @ f.readout.T).T
+        s = r[3]
+        p = np.append(1.0 - (s[1:] / s[:-1]).real, 0.0)
+        at = np.full(waiting.size, n)  # the step each one counts in, n if none
+        for a, j in enumerate(waiting):
+            hit = (gens[j].random(n) if noise is None else noise[k0:k0 + n, j]) < p[:n]
+            at[a] = np.argmax(hit) if hit.any() else n
+        # How many wait at each row: a count in step i leaves at row i + 1.
+        live = waiting.size - np.cumsum(np.bincount(at + 1, minlength=n + 2)[:n + 1])
+        rn = r / s
+        ims, v, floor = np.abs(s.imag), rn[0].real, fg.nu_floor(dt) * dt
+        checks = (
+            (ims > fg._IM_ERR, NonRealInnovationError, "s has imaginary part {:.3e}", ims),
+            (~np.isfinite(rn[0]), FilterDivergenceError, "filter diverged to pi11(n) = {}", v),
+            (p < -floor, FilterDivergenceError, "count probability {:.3e} strongly negative", p),
+            (p > 0.1, GridTooCoarseError, "count probability {:.3g} > 0.1 (refine the grid)", p))
+        bad = np.array([c[0] for c in checks]) & (live > 0)
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=0)))
+            _, exc, what, value = checks[int(np.argmax(bad[:, i]))]
+            _fail(exc, what.format(value[i]), times[k0 + i], seed_seqs,
+                  waiting[np.argmax(at >= i)])
+
+        e = int(np.count_nonzero(live))  # the rows someone waits at: a prefix
+        _invariants(stats, rn[:, :e])
+        stats.max_im_s = max(stats.max_im_s, float(ims[:e].max()))
+        stats.min_nu = min(stats.min_nu, float(p[:min(e, n)].min()) / dt)
+        v, u = v[:e], rn[2, :e].real
+        for name, val in (("sum_n", v), ("sumsq_n", v * v), ("sum_i00", u), ("sumsq_i00", u * u)):
+            getattr(stats, name)[k0:k0 + e] = val * live[:e]
+        for a, j in enumerate(waiting):
+            if stats.series is not None:
+                stats.series[k0:k0 + at[a] + 1, j] = rn[0, :at[a] + 1].real
+            if at[a] < n:
+                stats.jump_counts[j] = 1
+                stats.jump_times[j].append(float(times[k0 + at[a] + 1]))
+                if stats.record is not None:
+                    stats.record[k0 + at[a] + 1:, j] = 1.0
+        # The state a count leaves at the end of its step is Fj x over its pi11(I).
+        for i in np.unique(at[at < n]) + 1:
+            q = f.readout @ (fm.jump_gain_matrix(f, complex(wp.xi(w, times[k0 + i]))) @ states[i])
+            stats.post_jump_max_n = max(stats.post_jump_max_n, float((q[0] / q[3]).real))
+        waiting = waiting[at == n]
+        if not waiting.size:
+            return
 
 
 def _readout(f, x: np.ndarray) -> np.ndarray:
@@ -289,15 +312,21 @@ def _readout(f, x: np.ndarray) -> np.ndarray:
     return (f.readout @ x.view(np.float64)).view(np.complex128)
 
 
-def _accumulate(stats, k, r, weight):
-    """Fold the readouts ``r`` (rows as in ``filter_moments.READOUTS``) at
-    step k, each column standing for ``weight`` trajectories."""
+def _accumulate(stats, k, r):
+    """Fold the homodyne readouts ``r`` (rows as in ``filter_moments.READOUTS``)
+    of the m trajectories at step k."""
     v = r[0].real
-    stats.sum_n[k] = np.add.reduce(v) * weight
-    stats.sumsq_n[k] = (v @ v) * weight
+    stats.sum_n[k] = np.add.reduce(v)
+    stats.sumsq_n[k] = v @ v
     u = r[2].real
-    stats.sum_i00[k] = np.add.reduce(u) * weight
-    stats.sumsq_i00[k] = (u @ u) * weight
+    stats.sum_i00[k] = np.add.reduce(u)
+    stats.sumsq_i00[k] = u @ u
+    _invariants(stats, r)
+
+
+def _invariants(stats, r):
+    """Track the range of n and the invariant residuals of readouts ``r``."""
+    v = r[0].real
     stats.n_min = min(stats.n_min, float(v.min()))
     stats.n_max = max(stats.n_max, float(v.max()))
     stats.max_im_n = max(stats.max_im_n, float(np.abs(r[:2].imag).max()))
@@ -307,26 +336,15 @@ def _accumulate(stats, k, r, weight):
     stats.max_pair_dev = max(stats.max_pair_dev, dev)
 
 
-def simulate_trajectory(
-    cfg: SimConfig,
-    detector: str | None = None,
-    seed=None,
-) -> Trajectory:
+def simulate_trajectory(cfg: SimConfig, detector: str | None = None, seed=None) -> Trajectory:
     """Run one seeded trajectory and return its full time series.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; by default the
     config's seed is used.  The record holds dY increments for homodyne
     detection and cumulative counts for photon counting.
     """
-    detector = detector or cfg.detector
-    if seed is None:
-        seed = cfg.seed
+    seed = cfg.seed if seed is None else seed
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    stats = run_block(cfg, detector, seed_seqs=[ss], record_series=True)
-    return Trajectory(
-        times=stats.times,
-        n_cond=stats.series[:, 0].copy(),
-        record=stats.record[:, 0].copy(),
-        jumps=list(stats.jump_times[0]),
-        seed=seed,
-    )
+    stats = run_block(cfg, detector or cfg.detector, seed_seqs=[ss], record_series=True)
+    return Trajectory(stats.times, stats.series[:, 0].copy(), stats.record[:, 0].copy(),
+                      list(stats.jump_times[0]), seed)

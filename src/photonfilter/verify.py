@@ -48,17 +48,21 @@ def run_checks(seed: int = 2024) -> list[CheckResult]:
     _check(results, "pi11(I) within 1e-3 of 1",
            hd.max_i11_dev <= 1e-3, f"max |pi11(I)-1| {hd.max_i11_dev:.2e}")
 
-    # Photon counting: nonnegative intensity, single jump, unit mean count.
+    # Photon counting: nonnegative count rate, single jump, unit mean count.
     cfg_pc = SimConfig(t_end=203.0, dt=1e-2, ntraj=1000, seed=seed,
                        detector="photocount")
     pc = run_ensemble(cfg_pc).diagnostics
-    _check(results, "nu_t >= -1e-10 at all steps",
-           pc.min_nu >= -1e-10, f"min nu_t {pc.min_nu:.2e}")
-    _check(results, "nu_t real for real wavepacket",
-           pc.max_im_nu <= 1e-9, f"max |Im nu_t| {pc.max_im_nu:.2e}")
+    _check(results, "count rate p_k/dt >= -1e-10 at all steps",
+           pc.min_nu >= -1e-10, f"min p_k/dt {pc.min_nu:.2e}")
+    _check(results, "no-count probability s real for real wavepacket",
+           pc.max_im_s <= 1e-9, f"max |Im s| {pc.max_im_s:.2e}")
     _check(results, "at most one jump per trajectory",
            pc.jump_counts.max() <= 1, f"max jumps {int(pc.jump_counts.max())}")
     mean_count = float(pc.jump_counts.mean())
     _check(results, "mean total counts = 1 +/- 0.03 (M=1000)",
            abs(mean_count - 1.0) <= 0.03, f"mean count {mean_count:.4f}")
+    for name, st in (("homodyne", hd), ("photocount", pc)):
+        _check(results, f"0 <= <n> <= 1 within 1e-9 ({name})",
+               st.n_min >= -1e-9 and st.n_max <= 1.0 + 1e-9,
+               f"n in [{st.n_min:.4g}, {st.n_max:.4g}]")
     return results

@@ -51,27 +51,26 @@ def xi(w: Wavepacket, t):
     return amp.astype(np.complex128) if amp.ndim else complex(amp)
 
 
+def log_tail_norm(w: Wavepacket, t):
+    """log of tail_norm, finite long after tail_norm underflows."""
+    return -w.gamma * np.clip(np.asarray(t, dtype=float) - w.t0, 0.0, None)
+
+
 def tail_norm(w: Wavepacket, t):
     """Remaining photon content integral(|xi|^2, s=t..inf) in [0, 1]."""
-    t = np.asarray(t, dtype=float)
-    tau = t - w.t0
-    val = np.where(tau <= 0.0, 1.0, np.exp(-w.gamma * np.clip(tau, 0.0, None)))
+    val = np.exp(log_tail_norm(w, t))
     return val if val.ndim else float(val)
 
 
+def coupling(w: Wavepacket, t):
+    """xi(t) / sqrt(tail_norm(t)) on arrays, in closed form: sqrt(gamma) from t0 on."""
+    tau = np.asarray(t, dtype=float) - w.t0
+    return np.where(tau >= 0.0, np.sqrt(w.gamma), 0.0).astype(np.complex128)
+
+
 def source_coupling(w: Wavepacket, t: float) -> complex:
-    """Coefficient of sigma_- in the source model: xi(t) / sqrt(tail_norm(t)).
-
-    For the decaying exponential this is 0 before t0 and sqrt(gamma) after.
-
-    Raises
-    ------
-    DepletedSourceError
-        If the remaining tail norm is below 1e-12 (photon fully emitted).
-    """
+    """``coupling`` at one time; DepletedSourceError once tail_norm < 1e-12."""
     tail = tail_norm(w, t)
     if tail <= _TAIL_EPS:
-        raise DepletedSourceError(
-            f"source tail norm {tail:.3e} below {_TAIL_EPS:g} at t={t}"
-        )
-    return xi(w, t) / np.sqrt(tail)
+        raise DepletedSourceError(f"source tail norm {tail:.3e} below {_TAIL_EPS:g} at t={t}")
+    return complex(coupling(w, t))

@@ -1,8 +1,9 @@
 """A block of trajectories stepped by the einsum filter of ``filter_generic``.
 
 The independent reference the compiled runner is compared against: it
-shares with the runner only the grid, the wavepacket and the thinning rule
-(jump when the uniform falls below nu * dt), and takes the noise as given.
+shares with the runner only the grid and the wavepacket, and takes the noise
+as given.  It counts when the uniform falls below nu * dt after an Euler
+no-jump step; the runner counts below the step's exact count probability.
 """
 
 import numpy as np

@@ -22,6 +22,11 @@ def read(f, x, name):
     return f.readout[fm.READOUTS.index(name)] @ x
 
 
+def nu(f, z, x):
+    """The jump intensity: pi11(I) of the jump gain."""
+    return read(f, fm.jump_gain_matrix(f, z) @ x, "i11")
+
+
 def pack(state):
     """Packed (N, ...) vector of a (stacked) einsum filter state."""
     blocks = [np.swapaxes(r, -1, -2) for r in (state.rho11, state.rho10, state.rho01, state.rho00)]
@@ -76,7 +81,7 @@ def test_moment_k_matches_generic():
 
 
 def test_moment_nu_at_onset():
-    assert (fm.nu_row(F2, SQ) @ F2.initial).real == pytest.approx(GAMMA)
+    assert nu(F2, SQ, F2.initial).real == pytest.approx(GAMMA)
 
 
 def test_jump_consumes_photon():
@@ -90,16 +95,15 @@ def test_jump_consumes_photon():
             x = f.initial
             for k in range(2000):
                 z = xi(w, k * dt)
-                nu = (fm.nu_row(f, z) @ x).real
-                comp = fm.jump_gain_matrix(f, z) @ x - nu * x
+                comp = fm.jump_gain_matrix(f, z) @ x - nu(f, z, x).real * x
                 x = x + (fm.drift_matrix(f, z) @ x - comp) * dt
             z = xi(w, 2.0)
-            post = fm.jump_gain_matrix(f, z) @ x / (fm.nu_row(f, z) @ x).real
+            post = fm.jump_gain_matrix(f, z) @ x / nu(f, z, x).real
             assert abs(read(f, post, "i00")) <= 1e-12
             assert abs(read(f, post, "n11")) <= 1e-12
             assert read(f, post, "i11").real == pytest.approx(1.0, abs=1e-9)
             for later in (z, xi(w, 5.0)):
-                assert abs(fm.nu_row(f, later) @ post) <= 1e-12
+                assert abs(nu(f, later, post)) <= 1e-12
                 assert np.abs(fm.drift_matrix(f, later) @ post).max() <= 1e-12
 
 
@@ -192,7 +196,7 @@ def test_compiled_maps_match_einsum(kappa, delta, xi_re, xi_im, dim, general, se
     y = pack(phys)
     k = fm.k_row(f, z) @ y
     close(k, fg.k_t(phys, model, z))
-    close(fm.nu_row(f, z) @ y, fg.nu_t(phys, model, z))
+    close(nu(f, z, y), fg.nu_t(phys, model, z))
     # the homodyne dW-coefficients are the step at dW = 1 minus the one at dW = 0
     unit, _ = fg.homodyne_step(phys, model, z, 1.0, np.ones(batch))
     base, _ = fg.homodyne_step(phys, model, z, 1.0, np.zeros(batch))

@@ -2,19 +2,73 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einsum_oracle import einsum_block
+from photonfilter import filter_generic as fg
+from photonfilter import filter_moments as fm
 from photonfilter import sde_engine as se
+from photonfilter import wavepacket as wp
 from photonfilter.config import SimConfig
 from photonfilter.errors import FilterDivergenceError, GridTooCoarseError
-from photonfilter.master_ensemble import integrate_master
+from photonfilter.master_ensemble import analytic_mean_photon_series, integrate_master
 
 
 def _noise(cfg, m, seed, homodyne=True):
-    """Per-trajectory draws as the runner makes them, steps x m."""
+    """Per-trajectory draws as the runner makes them, steps x m: Wiener
+    increments, or for photon counting uniforms."""
     steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
     gens = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(m)]
-    return se._chunk_noise(gens, steps, homodyne, np.sqrt(cfg.dt))
+    if homodyne:
+        return se._chunk_noise(gens, steps, np.sqrt(cfg.dt))
+    return np.stack([g.random(steps) for g in gens], axis=1)
+
+
+class TestNoCountPath:
+    @pytest.mark.parametrize("delta,gamma,dim", [(0.0, 0.1, 2), (0.7, 0.25, 3)])
+    def test_closed_form(self, delta, gamma, dim):
+        # no count so far: the photon is in the cavity or still to come, so
+        # s = <n> + tail, and the cavity holds the master equation's <n>
+        cfg = SimConfig(delta=delta, gamma=gamma, fock_dim=dim, t_end=53.0, dt=1e-2)
+        f = fm.compile_filter(fg.SLHModel.cavity(dim, cfg.kappa, delta))
+        times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
+        states = se.linear_path(f.drift - f.jump_gain, cfg, f.initial, 0,
+                                np.empty((times.size, f.initial.size), dtype=complex))
+        r = states @ f.readout.T
+        n = analytic_mean_photon_series(cfg, times)
+        s = n + wp.tail_norm(wp.Wavepacket(gamma, cfg.t0), times)
+        np.testing.assert_allclose(r[:, fm.READOUTS.index("i11")], s, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(r[:, 0].real, integrate_master(cfg).values)
+        # the runner's path, in the frame of the photon yet to come: n_cond = <n> / s
+        stats = se.run_block(cfg, "photocount", seed_seqs=[np.random.SeedSequence(0)],
+                             noise=np.ones((times.size - 1, 1)), record_series=True)
+        np.testing.assert_allclose(stats.series[:, 0], n / s, rtol=0, atol=1e-10)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kappa=st.floats(0.1, 1.0),
+        gamma=st.floats(0.1, 1.0),
+        delta=st.floats(-1.0, 1.0),
+        t0=st.floats(0.0, 5.0),
+        dim=st.integers(2, 4),
+        coarse=st.sampled_from([0.01, 0.05]),
+    )
+    def test_physical(self, kappa, gamma, delta, t0, dim, coarse):
+        # with no count, out to 20 lifetimes of the slower rate, on grids up
+        # to half the coarsest the validator accepts (nearer that limit the
+        # p_k > 0.1 guard can fire): the conditional photon number stays in
+        # [0, 1], and the count probability p_k = 1 - s_{k+1}/s_k in [0, 0.1],
+        # so the probability s of no count falls from 1 and stays positive
+        dt = coarse / max(kappa, gamma)
+        steps = int(np.ceil((t0 + 20.0 / min(kappa, gamma)) / dt))
+        cfg = SimConfig(kappa=kappa, gamma=gamma, delta=delta, t0=t0, t_end=steps * dt,
+                        dt=dt, fock_dim=dim)
+        stats = se.run_block(cfg, "photocount", seed_seqs=[np.random.SeedSequence(0)],
+                             noise=np.ones((steps, 1)), record_series=True)
+        assert not stats.jump_times[0]
+        assert stats.series.min() >= 0.0 and stats.series.max() <= 1.0 + 1e-9
+        assert stats.min_nu >= 0.0
 
 
 class TestSimGrid:
@@ -40,12 +94,12 @@ class TestNoise:
     def test_wiener_increment_mean(self):
         n = 10**6
         dt = 1e-3
-        dw = se._chunk_noise([np.random.default_rng(0)], n, True, np.sqrt(dt))
+        dw = se._chunk_noise([np.random.default_rng(0)], n, np.sqrt(dt))
         assert abs(dw.mean()) <= 3.0 * np.sqrt(dt / n)
 
     def test_wiener_increment_deterministic(self):
-        a = se._chunk_noise([np.random.default_rng(7)], 3, True, np.sqrt(1e-3))
-        b = se._chunk_noise([np.random.default_rng(7)], 3, True, np.sqrt(1e-3))
+        a = se._chunk_noise([np.random.default_rng(7)], 3, np.sqrt(1e-3))
+        b = se._chunk_noise([np.random.default_rng(7)], 3, np.sqrt(1e-3))
         np.testing.assert_array_equal(a, b)
 
     def test_jump_draw_never_fires_at_zero(self):
@@ -82,14 +136,14 @@ class TestNoise:
         seqs = np.random.SeedSequence(0).spawn(3)
         with pytest.raises(GridTooCoarseError, match=r"at t=2 in trajectory 0"):
             se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.ones((4, 3)))
-        # the no-jump path grows until nu dt passes 0.1 at t = 85.5;
-        # trajectory 0 counted at t = 2.5, so the first one still waiting is named
-        cfg = SimpleNamespace(kappa=0.1, gamma=0.1, delta=0.0, t0=2.0, t_end=102.0,
-                              dt=0.5, fock_dim=2)
-        noise = np.ones((200, 3))
-        noise[:, 0] = 0.0
-        with pytest.raises(GridTooCoarseError, match=r"at t=85\.5 in trajectory 1"):
-            se.run_block(cfg, "photocount", seed_seqs=seqs, noise=noise)
+        # verify's photon-counting config with no count at all: the no-count
+        # path stays physical to the end (an Euler no-jump step passes n = 1
+        # at t = 88.5 here and a count probability of 0.1 per step at t = 141.03)
+        cfg = SimConfig(t_end=203.0, dt=1e-2, detector="photocount")
+        stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.ones((20300, 3)),
+                             record_series=True)
+        assert not any(stats.jump_times)
+        assert 0.0 <= stats.series.min() and stats.series.max() <= 1.0
 
 
 class TestTrajectory:
@@ -131,11 +185,18 @@ class TestTrajectory:
         noise = _noise(cfg, 8, seed=9, homodyne=False)
         seqs = np.random.SeedSequence(9).spawn(8)
         a = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=noise, record_series=True)
-        series, record, jumps = einsum_block(cfg, "photocount", noise)
+        _, record, jumps = einsum_block(cfg, "photocount", noise)
         assert a.jump_times == jumps
         assert any(jumps)
         np.testing.assert_array_equal(a.record, record)
-        assert np.abs(a.series - series).max() <= 1e-12
+        # the einsum filter takes Euler no-jump steps and the runner the RK4
+        # no-count path: with no count, their series agree to first order in dt
+        devs = []
+        for c in (cfg, cfg.with_(dt=5e-3)):
+            ones = np.ones((se.SimGrid(0.0, c.t_end, c.dt).steps, 1))
+            b = se.run_block(c, "photocount", seed_seqs=seqs[:1], noise=ones, record_series=True)
+            devs.append(np.abs(b.series - einsum_block(c, "photocount", ones)[0]).max())
+        assert devs[0] <= 5e-4 and 1.8 <= devs[0] / devs[1] <= 2.2
 
     def test_photocount_single_jump_and_collapse(self):
         cfg = SimConfig(t_end=103.0, dt=1e-2, detector="photocount")
