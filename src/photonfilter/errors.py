@@ -5,10 +5,6 @@ class PhotonFilterError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DepletedSourceError(PhotonFilterError):
-    """The single-photon source has (numerically) fully emitted its photon."""
-
-
 class NonRealInnovationError(PhotonFilterError):
     """The homodyne innovation gain K_t acquired a non-negligible imaginary part."""
 
@@ -19,7 +15,3 @@ class FilterDivergenceError(PhotonFilterError):
 
 class InvalidJumpError(PhotonFilterError):
     """A detection jump was requested while the jump intensity is (numerically) zero."""
-
-
-class GridTooCoarseError(PhotonFilterError):
-    """The time step cannot resolve the current jump intensity (nu * dt > 0.1)."""

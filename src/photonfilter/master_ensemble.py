@@ -4,8 +4,8 @@ The master equation is obtained by zeroing the martingale terms of the Ito
 hierarchy (classical averaging kills dW and the compensated counting
 increments), which leaves the linear drift of the compiled filter.  That
 system is integrated at the configured Fock truncation with the classical
-fixed-step RK4 of :func:`photonfilter.sde_engine.linear_path`, which also
-integrates the no-count path of photon counting.
+fixed-step RK4 of :func:`photonfilter.sde_engine.master_path`; photon
+counting reads its probability of no count off the same path.
 
 An independent closed-form oracle is provided as well: integrating the
 drift of the off-diagonal coherence and substituting into the photon-number
@@ -55,11 +55,7 @@ def integrate_master(cfg: SimConfig) -> SeriesND:
     f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
     times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
     out = np.empty(times.shape)
-    buf = np.empty((se._PATH + 1, f.initial.size), dtype=np.complex128)
-    x = f.initial
-    for k in range(0, len(times) - 1, se._PATH):
-        states = se.linear_path(f.drift, cfg, x, k, buf[:min(se._PATH, len(times) - 1 - k) + 1])
-        x = states[-1]
+    for k, states in se.master_path(cfg, f):
         n = out[k:k + len(states)] = (states @ f.readout[0]).real
         if not np.isfinite(n).all():
             t = times[k + int(np.argmin(np.isfinite(n)))]
@@ -143,10 +139,7 @@ def weak_convergence_bias(
     cfg_f = cfg.with_(dt=0.5 * cfg.dt)
     children = np.random.SeedSequence(master_seed).spawn(M)
     gens = [np.random.default_rng(ss) for ss in children]
-    sfine = np.sqrt(0.5 * cfg.dt)
-    noise_f = np.empty((2 * steps, M))
-    for j, g in enumerate(gens):
-        noise_f[:, j] = g.standard_normal(2 * steps) * sfine
+    noise_f = se._chunk_noise(gens, 2 * steps, np.sqrt(0.5 * cfg.dt))
     noise_c = noise_f[0::2] + noise_f[1::2]
 
     stats_c = se.run_block(cfg, "homodyne", seed_seqs=children, noise=noise_c)

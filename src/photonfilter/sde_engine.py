@@ -6,9 +6,8 @@ not depend on scheduling, and a trajectory inside a block matches the same
 trajectory run alone to rounding.  :func:`run_block` runs a block on the
 filter compiled from (S, L, H) by :mod:`photonfilter.filter_moments`:
 homodyne detection by Euler-Maruyama in lock-step, photon counting as a
-first passage over the one no-count path, which the master equation's RK4
-(:func:`linear_path`) integrates.  Every error names the time and the
-trajectory.
+first passage read off the master equation's RK4 path
+(:func:`master_path`).  Every error names the time and the trajectory.
 """
 
 from __future__ import annotations
@@ -21,14 +20,10 @@ from . import filter_generic as fg
 from . import filter_moments as fm
 from . import wavepacket as wp
 from .config import SimConfig
-from .errors import (
-    FilterDivergenceError,
-    GridTooCoarseError,
-    NonRealInnovationError,
-)
+from .errors import FilterDivergenceError, NonRealInnovationError
 
 _CHUNK = 4096  # steps of noise drawn at once
-_PATH = 256  # steps of a linear path held at once
+_PATH = 256  # steps of the master equation's path held at once
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,6 @@ class BlockStats:
     post_jump_max_n: float = -np.inf
     max_pair_dev: float = 0.0
     max_im_k: float = 0.0
-    max_im_s: float = 0.0  # photon counting: |Im| of the no-count probability
     max_im_n: float = 0.0
     max_i11_dev: float = 0.0
     min_nu: float = np.inf  # photon counting: least p_k / dt, unclamped
@@ -102,8 +96,8 @@ def _fold(blocks: list[BlockStats]) -> BlockStats:
         out.m += b.m
         for name in ("sum_n", "sumsq_n", "sum_i00", "sumsq_i00"):
             getattr(out, name)[:] += getattr(b, name)
-        for name in ("n_max", "post_jump_max_n", "max_pair_dev", "max_im_k", "max_im_s",
-                     "max_im_n", "max_i11_dev"):
+        for name in ("n_max", "post_jump_max_n", "max_pair_dev", "max_im_k", "max_im_n",
+                     "max_i11_dev"):
             setattr(out, name, max(getattr(out, name), getattr(b, name)))
         out.n_min = min(out.n_min, b.n_min)
         out.min_nu = min(out.min_nu, b.min_nu)
@@ -126,41 +120,44 @@ def _fail(exc, what: str, t: float, seed_seqs, j: int):
     raise exc(f"{what} at t={t:.6g} in trajectory {key[-1] if key else j}")
 
 
-def linear_path(poly: np.ndarray, cfg: SimConfig, x: np.ndarray, k0: int,
-                out: np.ndarray, amplitude=None) -> np.ndarray:
-    """Classical RK4 for dx = F(xi(t)) x dt, F the packed polynomial ``poly``.
+def master_path(cfg: SimConfig, f):
+    """Classical RK4 of the master equation dx = Fd(xi(t)) x dt from the vacuum.
 
-    Writes into ``out`` the states at steps k0, k0 + 1, ... of the grid of
-    ``cfg``, from ``x`` at step k0; ``amplitude(wavepacket, t)`` replaces
-    ``wavepacket.xi`` when given.  The state is held until the wavepacket
-    arrives at t0, and the step t0 falls in is integrated from t0 on, so the
-    right-hand side is smooth within every step.
+    Yields (k0, states) for chunks of at most ``_PATH`` steps: the states at
+    steps k0, k0 + 1, ... of the grid of ``cfg``, in a buffer that the next
+    chunk overwrites.  The state is held until the wavepacket arrives at t0,
+    and the step t0 falls in is integrated from t0 on, so the right-hand side
+    is smooth within every step.
     """
     dt = cfg.dt
     w = wp.Wavepacket(cfg.gamma, cfg.t0)
-    amp = amplitude or wp.xi
-    t = dt * np.arange(k0, k0 + len(out))  # bit for bit the grid's times
-    xf, xh = amp(w, t), amp(w, t[:-1] + 0.5 * dt)
-    fa, fb, fc = (np.empty(poly.shape[1:], dtype=np.complex128) for _ in range(3))
-    out[0] = x
-    for i in range(len(out) - 1):
-        x = out[i]
-        if t[i + 1] <= cfg.t0:
-            out[i + 1] = x
-            continue
-        h, a, b = dt, xf[i], xh[i]
-        if t[i] < cfg.t0:
-            h = t[i + 1] - cfg.t0
-            a, b = amp(w, cfg.t0), amp(w, t[i + 1] - 0.5 * h)
-        fm._evaluate(poly, complex(a), fa)
-        fm._evaluate(poly, complex(b), fb)
-        fm._evaluate(poly, complex(xf[i + 1]), fc)
-        k1 = fa @ x
-        k2 = fb @ (x + 0.5 * h * k1)
-        k3 = fb @ (x + 0.5 * h * k2)
-        k4 = fc @ (x + h * k3)
-        out[i + 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out
+    steps = SimGrid(0.0, cfg.t_end, dt).steps
+    buf = np.empty((_PATH + 1, f.initial.size), dtype=np.complex128)
+    fa, fb, fc = (np.empty(f.drift.shape[1:], dtype=np.complex128) for _ in range(3))
+    buf[0] = f.initial
+    for k0 in range(0, steps, _PATH):
+        n = min(_PATH, steps - k0)
+        t = dt * np.arange(k0, k0 + n + 1)  # bit for bit the grid's times
+        xf, xh = wp.xi(w, t), wp.xi(w, t[:-1] + 0.5 * dt)
+        for i in range(n):
+            x = buf[i]
+            if t[i + 1] <= cfg.t0:
+                buf[i + 1] = x
+                continue
+            h, a, b = dt, xf[i], xh[i]
+            if t[i] < cfg.t0:
+                h = t[i + 1] - cfg.t0
+                a, b = wp.xi(w, cfg.t0), wp.xi(w, t[i + 1] - 0.5 * h)
+            fm._evaluate(f.drift, complex(a), fa)
+            fm._evaluate(f.drift, complex(b), fb)
+            fm._evaluate(f.drift, complex(xf[i + 1]), fc)
+            k1 = fa @ x
+            k2 = fb @ (x + 0.5 * h * k1)
+            k3 = fb @ (x + 0.5 * h * k2)
+            k4 = fc @ (x + h * k3)
+            buf[i + 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield k0, buf[:n + 1]
+        buf[0] = buf[n]
 
 
 def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | None = None,
@@ -170,7 +167,8 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
     The filter is compiled once from the cavity's (S, L, H) at
     ``cfg.fock_dim``.  Homodyne detection evaluates its maps at xi(t) each
     step and applies them with one matmul each to a (4 D^2, m) state;
-    photon counting is the first passage of :func:`_first_passage`.
+    photon counting is the first passage of :func:`_first_passage`, which
+    reads the probability of no count off the master equation's path.
     ``noise`` (steps x m) replaces the trajectories' own draws: Wiener
     increments for homodyne detection, uniforms for photon counting.
     """
@@ -234,48 +232,38 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
 
 
 def _first_passage(cfg: SimConfig, f, stats: BlockStats, seed_seqs, gens, noise) -> None:
-    """Photon counting as the first passage over the one no-count path.
+    """Photon counting as the first passage over the master equation's path.
 
-    The unnormalised no-count state follows dx = (Fd - Fj) x dt; its pi11(I)
-    s_k is the probability of no count by step k.  A waiting trajectory
-    counts in the first step whose uniform falls below p_k = 1 - s_{k+1}/s_k,
-    and the count leaves the cavity in vacuum, which adds nothing to the
-    sums.  Guards and invariants read only steps where someone still waits.
+    With no count so far the photon is in the cavity or still to come, so
+    the probability of no count by step k is s_k = <n> + tail_norm, and the
+    cavity holds the master equation's <n> = |pi01(a)|^2 (real and >= 0 by
+    construction, unlike pi11(n), which rounding can push below its
+    interference zeros).  The conditional photon number is <n> / s.  A
+    waiting trajectory counts in the first step whose uniform falls below
+    p_k = 1 - s_{k+1}/s_k, and the count leaves the cavity in vacuum, which
+    adds nothing to the sums.  Guards and invariants read only steps where
+    someone still waits.
     """
     times, dt = stats.times, cfg.dt
     w = wp.Wavepacket(cfg.gamma, cfg.t0)
-    # The path runs in the frame of the photon yet to come: blocks 11, 10 and
-    # 01, and 00 hold the state over T, sqrt(T) and 1 (T = tail_norm), and the
-    # maps take g = xi / sqrt(T) for xi plus |g|^2 times those powers on the
-    # diagonal.  The share of the photon still in the source is then a fixed
-    # point, not a difference that the RK4 error overtakes at long horizons.
-    power = np.repeat([1.0, 0.5, 0.5, 0.0], f.initial.size // 4)
-    poly = f.drift - f.jump_gain
-    poly[fm.AXI2] += np.diag(power)
-    buf = np.empty((_PATH + 1, f.initial.size), dtype=np.complex128)
-    x, waiting = f.initial, np.arange(stats.m)  # those yet to count, in index order
-    for k0 in range(0, len(times) - 1, _PATH):
-        n = min(_PATH, len(times) - 1 - k0)
-        z = linear_path(poly, cfg, x, k0, buf[:n + 1], wp.coupling)
-        x = z[n] / (z[n] @ f.readout[3])  # the next chunk starts at pi11(I) = 1
-        lt = wp.log_tail_norm(w, times[k0:k0 + n + 1])
-        states = z * np.exp(np.outer(lt - lt[0], power))  # unnormalised, up to a factor
+    a01, floor = fm.READOUTS.index("a01"), fg.nu_floor(dt) * dt
+    waiting = np.arange(stats.m)  # those yet to count, in index order
+    for k0, states in master_path(cfg, f):
+        n = len(states) - 1
         r = (states @ f.readout.T).T
-        s = r[3]
-        p = np.append(1.0 - (s[1:] / s[:-1]).real, 0.0)
+        n_me = np.abs(r[a01]) ** 2
+        s = n_me + wp.tail_norm(w, times[k0:k0 + n + 1])
+        p = np.append(1.0 - s[1:] / s[:-1], 0.0)
         at = np.full(waiting.size, n)  # the step each one counts in, n if none
         for a, j in enumerate(waiting):
             hit = (gens[j].random(n) if noise is None else noise[k0:k0 + n, j]) < p[:n]
             at[a] = np.argmax(hit) if hit.any() else n
         # How many wait at each row: a count in step i leaves at row i + 1.
         live = waiting.size - np.cumsum(np.bincount(at + 1, minlength=n + 2)[:n + 1])
-        rn = r / s
-        ims, v, floor = np.abs(s.imag), rn[0].real, fg.nu_floor(dt) * dt
+        v, u = n_me / s, r[2].real / s
         checks = (
-            (ims > fg._IM_ERR, NonRealInnovationError, "s has imaginary part {:.3e}", ims),
-            (~np.isfinite(rn[0]), FilterDivergenceError, "filter diverged to pi11(n) = {}", v),
-            (p < -floor, FilterDivergenceError, "count probability {:.3e} strongly negative", p),
-            (p > 0.1, GridTooCoarseError, "count probability {:.3g} > 0.1 (refine the grid)", p))
+            (~np.isfinite(v), FilterDivergenceError, "filter diverged to pi11(n) = {}", v),
+            (p < -floor, FilterDivergenceError, "count probability {:.3e} strongly negative", p))
         bad = np.array([c[0] for c in checks]) & (live > 0)
         if bad.any():
             i = int(np.argmax(bad.any(axis=0)))
@@ -284,21 +272,23 @@ def _first_passage(cfg: SimConfig, f, stats: BlockStats, seed_seqs, gens, noise)
                   waiting[np.argmax(at >= i)])
 
         e = int(np.count_nonzero(live))  # the rows someone waits at: a prefix
-        _invariants(stats, rn[:, :e])
-        stats.max_im_s = max(stats.max_im_s, float(ims[:e].max()))
+        stats.n_min = min(stats.n_min, float(v[:e].min()))
+        stats.n_max = max(stats.n_max, float(v[:e].max()))
+        stats.max_im_n = max(stats.max_im_n, float(np.abs(r[0, :e].imag).max()))
         stats.min_nu = min(stats.min_nu, float(p[:min(e, n)].min()) / dt)
-        v, u = v[:e], rn[2, :e].real
         for name, val in (("sum_n", v), ("sumsq_n", v * v), ("sum_i00", u), ("sumsq_i00", u * u)):
-            getattr(stats, name)[k0:k0 + e] = val * live[:e]
+            getattr(stats, name)[k0:k0 + e] = val[:e] * live[:e]
         for a, j in enumerate(waiting):
             if stats.series is not None:
-                stats.series[k0:k0 + at[a] + 1, j] = rn[0, :at[a] + 1].real
+                stats.series[k0:k0 + at[a] + 1, j] = v[:at[a] + 1]
             if at[a] < n:
                 stats.jump_counts[j] = 1
                 stats.jump_times[j].append(float(times[k0 + at[a] + 1]))
                 if stats.record is not None:
                     stats.record[k0 + at[a] + 1:, j] = 1.0
-        # The state a count leaves at the end of its step is Fj x over its pi11(I).
+        # The state a count leaves at the end of its step is Fj x over its
+        # pi11(I); Fj drops the one entry, |0><0| of block 11, in which the
+        # master equation's state differs from the no-count state.
         for i in np.unique(at[at < n]) + 1:
             q = f.readout @ (fm.jump_gain_matrix(f, complex(wp.xi(w, times[k0 + i]))) @ states[i])
             stats.post_jump_max_n = max(stats.post_jump_max_n, float((q[0] / q[3]).real))
@@ -314,19 +304,14 @@ def _readout(f, x: np.ndarray) -> np.ndarray:
 
 def _accumulate(stats, k, r):
     """Fold the homodyne readouts ``r`` (rows as in ``filter_moments.READOUTS``)
-    of the m trajectories at step k."""
+    of the m trajectories at step k, and track the range of n and the
+    invariant residuals."""
     v = r[0].real
     stats.sum_n[k] = np.add.reduce(v)
     stats.sumsq_n[k] = v @ v
     u = r[2].real
     stats.sum_i00[k] = np.add.reduce(u)
     stats.sumsq_i00[k] = u @ u
-    _invariants(stats, r)
-
-
-def _invariants(stats, r):
-    """Track the range of n and the invariant residuals of readouts ``r``."""
-    v = r[0].real
     stats.n_min = min(stats.n_min, float(v.min()))
     stats.n_max = max(stats.n_max, float(v.max()))
     stats.max_im_n = max(stats.max_im_n, float(np.abs(r[:2].imag).max()))

@@ -54,8 +54,8 @@ def run_checks(seed: int = 2024) -> list[CheckResult]:
     pc = run_ensemble(cfg_pc).diagnostics
     _check(results, "count rate p_k/dt >= -1e-10 at all steps",
            pc.min_nu >= -1e-10, f"min p_k/dt {pc.min_nu:.2e}")
-    _check(results, "no-count probability s real for real wavepacket",
-           pc.max_im_s <= 1e-9, f"max |Im s| {pc.max_im_s:.2e}")
+    _check(results, "pi11(n) real on the master path (photocount)",
+           pc.max_im_n <= 1e-9, f"max |Im| {pc.max_im_n:.2e}")
     _check(results, "at most one jump per trajectory",
            pc.jump_counts.max() <= 1, f"max jumps {int(pc.jump_counts.max())}")
     mean_count = float(pc.jump_counts.mean())

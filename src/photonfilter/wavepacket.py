@@ -1,4 +1,4 @@
-"""Single-photon temporal amplitude and the source-model coupling.
+"""Single-photon temporal amplitude and the share of the photon still to come.
 
 The only shape currently implemented is the decaying exponential emitted by
 a two-level atom with decay rate gamma, switched on at t0:
@@ -14,10 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DepletedSourceError
-
-_TAIL_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,26 +47,7 @@ def xi(w: Wavepacket, t):
     return amp.astype(np.complex128) if amp.ndim else complex(amp)
 
 
-def log_tail_norm(w: Wavepacket, t):
-    """log of tail_norm, finite long after tail_norm underflows."""
-    return -w.gamma * np.clip(np.asarray(t, dtype=float) - w.t0, 0.0, None)
-
-
 def tail_norm(w: Wavepacket, t):
     """Remaining photon content integral(|xi|^2, s=t..inf) in [0, 1]."""
-    val = np.exp(log_tail_norm(w, t))
+    val = np.exp(-w.gamma * np.clip(np.asarray(t, dtype=float) - w.t0, 0.0, None))
     return val if val.ndim else float(val)
-
-
-def coupling(w: Wavepacket, t):
-    """xi(t) / sqrt(tail_norm(t)) on arrays, in closed form: sqrt(gamma) from t0 on."""
-    tau = np.asarray(t, dtype=float) - w.t0
-    return np.where(tau >= 0.0, np.sqrt(w.gamma), 0.0).astype(np.complex128)
-
-
-def source_coupling(w: Wavepacket, t: float) -> complex:
-    """``coupling`` at one time; DepletedSourceError once tail_norm < 1e-12."""
-    tail = tail_norm(w, t)
-    if tail <= _TAIL_EPS:
-        raise DepletedSourceError(f"source tail norm {tail:.3e} below {_TAIL_EPS:g} at t={t}")
-    return complex(coupling(w, t))

@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 from photonfilter import wavepacket as wp
-from photonfilter.errors import DepletedSourceError
 
 
 @pytest.fixture
@@ -52,17 +51,6 @@ def test_tail_norm_derivative_is_minus_xi_squared(pulse):
     # away from the onset kink the central difference is clean
     interior = (ts < 2.99) | (ts > 3.01)
     assert np.abs(deriv - target)[interior].max() <= 1e-6
-
-
-def test_source_coupling_constant_after_onset(pulse):
-    assert wp.source_coupling(pulse, 3.0) == pytest.approx(np.sqrt(0.1))
-    assert wp.source_coupling(pulse, 13.0) == pytest.approx(np.sqrt(0.1))
-    assert wp.source_coupling(pulse, 1.0) == 0.0
-
-
-def test_source_coupling_depletes(pulse):
-    with pytest.raises(DepletedSourceError):
-        wp.source_coupling(pulse, 3.0 + 300.0)
 
 
 def test_wavepacket_validation():
