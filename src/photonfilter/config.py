@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict, replace
 
 DETECTORS = ("homodyne", "photocount")
-ENGINES = ("moments", "generic")
+ENGINES = ("cascade", "generic")
 
 
 @dataclass(frozen=True)
@@ -14,8 +14,9 @@ class SimConfig:
 
     Defaults reproduce the headline run: kappa = gamma = 0.1, no detuning,
     photon arriving at t0 = 3, horizon t0 + 100 (over ten cavity lifetimes).
-    ``engine`` is a label kept in the output header: every run steps the
-    filter compiled from (S, L, H) at ``fock_dim``.
+    ``engine`` selects the homodyne filter: the pure state of the source
+    feeding the cavity (``cascade``, no Fock truncation) or the filter
+    compiled from (S, L, H) at ``fock_dim`` (``generic``).
     """
 
     kappa: float = 0.1
@@ -27,7 +28,7 @@ class SimConfig:
     fock_dim: int = 2
     ntraj: int = 100
     seed: int = 1
-    engine: str = "moments"
+    engine: str = "cascade"
     detector: str = "homodyne"
 
     def __post_init__(self) -> None:

@@ -5,16 +5,15 @@ hierarchy (classical averaging kills dW and the compensated counting
 increments), which leaves the linear drift of the compiled filter.  That
 system is integrated at the configured Fock truncation with the classical
 fixed-step RK4 of :func:`photonfilter.sde_engine.master_path`; photon
-counting reads its probability of no count off the same path.
+counting reads its probability of no count off the same path.  Homodyne
+ensembles run the engine of ``cfg.engine``.
 
-An independent closed-form oracle is provided as well: integrating the
-drift of the off-diagonal coherence and substituting into the photon-number
-equation gives, with tau = t - t0, c = i delta + kappa/2 and z = c - gamma/2,
+An independent closed-form oracle is provided as well, never computed from
+the RK4 path it cross-checks: with c = i delta + kappa/2,
 
-    <n>(t) = kappa * | integral_{t0}^{t} exp(-c (t-s)) xi(s) ds |^2
-           = kappa gamma | exp(-c tau) tau expm1(z tau) / (z tau) |^2,
+    <n>(t) = kappa * | integral_{t0}^{t} exp(-c (t-s)) xi(s) ds |^2 = |beta(t)|^2
 
-never computed from the RK4 path it cross-checks.
+for the cavity amplitude beta of :func:`photonfilter.wavepacket.cavity_amplitude`.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import numpy as np
 from . import filter_generic as fg
 from . import filter_moments as fm
 from . import sde_engine as se
+from . import wavepacket as wp
 from .config import SimConfig
 
 _ENSEMBLE_BLOCK = 500
@@ -64,18 +64,10 @@ def integrate_master(cfg: SimConfig) -> SeriesND:
 
 
 def analytic_mean_photon_series(cfg: SimConfig, times: np.ndarray) -> np.ndarray:
-    """Closed-form master-equation photon number at each of ``times``.
-
-    The factor expm1(z tau) / (z tau) is 1 at z tau = 0, which covers the
-    matched pulse (delta = 0, gamma = kappa) and the times up to t0.
-    """
-    tau = np.clip(np.asarray(times, dtype=float) - cfg.t0, 0.0, None)
-    c = 1j * cfg.delta + 0.5 * cfg.kappa
-    zt = (c - 0.5 * cfg.gamma) * tau
-    nonzero = zt != 0
-    ratio = np.ones_like(zt)
-    ratio[nonzero] = np.expm1(zt[nonzero]) / zt[nonzero]
-    return cfg.kappa * cfg.gamma * np.abs(np.exp(-c * tau) * tau * ratio) ** 2
+    """Closed-form master-equation photon number |beta|^2 at each of ``times``
+    (:func:`photonfilter.wavepacket.cavity_amplitude`)."""
+    w = wp.Wavepacket(cfg.gamma, cfg.t0)
+    return np.abs(wp.cavity_amplitude(w, cfg.kappa, cfg.delta, times)) ** 2
 
 
 def _ensemble_block(args):
@@ -127,7 +119,8 @@ def weak_convergence_bias(
     M: int,
     master_seed: int,
 ) -> tuple[float, float]:
-    """Homodyne ensemble-mean bias vs the closed-form oracle at dt and dt/2.
+    """Homodyne ensemble-mean bias of ``cfg.engine`` vs the closed-form oracle
+    at dt and dt/2.
 
     Uses common random numbers: each trajectory's fine-grid Wiener
     increments are drawn once and pairwise-summed to form its coarse-grid

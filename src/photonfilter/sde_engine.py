@@ -3,10 +3,10 @@
 Every trajectory draws from its own ``numpy.random.SeedSequence`` (an
 ensemble spawns child i of the master seed for trajectory i), so results do
 not depend on scheduling, and a trajectory inside a block matches the same
-trajectory run alone to rounding.  :func:`run_block` runs a block on the
-filter compiled from (S, L, H) by :mod:`photonfilter.filter_moments`:
-homodyne detection by Euler-Maruyama in lock-step, photon counting as a
-first passage read off the master equation's RK4 path
+trajectory run alone to rounding.  :func:`run_block` runs a block in
+lock-step: homodyne detection by Euler-Maruyama on the cascade's pure state
+or on the filter compiled by :mod:`photonfilter.filter_moments`, photon
+counting as a first passage read off the master equation's RK4 path
 (:func:`master_path`).  Every error names the time and the trajectory.
 """
 
@@ -164,11 +164,13 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
               record_series: bool = False) -> BlockStats:
     """Advance a block of trajectories (one per seed sequence) in lock-step.
 
-    The filter is compiled once from the cavity's (S, L, H) at
-    ``cfg.fock_dim``.  Homodyne detection evaluates its maps at xi(t) each
-    step and applies them with one matmul each to a (4 D^2, m) state;
-    photon counting is the first passage of :func:`_first_passage`, which
-    reads the probability of no count off the master equation's path.
+    Homodyne detection on engine ``cascade`` steps one complex amplitude per
+    trajectory (:func:`_cascade`).  Otherwise the filter is compiled once
+    from the cavity's (S, L, H) at ``cfg.fock_dim``.  Homodyne detection
+    evaluates its maps at xi(t) each step and applies them with one matmul
+    each to a (4 D^2, m) state; photon counting is the first passage of
+    :func:`_first_passage`, which reads the probability of no count off the
+    master equation's path.
     ``noise`` (steps x m) replaces the trajectories' own draws: Wiener
     increments for homodyne detection, uniforms for photon counting.
     """
@@ -177,11 +179,14 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
     times = grid.times()
     m = len(seed_seqs)
     gens = [np.random.default_rng(ss) for ss in seed_seqs]
-    f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
     stats = BlockStats(m, times, *(np.zeros(steps + 1) for _ in range(4)),
                        jump_counts=np.zeros(m, dtype=np.int64), jump_times=[[] for _ in range(m)])
     if record_series:
         stats.series, stats.record = np.zeros((steps + 1, m)), np.zeros((steps + 1, m))
+    if detector == "homodyne" and cfg.engine == "cascade":
+        _cascade(cfg, stats, seed_seqs, gens, noise)
+        return stats
+    f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
     if detector != "homodyne":
         _first_passage(cfg, f, stats, seed_seqs, gens, noise)
         return stats
@@ -229,6 +234,58 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
             if record_series:
                 stats.series[k + 1] = r[0].real
     return stats
+
+
+def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
+    """Homodyne detection on the pure state alpha|e,0> + beta|g,1> + c|g,0> of
+    a two-level source, excited at t0, feeding the cavity.  alpha^2 =
+    tail_norm and beta (:func:`wavepacket.cavity_amplitude`) do not see the
+    record; with f = xi + sqrt(kappa) beta and N = alpha^2 + |beta|^2 + |c|^2,
+    dc = f (K dt + dW), K = 2 Re(conj(c) f) / N, n = |beta|^2 / N is in
+    [0, 1] by construction and pi00(I) = 1 / N.  The noise is additive
+    (strong order 1).  Each step's N overwrites its spent increments."""
+    times, dt = stats.times, cfg.dt
+    w = wp.Wavepacket(cfg.gamma, cfg.t0)
+    beta = wp.cavity_amplitude(w, cfg.kappa, cfg.delta, times)
+    bb, f = np.abs(beta) ** 2, wp.xi(w, times) + np.sqrt(cfg.kappa) * beta
+    floor = wp.tail_norm(w, times) + bb  # N at c = 0
+    fc = np.stack([f.real, f.imag], axis=1)[:, :, None]
+    gain = 2.0 * dt * fc[:, :, 0]  # K dt = gain . (Re c, Im c) / N
+    c, nrm = np.zeros((2, stats.m)), np.ones(stats.m)  # the photon starts in the source
+    _fold_cascade(stats, 0, bb, np.ones((1, stats.m)), seed_seqs)
+    for start in range(0, len(times) - 1, _CHUNK):
+        n = min(_CHUNK, len(times) - 1 - start)
+        nz = (noise[start:start + n].copy() if noise is not None
+              else _chunk_noise(gens, n, np.sqrt(dt)))
+        for i, k in enumerate(range(start, start + n)):
+            y = gain[k] @ c
+            y /= nrm
+            y += nz[i]  # dY = K dt + dW
+            c += fc[k] * y
+            nrm = np.einsum("ij,ij->j", c, c, out=nz[i])
+            nrm += floor[k + 1]
+            if stats.record is not None:
+                stats.record[k + 1] = y
+        nrm = nz[-1].copy()
+        _fold_cascade(stats, start + 1, bb, nz, seed_seqs)
+
+
+def _fold_cascade(stats: BlockStats, k: int, bb: np.ndarray, nrm: np.ndarray, seed_seqs):
+    """Fold the norms N of rows k, k + 1, ..., which become 1 / N: every sum
+    follows from the row sums of 1 / N and of its square."""
+    finite = np.isfinite(nrm)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), nrm.shape[1])
+        _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {bb[k + i] / nrm[i, j]}",
+              stats.times[k + i], seed_seqs, j)
+    u = np.reciprocal(nrm, out=nrm)
+    rows, b = slice(k, k + len(u)), bb[k:k + len(u)]
+    stats.sum_i00[rows], stats.sumsq_i00[rows] = u.sum(axis=1), np.einsum("ij,ij->i", u, u)
+    stats.sum_n[rows], stats.sumsq_n[rows] = b * stats.sum_i00[rows], b * b * stats.sumsq_i00[rows]
+    stats.n_min = min(stats.n_min, float((b * u.min(axis=1)).min()))
+    stats.n_max = max(stats.n_max, float((b * u.max(axis=1)).max()))
+    if stats.series is not None:
+        stats.series[rows] = b[:, None] * u
 
 
 def _first_passage(cfg: SimConfig, f, stats: BlockStats, seed_seqs, gens, noise) -> None:

@@ -1,4 +1,5 @@
-"""Single-photon temporal amplitude and the share of the photon still to come.
+"""Single-photon temporal amplitude, the share of it still to come, and the
+amplitude it drives in a vacuum cavity.
 
 The only shape currently implemented is the decaying exponential emitted by
 a two-level atom with decay rate gamma, switched on at t0:
@@ -51,3 +52,18 @@ def tail_norm(w: Wavepacket, t):
     """Remaining photon content integral(|xi|^2, s=t..inf) in [0, 1]."""
     val = np.exp(-w.gamma * np.clip(np.asarray(t, dtype=float) - w.t0, 0.0, None))
     return val if val.ndim else float(val)
+
+
+def cavity_amplitude(w: Wavepacket, kappa: float, delta: float, t):
+    """Amplitude beta(t) of the photon in a vacuum cavity (rate kappa, detuning
+    delta) driven by ``w``: d beta = -(c beta + sqrt(kappa) xi) dt, so with
+    tau = t - t0, c = i delta + kappa/2 and z = c - gamma/2, beta = -sqrt(kappa
+    gamma) exp(-c tau) tau expm1(z tau) / (z tau), the last factor 1 at z tau
+    = 0.  |beta|^2 is the master equation's <n>."""
+    tau = np.clip(np.asarray(t, dtype=float) - w.t0, 0.0, None)
+    c = 1j * delta + 0.5 * kappa
+    zt = (c - 0.5 * w.gamma) * tau
+    nonzero = zt != 0
+    ratio = np.ones_like(zt)
+    ratio[nonzero] = np.expm1(zt[nonzero]) / zt[nonzero]
+    return -np.sqrt(kappa * w.gamma) * np.exp(-c * tau) * tau * ratio

@@ -83,7 +83,7 @@ def test_criterion_4_photocount_ensemble(me_fine):
 
 
 def test_criterion_5_oracle_equivalence():
-    cfg = SimConfig(t_end=10.0, dt=1e-3, seed=5)
+    cfg = SimConfig(t_end=10.0, dt=1e-3, seed=5, engine="generic")
     children = np.random.SeedSequence(cfg.seed).spawn(100)
     steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
     noise = np.empty((steps, 100))
@@ -114,7 +114,7 @@ def test_criterion_7_weak_convergence():
     # common-random-number bias at dt and dt/2; first-order Euler-Maruyama
     # halves the bias.  The ratio at M=4000 carries Monte Carlo noise, so a
     # fixed master seed pins the (deterministic) measurement.
-    cfg = SimConfig(t_end=23.0, dt=0.25)
+    cfg = SimConfig(t_end=23.0, dt=0.25, engine="generic")
     bias_c, bias_f = weak_convergence_bias(cfg, M=4000, master_seed=6)
     ratio = bias_c / bias_f
     _report(7, "weak convergence under dt halving (M=4000, CRN)",

@@ -34,6 +34,20 @@ def test_csv_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(data[:, 1], traj.n_cond)
 
 
+def test_engine_generic_header_and_series(tmp_path):
+    # the default homodyne filter is the cascade; --engine generic runs the
+    # compiled filter on the same noise, which differs by its Euler error
+    data, configs = [], []
+    for extra in ([], ["--engine", "generic"]):
+        out = tmp_path / f"traj{len(extra)}.csv"
+        assert cli.main(["trajectory", *FAST, "--seed", "3", *extra, "--out", str(out)]) == 0
+        configs.append(json.loads(out.read_text().splitlines()[0].removeprefix("# config: ")))
+        data.append(np.loadtxt(str(out), delimiter=",", skiprows=2))
+    assert [c["engine"] for c in configs] == ["cascade", "generic"]
+    gap = np.abs(data[0][:, 1] - data[1][:, 1]).max()
+    assert 0.0 < gap <= 5e-3
+
+
 def test_json_format_carries_seed(tmp_path):
     out = tmp_path / "traj.json"
     rc = cli.main(["trajectory", *FAST, "--seed", "99", "--format", "json",

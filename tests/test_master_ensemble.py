@@ -111,7 +111,7 @@ def test_parallel_reduction_identical():
 
 
 def test_weak_convergence_bias_smoke():
-    cfg = SimConfig(t_end=13.0, dt=0.25)
+    cfg = SimConfig(t_end=13.0, dt=0.25, engine="generic")
     bc, bf = me.weak_convergence_bias(cfg, M=50, master_seed=0)
     assert np.isfinite(bc) and np.isfinite(bf)
     assert bc > 0.0 and bf > 0.0

@@ -93,6 +93,46 @@ class TestNoCountPath:
         assert stats.min_nu >= 0.0
 
 
+class TestCascade:
+    @pytest.mark.parametrize("delta,bounds", [(0.0, (3e-3, 1.5e-3)), (0.7, (6e-4, 3e-4))])
+    def test_strong_convergence_to_generic(self, delta, bounds):
+        # both filters on one Brownian path per trajectory, at dt and dt / 4:
+        # the RMS gap of n is the generic filter's Euler error (strong order
+        # 1/2, multiplicative noise) plus the cascade's (order 1, additive),
+        # so it falls by about 2 (read 0.40-0.62 of it over seeds 1-5)
+        cfg = SimConfig(t_end=13.0, dt=1e-3, delta=delta)
+        seqs = np.random.SeedSequence(1).spawn(16)
+        fine = _noise(cfg, 16, seed=1)
+        coarse = fine.reshape(-1, 4, 16).sum(axis=1)
+        gaps = []
+        for c, noise in ((cfg.with_(dt=4e-3), coarse), (cfg, fine)):
+            a, b = (se.run_block(c.with_(engine=e), "homodyne", seed_seqs=seqs, noise=noise,
+                                 record_series=True).series for e in ("cascade", "generic"))
+            gaps.append(np.sqrt(np.mean((a - b) ** 2)))
+        assert gaps[0] <= bounds[0] and gaps[1] <= bounds[1]
+        assert gaps[1] <= 0.7 * gaps[0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kappa=st.floats(0.1, 1.0),
+        gamma=st.floats(0.1, 1.0),
+        delta=st.floats(-5.0, 5.0),
+        t0=st.floats(0.0, 5.0),
+        coarse=st.floats(0.01, 0.099),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_physical(self, kappa, gamma, delta, t0, coarse, seed):
+        # n = |beta|^2 / N with N >= |beta|^2 on every grid the validator
+        # accepts; n = |beta|^2 * (1 / N) may pass 1 by rounding only
+        dt = coarse / max(kappa, gamma)
+        steps = int(np.ceil((t0 + 10.0 / min(kappa, gamma)) / dt))
+        cfg = SimConfig(kappa=kappa, gamma=gamma, delta=delta, t0=t0, t_end=steps * dt, dt=dt)
+        stats = se.run_block(cfg, "homodyne", seed_seqs=np.random.SeedSequence(seed).spawn(8),
+                             record_series=True)
+        assert stats.series.min() >= 0.0 and stats.series.max() <= 1.0 + 1e-12
+        assert stats.n_min == stats.series.min() and stats.n_max == stats.series.max()
+
+
 class TestSimGrid:
     def test_basic(self):
         g = se.SimGrid(0.0, 1.0, 0.25)
@@ -187,8 +227,9 @@ class TestTrajectory:
         np.testing.assert_array_equal(a.record, b.record)
 
     def test_drift_only_tracks_master_equation(self):
-        # with dW = 0 the homodyne step is the explicit Euler step of the drift
-        cfg = SimConfig(t_end=33.0, dt=1e-2)
+        # with dW = 0 the generic filter's homodyne step is the explicit Euler
+        # step of the drift
+        cfg = SimConfig(t_end=33.0, dt=1e-2, engine="generic")
         steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
         stats = se.run_block(cfg, "homodyne", seed_seqs=[np.random.SeedSequence(0)],
                              noise=np.zeros((steps, 1)), record_series=True)
@@ -198,7 +239,7 @@ class TestTrajectory:
 
     def test_engines_agree_homodyne(self):
         # the compiled runner vs the einsum filter on shared noise, at D=3
-        cfg = SimConfig(t_end=8.0, dt=1e-3, fock_dim=3, detector="homodyne")
+        cfg = SimConfig(t_end=8.0, dt=1e-3, fock_dim=3, detector="homodyne", engine="generic")
         noise = _noise(cfg, 2, seed=5)
         seqs = np.random.SeedSequence(5).spawn(2)
         a = se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=noise, record_series=True)
@@ -247,8 +288,9 @@ class TestTrajectory:
             np.testing.assert_allclose(block.series[:, j], solo.n_cond, atol=1e-13)
 
     def test_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            SimConfig(engine="exact")
+        for engine in ("exact", "moments"):
+            with pytest.raises(ValueError, match="engine"):
+                SimConfig(engine=engine)
 
     def test_error_names_time_and_trajectory(self):
         # trajectories 4..7 of an ensemble; a NaN increment in the third

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from photonfilter import wavepacket as wp
 
@@ -32,8 +31,26 @@ def test_xi_array_matches_scalar(pulse):
 
 
 def test_xi_unit_l2_norm(pulse):
-    norm, _ = quad(lambda s: abs(wp.xi(pulse, s)) ** 2, 0.0, 300.0, limit=200)
+    # Gauss-Legendre on [t0, 300]: xi vanishes before t0, and the tail
+    # beyond 300 holds e^-29.7 of the norm
+    x, wts = np.polynomial.legendre.leggauss(100)
+    half = 0.5 * (300.0 - pulse.t0)
+    norm = half * wts @ np.abs(wp.xi(pulse, pulse.t0 + half * (x + 1.0))) ** 2
     assert norm == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kappa,delta", [(0.1, 0.0), (0.3, 0.7)])
+def test_cavity_amplitude_quadrature(pulse, kappa, delta):
+    # beta = -sqrt(kappa) integral_{t0}^{t} exp(-c (t - s)) xi(s) ds, c = i delta + kappa/2,
+    # by Gauss-Legendre quadrature; the first case is the matched pulse, z = 0
+    ts = np.array([0.0, 3.0, 4.5, 13.0, 23.0, 77.0])
+    c = 1j * delta + 0.5 * kappa
+    x, wts = np.polynomial.legendre.leggauss(100)
+    half = 0.5 * np.clip(ts - pulse.t0, 0.0, None)
+    s = pulse.t0 + half[:, None] * (x + 1.0)
+    expect = -np.sqrt(kappa) * (np.exp(-c * (ts[:, None] - s)) * wp.xi(pulse, s)) @ wts * half
+    np.testing.assert_allclose(wp.cavity_amplitude(pulse, kappa, delta, ts), expect,
+                               rtol=0, atol=1e-12)
 
 
 def test_tail_norm_values(pulse):
