@@ -238,12 +238,15 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
 
 def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
     """Homodyne detection on the pure state alpha|e,0> + beta|g,1> + c|g,0> of
-    a two-level source, excited at t0, feeding the cavity.  alpha^2 =
-    tail_norm and beta (:func:`wavepacket.cavity_amplitude`) do not see the
-    record; with f = xi + sqrt(kappa) beta and N = alpha^2 + |beta|^2 + |c|^2,
-    dc = f (K dt + dW), K = 2 Re(conj(c) f) / N, n = |beta|^2 / N is in
-    [0, 1] by construction and pi00(I) = 1 / N.  The noise is additive
-    (strong order 1).  Each step's N overwrites its spent increments."""
+    a two-level source, excited at t0, feeding the cavity.
+
+    alpha^2 = tail_norm and beta (:func:`wavepacket.cavity_amplitude`) do not
+    see the record; only c does, with f = xi + sqrt(kappa) beta:
+    dc = f (K dt + dW), K = 2 Re(conj(c) f) / N, N = alpha^2 + |beta|^2 + |c|^2.
+    n = |beta|^2 / N is in [0, 1] by construction and pi00(I) = 1 / N.  The
+    noise is additive (strong order 1).  Each step's N overwrites its spent
+    increments, and :func:`_fold_cascade` takes the sums per chunk.
+    """
     times, dt = stats.times, cfg.dt
     w = wp.Wavepacket(cfg.gamma, cfg.t0)
     beta = wp.cavity_amplitude(w, cfg.kappa, cfg.delta, times)

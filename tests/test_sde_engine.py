@@ -99,7 +99,7 @@ class TestCascade:
         # both filters on one Brownian path per trajectory, at dt and dt / 4:
         # the RMS gap of n is the generic filter's Euler error (strong order
         # 1/2, multiplicative noise) plus the cascade's (order 1, additive),
-        # so it falls by about 2 (read 0.40-0.62 of it over seeds 1-5)
+        # so it about halves (fine / coarse read 0.40-0.62 over seeds 1-5)
         cfg = SimConfig(t_end=13.0, dt=1e-3, delta=delta)
         seqs = np.random.SeedSequence(1).spawn(16)
         fine = _noise(cfg, 16, seed=1)
