@@ -6,7 +6,7 @@ and ensemble-comparison tooling.
 """
 
 from .config import SimConfig
-from .filter_generic import GenericFilterState, SLHModel, init_filter
+from .filter_generic import SLHModel
 from .filter_moments import CompiledFilter, compile_filter
 from .master_ensemble import (
     EnsembleStats,
@@ -23,8 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "SimConfig",
     "SLHModel",
-    "GenericFilterState",
-    "init_filter",
     "CompiledFilter",
     "compile_filter",
     "EnsembleStats",

@@ -39,12 +39,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tend", type=float, default=103.0, help="end of the time grid")
     p.add_argument("--dt", type=float, default=1e-3, help="integrator step")
     p.add_argument("--dim", type=int, default=2,
-                   help="Fock truncation (generic filter, master equation, photon counting)")
+                   help="Fock truncation (generic filter, master equation)")
     p.add_argument("--ntraj", type=int, default=100, help="ensemble size")
     p.add_argument("--seed", type=int, default=1, help="master seed")
     p.add_argument("--engine", choices=ENGINES, default="cascade",
-                   help="homodyne filter: the cascade's pure state (no Fock "
-                        "truncation) or the filter compiled from (S, L, H) at --dim")
+                   help="filter of both detectors: the cascade's pure state (no "
+                        "Fock truncation) or the filter compiled from (S, L, H) at --dim")
     p.add_argument("--detector", choices=DETECTORS, default="homodyne")
     p.add_argument("--out", default=None, help="output file path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -14,9 +14,9 @@ class SimConfig:
 
     Defaults reproduce the headline run: kappa = gamma = 0.1, no detuning,
     photon arriving at t0 = 3, horizon t0 + 100 (over ten cavity lifetimes).
-    ``engine`` selects the homodyne filter: the pure state of the source
-    feeding the cavity (``cascade``, no Fock truncation) or the filter
-    compiled from (S, L, H) at ``fock_dim`` (``generic``).
+    ``engine`` selects the filter of both detectors: the pure state of the
+    source feeding the cavity (``cascade``, no Fock truncation) or the
+    filter compiled from (S, L, H) at ``fock_dim`` (``generic``).
     """
 
     kappa: float = 0.1

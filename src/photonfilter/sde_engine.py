@@ -6,8 +6,8 @@ not depend on scheduling, and a trajectory inside a block matches the same
 trajectory run alone to rounding.  :func:`run_block` runs a block in
 lock-step: homodyne detection by Euler-Maruyama on the cascade's pure state
 or on the filter compiled by :mod:`photonfilter.filter_moments`, photon
-counting as a first passage read off the master equation's RK4 path
-(:func:`master_path`).  Every error names the time and the trajectory.
+counting by inverting the probability of no count, one uniform per
+trajectory.  Every error names the time and the trajectory.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class BlockStats:
     max_im_k: float = 0.0
     max_im_n: float = 0.0
     max_i11_dev: float = 0.0
-    min_nu: float = np.inf  # photon counting: least p_k / dt, unclamped
     series: np.ndarray | None = None
     record: np.ndarray | None = None
     jump_times: list[list[float]] = field(default_factory=list)
@@ -100,7 +99,6 @@ def _fold(blocks: list[BlockStats]) -> BlockStats:
                      "max_i11_dev"):
             setattr(out, name, max(getattr(out, name), getattr(b, name)))
         out.n_min = min(out.n_min, b.n_min)
-        out.min_nu = min(out.min_nu, b.min_nu)
         out.jump_counts = np.concatenate([out.jump_counts, b.jump_counts])
         out.jump_times.extend(b.jump_times)
     return out
@@ -164,15 +162,14 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
               record_series: bool = False) -> BlockStats:
     """Advance a block of trajectories (one per seed sequence) in lock-step.
 
+    Photon counting draws one uniform per trajectory and counts where the
+    probability of no count falls below it (:func:`_first_passage`).
     Homodyne detection on engine ``cascade`` steps one complex amplitude per
-    trajectory (:func:`_cascade`).  Otherwise the filter is compiled once
-    from the cavity's (S, L, H) at ``cfg.fock_dim``.  Homodyne detection
-    evaluates its maps at xi(t) each step and applies them with one matmul
-    each to a (4 D^2, m) state; photon counting is the first passage of
-    :func:`_first_passage`, which reads the probability of no count off the
-    master equation's path.
-    ``noise`` (steps x m) replaces the trajectories' own draws: Wiener
-    increments for homodyne detection, uniforms for photon counting.
+    trajectory (:func:`_cascade`); on ``generic`` the filter is compiled once
+    from the cavity's (S, L, H) at ``cfg.fock_dim``, its maps evaluated at
+    xi(t) each step and applied with one matmul each to a (4 D^2, m) state.
+    ``noise`` replaces the trajectories' own draws: Wiener increments
+    (steps x m) for homodyne detection, uniforms (m,) for photon counting.
     """
     grid = SimGrid(0.0, cfg.t_end, cfg.dt)
     steps = grid.steps
@@ -183,13 +180,13 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
                        jump_counts=np.zeros(m, dtype=np.int64), jump_times=[[] for _ in range(m)])
     if record_series:
         stats.series, stats.record = np.zeros((steps + 1, m)), np.zeros((steps + 1, m))
-    if detector == "homodyne" and cfg.engine == "cascade":
+    if detector != "homodyne":
+        _first_passage(cfg, stats, seed_seqs, gens, noise)
+        return stats
+    if cfg.engine == "cascade":
         _cascade(cfg, stats, seed_seqs, gens, noise)
         return stats
     f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
-    if detector != "homodyne":
-        _first_passage(cfg, f, stats, seed_seqs, gens, noise)
-        return stats
 
     dt = cfg.dt
     sqrt_dt = np.sqrt(dt)
@@ -291,70 +288,64 @@ def _fold_cascade(stats: BlockStats, k: int, bb: np.ndarray, nrm: np.ndarray, se
         stats.series[rows] = b[:, None] * u
 
 
-def _first_passage(cfg: SimConfig, f, stats: BlockStats, seed_seqs, gens, noise) -> None:
-    """Photon counting as the first passage over the master equation's path.
-
-    With no count so far the photon is in the cavity or still to come, so
-    the probability of no count by step k is s_k = <n> + tail_norm, and the
-    cavity holds the master equation's <n> = |pi01(a)|^2 (real and >= 0 by
-    construction, unlike pi11(n), which rounding can push below its
-    interference zeros).  The conditional photon number is <n> / s.  A
-    waiting trajectory counts in the first step whose uniform falls below
-    p_k = 1 - s_{k+1}/s_k, and the count leaves the cavity in vacuum, which
-    adds nothing to the sums.  Guards and invariants read only steps where
-    someone still waits.
+def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
+    """Photon counting by inversion of the probability s = <n> + tail_norm of
+    no count (the photon is in the cavity or still to come); n = <n> / s and
+    pi00(I) = 1 / s.  Each trajectory draws one uniform V and counts at the
+    first row where the running minimum of s falls below V, so P(no count by
+    row k) = min_{i <= k} s_i even where rounding raises s by an ulp.  <n> is
+    |beta|^2 on engine ``cascade``, and |pi01(a)|^2 (>= 0, unlike pi11(n)) on
+    the master equation's path on ``generic``.  The count leaves the cavity in
+    vacuum, which adds nothing to the sums; guards read rows where someone waits.
     """
-    times, dt = stats.times, cfg.dt
-    w = wp.Wavepacket(cfg.gamma, cfg.t0)
-    a01, floor = fm.READOUTS.index("a01"), fg.nu_floor(dt) * dt
-    waiting = np.arange(stats.m)  # those yet to count, in index order
-    for k0, states in master_path(cfg, f):
-        n = len(states) - 1
-        r = (states @ f.readout.T).T
-        n_me = np.abs(r[a01]) ** 2
-        s = n_me + wp.tail_norm(w, times[k0:k0 + n + 1])
-        p = np.append(1.0 - s[1:] / s[:-1], 0.0)
-        at = np.full(waiting.size, n)  # the step each one counts in, n if none
-        for a, j in enumerate(waiting):
-            hit = (gens[j].random(n) if noise is None else noise[k0:k0 + n, j]) < p[:n]
-            at[a] = np.argmax(hit) if hit.any() else n
-        # How many wait at each row: a count in step i leaves at row i + 1.
-        live = waiting.size - np.cumsum(np.bincount(at + 1, minlength=n + 2)[:n + 1])
-        v, u = n_me / s, r[2].real / s
-        checks = (
-            (~np.isfinite(v), FilterDivergenceError, "filter diverged to pi11(n) = {}", v),
-            (p < -floor, FilterDivergenceError, "count probability {:.3e} strongly negative", p))
-        bad = np.array([c[0] for c in checks]) & (live > 0)
+    times, w = stats.times, wp.Wavepacket(cfg.gamma, cfg.t0)
+    v = np.array([g.random() for g in gens]) if noise is None else np.asarray(noise, dtype=float)
+    order, at = np.argsort(v, kind="stable"), np.full(stats.m, times.size)  # at: count rows
+    least, waiting, floor = np.inf, stats.m, fg.nu_floor(cfg.dt) * cfg.dt
+    f = None if cfg.engine == "cascade" else fm.compile_filter(
+        fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
+    for k0, states in [(0, None)] if f is None else master_path(cfg, f):  # until all count
+        if states is None:  # the closed form on the whole grid: |beta| = |pi01(a)|
+            a01, n11 = wp.cavity_amplitude(w, cfg.kappa, cfg.delta, times), np.zeros(times.size)
+        else:
+            a01, n11 = (states @ f.readout[[fm.READOUTS.index("a01"), 0]].T).T
+        n_me, im = np.abs(a01) ** 2, np.abs(n11.imag)
+        rows = np.arange(k0, k0 + n_me.size)
+        s = n_me + wp.tail_norm(w, times[rows])
+        low = np.fmin(np.fmin.accumulate(s), least)
+        # How many wait at each row (V <= the least s so far); the waiting
+        # with the largest V count first, at the rows where that number drops.
+        live = np.searchsorted(v[order], low, side="right")
+        hit = np.repeat(rows, -np.diff(live, prepend=waiting))
+        at[order[live[-1]:waiting][::-1]] = hit
+        least, waiting = low[-1], live[-1]
+        n, u, p = n_me / s, 1.0 / s, np.append(1.0 - s[1:] / s[:-1], 0.0)
+        bad = (~np.isfinite(n) | (p < -floor)) & (live > 0)
         if bad.any():
-            i = int(np.argmax(bad.any(axis=0)))
-            _, exc, what, value = checks[int(np.argmax(bad[:, i]))]
-            _fail(exc, what.format(value[i]), times[k0 + i], seed_seqs,
-                  waiting[np.argmax(at >= i)])
-
+            i = int(np.argmax(bad))
+            what = (f"filter diverged to pi11(n) = {n[i]}" if not np.isfinite(n[i])
+                    else f"count probability {p[i]:.3e} strongly negative")
+            _fail(FilterDivergenceError, what, times[k0 + i], seed_seqs, np.argmax(at > k0 + i))
         e = int(np.count_nonzero(live))  # the rows someone waits at: a prefix
-        stats.n_min = min(stats.n_min, float(v[:e].min()))
-        stats.n_max = max(stats.n_max, float(v[:e].max()))
-        stats.max_im_n = max(stats.max_im_n, float(np.abs(r[0, :e].imag).max()))
-        stats.min_nu = min(stats.min_nu, float(p[:min(e, n)].min()) / dt)
-        for name, val in (("sum_n", v), ("sumsq_n", v * v), ("sum_i00", u), ("sumsq_i00", u * u)):
+        stats.n_min = min(stats.n_min, float(n[:e].min()))
+        stats.n_max = max(stats.n_max, float(n[:e].max()))
+        stats.max_im_n = max(stats.max_im_n, float(im[:e].max()))
+        for name, val in (("sum_n", n), ("sumsq_n", n * n), ("sum_i00", u), ("sumsq_i00", u * u)):
             getattr(stats, name)[k0:k0 + e] = val[:e] * live[:e]
-        for a, j in enumerate(waiting):
-            if stats.series is not None:
-                stats.series[k0:k0 + at[a] + 1, j] = v[:at[a] + 1]
-            if at[a] < n:
-                stats.jump_counts[j] = 1
-                stats.jump_times[j].append(float(times[k0 + at[a] + 1]))
-                if stats.record is not None:
-                    stats.record[k0 + at[a] + 1:, j] = 1.0
-        # The state a count leaves at the end of its step is Fj x over its
-        # pi11(I); Fj drops the one entry, |0><0| of block 11, in which the
-        # master equation's state differs from the no-count state.
-        for i in np.unique(at[at < n]) + 1:
-            q = f.readout @ (fm.jump_gain_matrix(f, complex(wp.xi(w, times[k0 + i]))) @ states[i])
-            stats.post_jump_max_n = max(stats.post_jump_max_n, float((q[0] / q[3]).real))
-        waiting = waiting[at == n]
-        if not waiting.size:
-            return
+        if stats.series is not None:
+            stats.series[rows] = np.where(at > rows[:, None], n[:, None], 0.0)
+        for k in np.unique(hit):
+            # The count leaves |g,0> on the cascade; on the master path Fj x over its pi11(I)
+            # (Fj drops |0><0| of block 11, the one entry where that state and no count differ).
+            q = (0.0, 1.0) if states is None else f.readout[[0, 3]] @ (
+                fm.jump_gain_matrix(f, complex(wp.xi(w, times[k]))) @ states[k - k0])
+            stats.post_jump_max_n = max(stats.post_jump_max_n, float((q[0] / q[1]).real))
+        if not waiting:
+            break
+    stats.jump_counts[:] = counted = at < times.size
+    stats.jump_times = [[float(times[k])] if c else [] for k, c in zip(at, counted)]
+    if stats.record is not None:
+        stats.record[:] = np.arange(times.size)[:, None] >= at
 
 
 def _readout(f, x: np.ndarray) -> np.ndarray:

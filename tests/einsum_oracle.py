@@ -2,8 +2,9 @@
 
 The independent reference the compiled runner is compared against: it
 shares with the runner only the grid and the wavepacket, and takes the noise
-as given.  It counts when the uniform falls below nu * dt after an Euler
-no-jump step; the runner counts below the step's exact count probability.
+as given.  It counts when the step's uniform falls below nu * dt after an
+Euler no-jump step; the runner draws one uniform per trajectory and inverts
+the probability of no count.
 """
 
 import numpy as np

@@ -108,12 +108,12 @@ def test_jump_consumes_photon():
 
 
 def test_jump_rejected_at_zero_intensity():
-    # zero uniforms fire at any positive intensity, yet nothing fires
-    # before the photon arrives: every trajectory counts in its first step
-    # after t0
+    # uniforms of 1 count as soon as the probability s of no count falls
+    # below 1, yet nothing counts before the photon arrives: every
+    # trajectory counts at the first row after t0
     cfg = SimConfig(t0=1.0, t_end=2.0, dt=1e-2, detector="photocount")
     seqs = np.random.SeedSequence(0).spawn(3)
-    stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.zeros((200, 3)))
+    stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.ones(3))
     assert stats.jump_times == [[pytest.approx(1.01)]] * 3
 
 

@@ -10,27 +10,37 @@ from photonfilter import filter_generic as fg
 from photonfilter import filter_moments as fm
 from photonfilter import sde_engine as se
 from photonfilter import wavepacket as wp
-from photonfilter.config import SimConfig
+from photonfilter.config import ENGINES, SimConfig
 from photonfilter.errors import FilterDivergenceError
 from photonfilter.master_ensemble import analytic_mean_photon_series, integrate_master
 
 
-def _noise(cfg, m, seed, homodyne=True):
-    """Per-trajectory draws as the runner makes them, steps x m: Wiener
-    increments, or for photon counting uniforms."""
+def _noise(cfg, m, seed):
+    """Wiener increments as the runner draws them, steps x m."""
     steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
     gens = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(m)]
-    if homodyne:
-        return se._chunk_noise(gens, steps, np.sqrt(cfg.dt))
-    return np.stack([g.random(steps) for g in gens], axis=1)
+    return se._chunk_noise(gens, steps, np.sqrt(cfg.dt))
+
+
+def _path_s(cfg):
+    """The probability of no count on the RK4 path: |pi01(a)|^2 + tail."""
+    f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
+    times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
+    s = np.empty(times.size)
+    for k, states in se.master_path(cfg, f):
+        s[k:k + len(states)] = np.abs(states @ f.readout[fm.READOUTS.index("a01")]) ** 2
+    return s + wp.tail_norm(wp.Wavepacket(cfg.gamma, cfg.t0), times)
 
 
 class TestNoCountPath:
+    # the RK4 path of the generic engine; the cascade reads s in closed form
+
     @pytest.mark.parametrize("delta,gamma,dim", [(0.0, 0.1, 2), (0.7, 0.25, 3)])
     def test_closed_form(self, delta, gamma, dim):
         # no count so far: the photon is in the cavity or still to come, so
         # s = <n> + tail, and the cavity holds the master equation's <n>
-        cfg = SimConfig(delta=delta, gamma=gamma, fock_dim=dim, t_end=53.0, dt=1e-2)
+        cfg = SimConfig(delta=delta, gamma=gamma, fock_dim=dim, t_end=53.0, dt=1e-2,
+                        engine="generic")
         f = fm.compile_filter(fg.SLHModel.cavity(dim, cfg.kappa, delta))
         times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
         w = wp.Wavepacket(gamma, cfg.t0)
@@ -64,7 +74,7 @@ class TestNoCountPath:
                                        me[:, 0].real, rtol=0, atol=1e-11)
         # the runner's conditional photon number: n_cond = <n> / s
         stats = se.run_block(cfg, "photocount", seed_seqs=[np.random.SeedSequence(0)],
-                             noise=np.ones((times.size - 1, 1)), record_series=True)
+                             noise=np.zeros(1), record_series=True)
         np.testing.assert_allclose(stats.series[:, 0], n / s, rtol=0, atol=1e-10)
 
     @settings(max_examples=20, deadline=None)
@@ -79,18 +89,17 @@ class TestNoCountPath:
     def test_physical(self, kappa, gamma, delta, t0, dim, coarse):
         # with no count, out to 20 lifetimes of the slower rate, on grids up
         # to the coarsest the validator accepts: the conditional photon
-        # number stays in [0, 1], and the count probability
-        # p_k = 1 - s_{k+1}/s_k is >= 0, so the probability s of no count
-        # falls from 1 and stays positive
+        # number stays in [0, 1], and the probability s of no count on the
+        # RK4 path never rises, so it falls from 1 and stays positive
         dt = coarse / max(kappa, gamma)
         steps = int(np.ceil((t0 + 20.0 / min(kappa, gamma)) / dt))
         cfg = SimConfig(kappa=kappa, gamma=gamma, delta=delta, t0=t0, t_end=steps * dt,
-                        dt=dt, fock_dim=dim)
+                        dt=dt, fock_dim=dim, engine="generic")
         stats = se.run_block(cfg, "photocount", seed_seqs=[np.random.SeedSequence(0)],
-                             noise=np.ones((steps, 1)), record_series=True)
+                             noise=np.zeros(1), record_series=True)
         assert not stats.jump_times[0]
         assert stats.series.min() >= 0.0 and stats.series.max() <= 1.0 + 1e-9
-        assert stats.min_nu >= 0.0
+        assert (np.diff(_path_s(cfg)) <= 0.0).all()
 
 
 class TestCascade:
@@ -132,6 +141,21 @@ class TestCascade:
         assert stats.series.min() >= 0.0 and stats.series.max() <= 1.0 + 1e-12
         assert stats.n_min == stats.series.min() and stats.n_max == stats.series.max()
 
+    def test_photocount_without_compiled_filter(self, monkeypatch):
+        # photon counting on the cascade reads s = alpha^2 + |beta|^2 in
+        # closed form: it neither compiles the filter nor integrates the
+        # master equation, and the count leaves n = 0 exactly
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the cascade called the compiled filter")
+
+        monkeypatch.setattr(se, "master_path", forbidden)
+        monkeypatch.setattr(fm, "compile_filter", forbidden)
+        cfg = SimConfig(t_end=53.0, dt=1e-2, detector="photocount")
+        stats = se.run_block(cfg, "photocount", seed_seqs=np.random.SeedSequence(4).spawn(50),
+                             record_series=True)
+        assert stats.jump_counts.sum() > 0 and stats.post_jump_max_n == 0.0
+        assert 0.0 <= stats.n_min <= stats.n_max <= 1.0
+
 
 class TestSimGrid:
     def test_basic(self):
@@ -165,11 +189,11 @@ class TestNoise:
         np.testing.assert_array_equal(a, b)
 
     def test_jump_draw_never_fires_at_zero(self):
-        # before t0 the intensity is exactly zero: even uniforms of 0, which
-        # fire at any positive intensity, draw no count
+        # before t0 the probability s of no count is exactly 1: even
+        # uniforms of 1, which count as soon as s falls below 1, draw no count
         cfg = SimConfig(t0=5.0, t_end=6.0, dt=1e-2, detector="photocount")
         seqs = np.random.SeedSequence(0).spawn(4)
-        stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.zeros((600, 4)),
+        stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.ones(4),
                              record_series=True)
         assert all(times == [pytest.approx(5.01)] for times in stats.jump_times)
         # every trajectory has counted: the runner stops, and the rest of
@@ -178,35 +202,66 @@ class TestNoise:
         assert (stats.record[after] == 1.0).all() and (stats.series[after] == 0.0).all()
         assert (stats.record[~after] == 0.0).all()
 
-    def test_jump_draw_empirical_rate(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_jump_draw_empirical_rate(self, engine):
         # The photon is counted by t, left in the cavity or not yet emitted:
         # P(count by t) = 1 - <n>(t) - tail(t) = 1 - 5 e^-2 at t = t0 + 20.
         # With M = 2000 the counted fraction has sd 0.0105; the bound is 4 sd.
-        cfg = SimConfig(t_end=23.0, dt=1e-2, detector="photocount")
+        cfg = SimConfig(t_end=23.0, dt=1e-2, detector="photocount", engine=engine)
         seqs = np.random.SeedSequence(1).spawn(2000)
-        counted = np.concatenate([
-            se.run_block(cfg, "photocount", seed_seqs=seqs[lo:lo + 500]).jump_counts
-            for lo in range(0, 2000, 500)
-        ])
+        blocks = [se.run_block(cfg, "photocount", seed_seqs=seqs[lo:lo + 500])
+                  for lo in range(0, 2000, 500)]
+        counted = np.concatenate([b.jump_counts for b in blocks])
         expect = 1.0 - 5.0 * np.exp(-2.0)
         assert abs(counted.mean() - expect) <= 4.0 * np.sqrt(expect * (1 - expect) / 2000)
+        # The whole law: the Kolmogorov-Smirnov distance of the count times
+        # (+inf where none) from the closed form 1 - s on the grid.  The
+        # Dvoretzky-Kiefer-Wolfowitz bound P(D > eps) <= 2 exp(-2 M eps^2)
+        # holds for discrete laws too, so eps = sqrt(ln(2 / alpha) / (2 M))
+        # = 0.0436 fails with probability at most alpha = 1e-3.
+        times = blocks[0].times
+        counts = np.sort([t[0] if t else np.inf for b in blocks for t in b.jump_times])
+        law = 1.0 - analytic_mean_photon_series(cfg, times) - wp.tail_norm(
+            wp.Wavepacket(cfg.gamma, cfg.t0), times)
+        ks = np.abs(np.searchsorted(counts, times, side="right") / counts.size - law).max()
+        assert ks <= np.sqrt(np.log(2.0 / 1e-3) / (2 * counts.size))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_count_time_inverts_s(self, engine):
+        # each trajectory counts at the first grid time where the probability
+        # s of no count falls below its uniform (0.01 stays above s to t_end),
+        # its record reads 1 from there on and its photon number 0
+        cfg = SimConfig(t_end=53.0, dt=1e-2, detector="photocount", engine=engine)
+        v = np.array([0.2, 0.9, 0.01, 0.5, 0.9])
+        stats = se.run_block(cfg, "photocount", seed_seqs=np.random.SeedSequence(0).spawn(5),
+                             noise=v, record_series=True)
+        times = stats.times
+        n = analytic_mean_photon_series(cfg, times)
+        s = n + wp.tail_norm(wp.Wavepacket(cfg.gamma, cfg.t0), times)
+        expect = [[times[np.argmax(s < x)]] if (s < x).any() else [] for x in v]
+        assert stats.jump_times == expect and [len(t) for t in expect] == [1, 1, 0, 1, 1]
+        for j, t in enumerate(expect):
+            after = times >= (t[0] if t else np.inf)
+            assert (stats.record[:, j] == after).all() and (stats.series[after, j] == 0).all()
+            np.testing.assert_allclose(stats.series[~after, j], (n / s)[~after], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(stats.sum_n, stats.series.sum(axis=1), rtol=0, atol=1e-12)
 
     def test_jump_draw_guards(self):
-        # a grid coarser than the validator allows (p = 0.15 in the step after
-        # t0): p_k is the exact count probability on the path, so with no
-        # count the run still finishes with n in [0, 1]
+        # a grid coarser than the validator allows (s falls by 15% in the
+        # step after t0): the RK4 path's s stays the exact probability of no
+        # count, so with none (uniforms of 0) the run finishes with n in [0, 1]
         cfg = SimpleNamespace(kappa=0.1, gamma=0.1, delta=0.0, t0=2.0, t_end=8.0,
-                              dt=2.0, fock_dim=2)
+                              dt=2.0, fock_dim=2, engine="generic")
         seqs = np.random.SeedSequence(0).spawn(3)
-        stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.ones((4, 3)),
+        stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.zeros(3),
                              record_series=True)
         assert not any(stats.jump_times)
         assert 0.0 <= stats.series.min() and stats.series.max() <= 1.0
         # verify's photon-counting config with no count at all: the no-count
         # path stays physical to the end (an Euler no-jump step passes n = 1
         # at t = 88.5 here and a count probability of 0.1 per step at t = 141.03)
-        cfg = SimConfig(t_end=203.0, dt=1e-2, detector="photocount")
-        stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.ones((20300, 3)),
+        cfg = SimConfig(t_end=203.0, dt=1e-2, detector="photocount", engine="generic")
+        stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.zeros(3),
                              record_series=True)
         assert not any(stats.jump_times)
         assert 0.0 <= stats.series.min() and stats.series.max() <= 1.0
@@ -248,20 +303,15 @@ class TestTrajectory:
         assert np.abs(a.record - record).max() <= 1e-12
 
     def test_engines_agree_photocount(self):
-        cfg = SimConfig(t_end=23.0, dt=1e-2, detector="photocount")
-        noise = _noise(cfg, 8, seed=9, homodyne=False)
-        seqs = np.random.SeedSequence(9).spawn(8)
-        a = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=noise, record_series=True)
-        _, record, jumps = einsum_block(cfg, "photocount", noise)
-        assert a.jump_times == jumps
-        assert any(jumps)
-        np.testing.assert_array_equal(a.record, record)
         # the einsum filter takes Euler no-jump steps and the runner the RK4
-        # no-count path: with no count, their series agree to first order in dt
+        # no-count path: with no count, their series agree to first order in
+        # dt (the law of the count times is checked in TestNoise)
+        cfg = SimConfig(t_end=23.0, dt=1e-2, detector="photocount", engine="generic")
         devs = []
         for c in (cfg, cfg.with_(dt=5e-3)):
             ones = np.ones((se.SimGrid(0.0, c.t_end, c.dt).steps, 1))
-            b = se.run_block(c, "photocount", seed_seqs=seqs[:1], noise=ones, record_series=True)
+            b = se.run_block(c, "photocount", seed_seqs=[np.random.SeedSequence(9)],
+                             noise=np.zeros(1), record_series=True)
             devs.append(np.abs(b.series - einsum_block(c, "photocount", ones)[0]).max())
         assert devs[0] <= 5e-4 and 1.8 <= devs[0] / devs[1] <= 2.2
 
