@@ -14,9 +14,10 @@ class SimConfig:
 
     Defaults reproduce the headline run: kappa = gamma = 0.1, no detuning,
     photon arriving at t0 = 3, horizon t0 + 100 (over ten cavity lifetimes).
-    ``engine`` selects the filter of both detectors: the pure state of the
-    source feeding the cavity (``cascade``, no Fock truncation) or the
-    filter compiled from (S, L, H) at ``fock_dim`` (``generic``).
+    ``engine`` selects the homodyne filter: the pure state of the source
+    feeding the cavity (``cascade``, no Fock truncation) or the filter
+    compiled from (S, L, H) at ``fock_dim`` (``generic``).  Photon counting
+    samples the exact closed form of the cascade, so it takes ``cascade``.
     """
 
     kappa: float = 0.1
@@ -48,14 +49,21 @@ class SimConfig:
             raise ValueError(
                 f"dt = {self.dt} too coarse for rates kappa={self.kappa}, gamma={self.gamma}"
             )
-        if self.fock_dim < 1:
-            raise ValueError(f"fock_dim must be >= 1, got {self.fock_dim}")
+        if self.fock_dim < 2:
+            # At D = 1 the annihilation operator is 0: the cavity never holds
+            # the photon.
+            raise ValueError(f"fock_dim must be >= 2, got {self.fock_dim}")
         if self.ntraj < 1:
             raise ValueError(f"ntraj must be >= 1, got {self.ntraj}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.detector not in DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
+        if self.detector == "photocount" and self.engine != "cascade":
+            raise ValueError(
+                f"engine {self.engine!r} is a homodyne filter; photon counting "
+                "samples the exact closed form (engine 'cascade')"
+            )
 
     def asdict(self) -> dict:
         return asdict(self)

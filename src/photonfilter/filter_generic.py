@@ -53,7 +53,7 @@ def nu_floor(dt: float | None = None) -> float:
 
 @dataclass(frozen=True)
 class SLHModel:
-    """An (S, L, H) triple plus the cavity scalars it was built from.
+    """An (S, L, H) triple.
 
     S must be unitary and H Hermitian (checked to 1e-10).
     """
@@ -61,8 +61,6 @@ class SLHModel:
     S: np.ndarray
     L: np.ndarray
     H: np.ndarray
-    kappa: float = 0.0
-    delta: float = 0.0
 
     def __post_init__(self) -> None:
         s = np.asarray(self.S)
@@ -88,8 +86,6 @@ class SLHModel:
             S=ops.identity(dim),
             L=np.sqrt(kappa) * ops.annihilation(dim),
             H=delta * ops.number_op(dim),
-            kappa=kappa,
-            delta=delta,
         )
 
 

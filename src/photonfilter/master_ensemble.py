@@ -4,9 +4,9 @@ The master equation is obtained by zeroing the martingale terms of the Ito
 hierarchy (classical averaging kills dW and the compensated counting
 increments), which leaves the linear drift of the compiled filter.  That
 system is integrated at the configured Fock truncation with the classical
-fixed-step RK4 of :func:`photonfilter.sde_engine.master_path`; photon
-counting on engine ``generic`` reads its probability of no count off the
-same path.  Ensembles of both detectors run the engine of ``cfg.engine``.
+fixed-step RK4 of :func:`photonfilter.sde_engine.master_path`.  Homodyne
+ensembles run the filter of ``cfg.engine``; photon-counting ensembles
+sample their count times from the closed form below.
 
 An independent closed-form oracle is provided as well, never computed from
 the RK4 path it cross-checks: with c = i delta + kappa/2,

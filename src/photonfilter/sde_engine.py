@@ -78,7 +78,6 @@ class BlockStats:
     jump_counts: np.ndarray
     n_min: float = np.inf
     n_max: float = -np.inf
-    post_jump_max_n: float = -np.inf
     max_pair_dev: float = 0.0
     max_im_k: float = 0.0
     max_im_n: float = 0.0
@@ -95,8 +94,7 @@ def _fold(blocks: list[BlockStats]) -> BlockStats:
         out.m += b.m
         for name in ("sum_n", "sumsq_n", "sum_i00", "sumsq_i00"):
             getattr(out, name)[:] += getattr(b, name)
-        for name in ("n_max", "post_jump_max_n", "max_pair_dev", "max_im_k", "max_im_n",
-                     "max_i11_dev"):
+        for name in ("n_max", "max_pair_dev", "max_im_k", "max_im_n", "max_i11_dev"):
             setattr(out, name, max(getattr(out, name), getattr(b, name)))
         out.n_min = min(out.n_min, b.n_min)
         out.jump_counts = np.concatenate([out.jump_counts, b.jump_counts])
@@ -163,11 +161,11 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
     """Advance a block of trajectories (one per seed sequence) in lock-step.
 
     Photon counting draws one uniform per trajectory and counts where the
-    probability of no count falls below it (:func:`_first_passage`).
-    Homodyne detection on engine ``cascade`` steps one complex amplitude per
-    trajectory (:func:`_cascade`); on ``generic`` the filter is compiled once
-    from the cavity's (S, L, H) at ``cfg.fock_dim``, its maps evaluated at
-    xi(t) each step and applied with one matmul each to a (4 D^2, m) state.
+    closed-form probability of no count falls below it (:func:`_first_passage`).
+    ``cfg.engine`` selects the homodyne filter: ``cascade`` steps one complex
+    amplitude per trajectory (:func:`_cascade`); ``generic`` compiles the filter
+    once from the cavity's (S, L, H) at ``cfg.fock_dim``, evaluates its maps at
+    xi(t) each step and applies them with one matmul each to a (4 D^2, m) state.
     ``noise`` replaces the trajectories' own draws: Wiener increments
     (steps x m) for homodyne detection, uniforms (m,) for photon counting.
     """
@@ -290,62 +288,39 @@ def _fold_cascade(stats: BlockStats, k: int, bb: np.ndarray, nrm: np.ndarray, se
 
 def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
     """Photon counting by inversion of the probability s = <n> + tail_norm of
-    no count (the photon is in the cavity or still to come); n = <n> / s and
-    pi00(I) = 1 / s.  Each trajectory draws one uniform V and counts at the
-    first row where the running minimum of s falls below V, so P(no count by
-    row k) = min_{i <= k} s_i even where rounding raises s by an ulp.  <n> is
-    |beta|^2 on engine ``cascade``, and |pi01(a)|^2 (>= 0, unlike pi11(n)) on
-    the master equation's path on ``generic``.  The count leaves the cavity in
-    vacuum, which adds nothing to the sums; guards read rows where someone waits.
+    no count (the photon is in the cavity or still to come), with <n> =
+    |beta|^2 in closed form (:func:`wavepacket.cavity_amplitude`) on the whole
+    grid; n = <n> / s and pi00(I) = 1 / s.  Each trajectory draws one uniform
+    V and counts at the first row where the running minimum of s falls below
+    V, so P(no count by row k) = min_{i <= k} s_i even where rounding raises s
+    by an ulp.  The count takes |e,0> and |g,1> to |g,0>, so n = 0 after it and
+    it adds nothing to the sums; guards read rows where someone waits.
     """
     times, w = stats.times, wp.Wavepacket(cfg.gamma, cfg.t0)
     v = np.array([g.random() for g in gens]) if noise is None else np.asarray(noise, dtype=float)
     order, at = np.argsort(v, kind="stable"), np.full(stats.m, times.size)  # at: count rows
-    least, waiting, floor = np.inf, stats.m, fg.nu_floor(cfg.dt) * cfg.dt
-    f = None if cfg.engine == "cascade" else fm.compile_filter(
-        fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
-    for k0, states in [(0, None)] if f is None else master_path(cfg, f):  # until all count
-        if states is None:  # the closed form on the whole grid: |beta| = |pi01(a)|
-            a01, n11 = wp.cavity_amplitude(w, cfg.kappa, cfg.delta, times), np.zeros(times.size)
-        else:
-            a01, n11 = (states @ f.readout[[fm.READOUTS.index("a01"), 0]].T).T
-        n_me, im = np.abs(a01) ** 2, np.abs(n11.imag)
-        rows = np.arange(k0, k0 + n_me.size)
-        s = n_me + wp.tail_norm(w, times[rows])
-        low = np.fmin(np.fmin.accumulate(s), least)
-        # How many wait at each row (V <= the least s so far); the waiting
-        # with the largest V count first, at the rows where that number drops.
-        live = np.searchsorted(v[order], low, side="right")
-        hit = np.repeat(rows, -np.diff(live, prepend=waiting))
-        at[order[live[-1]:waiting][::-1]] = hit
-        least, waiting = low[-1], live[-1]
-        n, u, p = n_me / s, 1.0 / s, np.append(1.0 - s[1:] / s[:-1], 0.0)
-        bad = (~np.isfinite(n) | (p < -floor)) & (live > 0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            what = (f"filter diverged to pi11(n) = {n[i]}" if not np.isfinite(n[i])
-                    else f"count probability {p[i]:.3e} strongly negative")
-            _fail(FilterDivergenceError, what, times[k0 + i], seed_seqs, np.argmax(at > k0 + i))
-        e = int(np.count_nonzero(live))  # the rows someone waits at: a prefix
-        stats.n_min = min(stats.n_min, float(n[:e].min()))
-        stats.n_max = max(stats.n_max, float(n[:e].max()))
-        stats.max_im_n = max(stats.max_im_n, float(im[:e].max()))
-        for name, val in (("sum_n", n), ("sumsq_n", n * n), ("sum_i00", u), ("sumsq_i00", u * u)):
-            getattr(stats, name)[k0:k0 + e] = val[:e] * live[:e]
-        if stats.series is not None:
-            stats.series[rows] = np.where(at > rows[:, None], n[:, None], 0.0)
-        for k in np.unique(hit):
-            # The count leaves |g,0> on the cascade; on the master path Fj x over its pi11(I)
-            # (Fj drops |0><0| of block 11, the one entry where that state and no count differ).
-            q = (0.0, 1.0) if states is None else f.readout[[0, 3]] @ (
-                fm.jump_gain_matrix(f, complex(wp.xi(w, times[k]))) @ states[k - k0])
-            stats.post_jump_max_n = max(stats.post_jump_max_n, float((q[0] / q[1]).real))
-        if not waiting:
-            break
+    n_me = np.abs(wp.cavity_amplitude(w, cfg.kappa, cfg.delta, times)) ** 2
+    s, rows = n_me + wp.tail_norm(w, times), np.arange(times.size)
+    # How many wait at each row (V <= the least s so far); the waiting with
+    # the largest V count first, at the rows where that number drops.
+    live = np.searchsorted(v[order], np.fmin.accumulate(s), side="right")
+    at[order[live[-1]:][::-1]] = np.repeat(rows, -np.diff(live, prepend=stats.m))
+    n, u, p = n_me / s, 1.0 / s, np.append(1.0 - s[1:] / s[:-1], 0.0)
+    bad = (~np.isfinite(n) | (p < -fg.nu_floor(cfg.dt) * cfg.dt)) & (live > 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = (f"filter diverged to pi11(n) = {n[i]}" if not np.isfinite(n[i])
+                else f"count probability {p[i]:.3e} strongly negative")
+        _fail(FilterDivergenceError, what, times[i], seed_seqs, np.argmax(at > i))
+    e = int(np.count_nonzero(live))  # the rows someone waits at: a prefix
+    stats.n_min, stats.n_max = float(n[:e].min()), float(n[:e].max())
+    for name, val in (("sum_n", n), ("sumsq_n", n * n), ("sum_i00", u), ("sumsq_i00", u * u)):
+        getattr(stats, name)[:e] = val[:e] * live[:e]
     stats.jump_counts[:] = counted = at < times.size
     stats.jump_times = [[float(times[k])] if c else [] for k, c in zip(at, counted)]
-    if stats.record is not None:
-        stats.record[:] = np.arange(times.size)[:, None] >= at
+    if stats.series is not None:
+        stats.series[:] = np.where(at > rows[:, None], n[:, None], 0.0)
+        stats.record[:] = rows[:, None] >= at
 
 
 def _readout(f, x: np.ndarray) -> np.ndarray:
