@@ -115,3 +115,13 @@ def test_weak_convergence_bias_smoke():
     bc, bf = me.weak_convergence_bias(cfg, M=50, master_seed=0)
     assert np.isfinite(bc) and np.isfinite(bf)
     assert bc > 0.0 and bf > 0.0
+
+
+def test_weak_convergence_bias_blocks(monkeypatch):
+    # blocks draw each trajectory's own increments: the same biases as one
+    # block, to the rounding of the summation order
+    cfg = SimConfig(t_end=13.0, dt=0.25, engine="generic")
+    whole = me.weak_convergence_bias(cfg, M=20, master_seed=3)
+    monkeypatch.setattr(me, "_ENSEMBLE_BLOCK", 7)
+    np.testing.assert_allclose(me.weak_convergence_bias(cfg, M=20, master_seed=3), whole,
+                               rtol=0, atol=1e-15)

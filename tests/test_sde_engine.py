@@ -22,6 +22,14 @@ def _noise(cfg, m, seed):
     return se._chunk_noise(gens, steps, np.sqrt(cfg.dt))
 
 
+def _path_states(cfg, f):
+    """``master_path``'s states over the whole grid."""
+    x = np.empty((se.SimGrid(0.0, cfg.t_end, cfg.dt).steps + 1, f.initial.size), dtype=complex)
+    for k, states in se.master_path(cfg, f):
+        x[k:k + len(states)] = states
+    return x
+
+
 def _path_s(cfg):
     """The probability of no count on the RK4 path: |pi01(a)|^2 + tail."""
     f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
@@ -30,6 +38,56 @@ def _path_s(cfg):
     for k, states in se.master_path(cfg, f):
         s[k:k + len(states)] = np.abs(states @ f.readout[fm.READOUTS.index("a01")]) ** 2
     return s + wp.tail_norm(wp.Wavepacket(cfg.gamma, cfg.t0), times)
+
+
+def _full_rk4(cfg, poly, x0):
+    """Classical RK4 of dx = F(xi(t)) x dt on all 4 D^2 entries, one matrix-vector
+    product per stage, for the polynomial ``poly`` of F: x0 is held until t0,
+    and the step t0 falls in runs from t0 on, as in ``master_path``."""
+    times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
+    w = wp.Wavepacket(cfg.gamma, cfg.t0)
+    x = np.empty((times.size, x0.size), dtype=complex)
+    x[0] = x0
+    for k in range(times.size - 1):
+        if times[k + 1] <= cfg.t0:
+            x[k + 1] = x[k]
+            continue
+        start = max(times[k], cfg.t0)
+        h = times[k + 1] - start
+        fa, fb, fc = (fm._evaluate(poly, complex(wp.xi(w, u)), None)
+                      for u in (start, times[k + 1] - 0.5 * h, times[k + 1]))
+        k1 = fa @ x[k]
+        k2 = fb @ (x[k] + 0.5 * h * k1)
+        k3 = fb @ (x[k] + 0.5 * h * k2)
+        k4 = fc @ (x[k] + h * k3)
+        x[k + 1] = x[k] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+class TestMasterPath:
+    # the RK4 path steps only the five entries the vacuum reaches
+
+    @pytest.mark.parametrize("t0", [3.0, 3.004])
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_full_state(self, dim, delta, t0):
+        # the same RK4 on all 4 D^2 entries; t0 = 3.004 falls inside a step
+        cfg = SimConfig(delta=delta, t0=t0, fock_dim=dim, t_end=23.0, dt=1e-2)
+        f = fm.compile_filter(fg.SLHModel.cavity(dim, cfg.kappa, delta))
+        states = _path_states(cfg, f)
+        np.testing.assert_allclose(states, _full_rk4(cfg, f.drift, f.initial),
+                                   rtol=0, atol=1e-12)
+        off = np.setdiff1d(np.arange(f.initial.size), se._support(f))
+        assert se._support(f).size == 5 and not states[:, off].any()
+
+    @pytest.mark.parametrize("t0", [3.0, 3.004])
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    def test_same_at_every_truncation(self, delta, t0):
+        # the five entries and their drift are the same at every D >= 2
+        cfg = SimConfig(delta=delta, t0=t0, t_end=23.0, dt=1e-2)
+        n = integrate_master(cfg).values
+        for dim in range(3, 6):
+            np.testing.assert_array_equal(integrate_master(cfg.with_(fock_dim=dim)).values, n)
 
 
 class TestNoCountPath:
@@ -43,23 +101,8 @@ class TestNoCountPath:
         f = fm.compile_filter(fg.SLHModel.cavity(dim, cfg.kappa, delta))
         times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
         w = wp.Wavepacket(gamma, cfg.t0)
-        # the unnormalised no-count state: classical RK4 of dx = (Fd - Fj) x dt,
-        # holding the vacuum until t0, which lies on the grid
-        poly, h = f.drift - f.jump_gain, cfg.dt
-        x = np.empty((times.size, f.initial.size), dtype=complex)
-        x[0] = f.initial
-        for k in range(times.size - 1):
-            if times[k + 1] <= cfg.t0:
-                x[k + 1] = x[k]
-                continue
-            fa, fb, fc = (fm._evaluate(poly, complex(wp.xi(w, u)), None)
-                          for u in (times[k], times[k] + 0.5 * h, times[k + 1]))
-            k1 = fa @ x[k]
-            k2 = fb @ (x[k] + 0.5 * h * k1)
-            k3 = fb @ (x[k] + 0.5 * h * k2)
-            k4 = fc @ (x[k] + h * k3)
-            x[k + 1] = x[k] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        r = x @ f.readout.T
+        # the unnormalised no-count state: classical RK4 of dx = (Fd - Fj) x dt
+        r = _full_rk4(cfg, f.drift - f.jump_gain, f.initial) @ f.readout.T
         n = analytic_mean_photon_series(cfg, times)
         s = n + wp.tail_norm(w, times)
         np.testing.assert_allclose(r[:, fm.READOUTS.index("i11")], s, rtol=0, atol=1e-10)
