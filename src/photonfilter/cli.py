@@ -41,8 +41,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tend", type=float, default=103.0, help="end of the time grid")
     p.add_argument("--dt", type=float, default=1e-3, help="integrator step")
     p.add_argument("--dim", type=int, default=2,
-                   help="Fock truncation of the generic filter; the master "
-                        "equation is the same at every --dim >= 2")
+                   help="Fock truncation of the generic filter and the master "
+                        "equation; both are the same at every --dim >= 2")
     p.add_argument("--ntraj", type=int, default=100, help="ensemble size")
     p.add_argument("--seed", type=int, default=1, help="master seed")
     p.add_argument("--engine", choices=ENGINES, default="cascade",

@@ -45,7 +45,7 @@ READOUTS = ("n11", "n00", "i00", "i11", "d10", "a01", "i10", "i01", "d01", "a10"
 
 @dataclass(frozen=True)
 class CompiledFilter:
-    """Packed maps of one (S, L, H) model; N = 4 D^2 state entries."""
+    """Packed maps of one (S, L, H) model on N state entries (4 D^2 as compiled)."""
 
     drift: np.ndarray      # (4, N, N)
     diffusion: np.ndarray  # (4, N, N), without the -K x term

@@ -12,7 +12,7 @@ trajectory.  Every error names the time and the trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,12 +116,16 @@ def _fail(exc, what: str, t: float, seed_seqs, j: int):
     raise exc(f"{what} at t={t:.6g} in trajectory {key[-1] if key else j}")
 
 
-def _support(f) -> np.ndarray:
+def _support(f, *maps) -> np.ndarray:
     """Indices of the state entries that ``f.initial`` reaches through the
-    nonzero pattern of the drift (any power of xi); the others stay exact
-    zeros.  From the vacuum these are five at every D: |0><0| and |1><1| of
-    block 11, one coherence each in blocks 10 and 01, and |0><0| of block 00."""
-    feeds = (f.drift != 0).any(axis=0)  # feeds[i, j]: entry j drives entry i
+    union of the nonzero patterns of ``maps`` (any power of xi; the drift
+    alone by default); the others stay exact zeros.  From the vacuum the
+    drift reaches five at every D: |0><0| and |1><1| of block 11, one
+    coherence each in blocks 10 and 01, and |0><0| of block 00.  Drift and
+    diffusion reach nine: all of |0>, |1> in block 11, |0><0| and |0><1| of
+    block 10, |0><0| and |1><0| of block 01, and |0><0| of block 00."""
+    # feeds[i, j]: entry j drives entry i
+    feeds = np.logical_or.reduce([(p != 0).any(axis=0) for p in maps or (f.drift,)])
     on = f.initial != 0
     while True:
         grown = on | feeds[:, on].any(axis=1)
@@ -190,8 +194,10 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
     closed-form probability of no count falls below it (:func:`_first_passage`).
     ``cfg.engine`` selects the homodyne filter: ``cascade`` steps one complex
     amplitude per trajectory (:func:`_cascade`); ``generic`` compiles the filter
-    once from the cavity's (S, L, H) at ``cfg.fock_dim``, evaluates its maps at
-    xi(t) each step and applies them with one matmul each to a (4 D^2, m) state.
+    once from the cavity's (S, L, H) at ``cfg.fock_dim``, restricts it to the
+    nine entries its drift and diffusion reach from the vacuum (:func:`_support`;
+    the -K x term only rescales), evaluates its maps at xi(t) each step and
+    applies them with one matmul each to a (9, m) state, the same at every D.
     ``noise`` replaces the trajectories' own draws: Wiener increments
     (steps x m) for homodyne detection, uniforms (m,) for photon counting.
     """
@@ -211,6 +217,10 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
         _cascade(cfg, stats, seed_seqs, gens, noise)
         return stats
     f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
+    on = _support(f, f.drift, f.diffusion)
+    sq = np.ix_(range(4), on, on)
+    f = replace(f, drift=f.drift[sq], diffusion=f.diffusion[sq], jump_gain=f.jump_gain[sq],
+                k=f.k[:, on], readout=f.readout[:, on], initial=f.initial[on])
 
     dt = cfg.dt
     sqrt_dt = np.sqrt(dt)

@@ -90,6 +90,63 @@ class TestMasterPath:
             np.testing.assert_array_equal(integrate_master(cfg.with_(fock_dim=dim)).values, n)
 
 
+def _full_euler(cfg, f, noise):
+    """Euler-Maruyama of the homodyne filter on all 4 D^2 entries, one
+    trajectory per column of ``noise``: the runner's step without its
+    restriction to the entries the vacuum reaches; returns (n series, record)."""
+    times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
+    xis = wp.xi(wp.Wavepacket(cfg.gamma, cfg.t0), times[:-1])
+    x = np.repeat(f.initial[:, None], noise.shape[1], axis=1)
+    n, record = np.empty((times.size, noise.shape[1])), np.zeros((times.size, noise.shape[1]))
+    n[0] = (f.readout[0] @ x).real
+    for k, xi in enumerate(xis):
+        fd, fgm, kr = (fm._evaluate(p, complex(xi), None) for p in (f.drift, f.diffusion, f.k))
+        kk = (kr @ x).real
+        x = x + (fd @ x) * cfg.dt + ((fgm @ x) - kk * x) * noise[k]
+        record[k + 1] = kk * cfg.dt + noise[k]
+        n[k + 1] = (f.readout[0] @ x).real
+    return n, record
+
+
+class TestGenericFilter:
+    # the homodyne filter steps only the nine entries the vacuum reaches
+
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_support(self, dim, delta):
+        # drift and diffusion together: all of block 11 on |0>, |1>, two
+        # coherences each in blocks 10 and 01, and |0><0| of block 00
+        f = fm.compile_filter(fg.SLHModel.cavity(dim, 1.0, delta))
+        on = se._support(f, f.drift, f.diffusion)
+        n = dim * dim
+        assert [(i // n, i % n % dim, i % n // dim) for i in on] == [
+            (0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1),
+            (2, 0, 0), (2, 1, 0), (3, 0, 0)]
+
+    def test_matches_full_state(self):
+        # the same Euler-Maruyama steps on all 4 D^2 entries and shared noise
+        cfg = SimConfig(t_end=23.0, dt=1e-2, delta=0.7, fock_dim=3, engine="generic")
+        f = fm.compile_filter(fg.SLHModel.cavity(3, cfg.kappa, cfg.delta))
+        noise = _noise(cfg, 4, seed=8)
+        stats = se.run_block(cfg, "homodyne", seed_seqs=np.random.SeedSequence(8).spawn(4),
+                             noise=noise, record_series=True)
+        series, record = _full_euler(cfg, f, noise)
+        np.testing.assert_allclose(stats.series, series, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stats.record, record, rtol=0, atol=1e-12)
+
+    def test_same_at_every_truncation(self):
+        # the nine entries and their maps are the same at every D >= 2
+        cfg = SimConfig(t_end=23.0, dt=1e-2, delta=0.7, engine="generic")
+        seqs = np.random.SeedSequence(6).spawn(8)
+        names = ("sum_n", "sumsq_n", "sum_i00", "sumsq_i00", "n_min", "n_max",
+                 "max_pair_dev", "max_im_k", "max_im_n", "max_i11_dev")
+        ref = se.run_block(cfg, "homodyne", seed_seqs=seqs)
+        for dim in range(3, 6):
+            stats = se.run_block(cfg.with_(fock_dim=dim), "homodyne", seed_seqs=seqs)
+            for name in names:
+                np.testing.assert_array_equal(getattr(stats, name), getattr(ref, name))
+
+
 class TestNoCountPath:
     # the master equation's RK4 path against the closed form the runner samples
 
