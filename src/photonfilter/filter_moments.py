@@ -12,11 +12,12 @@ wavepacket amplitude xi,
 
     F(xi) = F0 + xi F1 + xi* F2 + |xi|^2 F3,
 
-so each is compiled once into a packed array of shape (4, ...) and
-evaluated per step as one (4,) . (4, r c) product:
+so each is compiled once into a packed array of shape (4, ...), and
+:func:`evaluate` gives it at a run of xi values in one (n, 4) . (4, r c)
+product:
 
     drift:      dx = Fd x dt
-    homodyne:   dx += (Fg x - K x) dW,        K  = k_row . x    (real)
+    homodyne:   dx += (Fg x - K x) dW,        K  = Re(k . x)
     counting:   dx += (Fj x / nu - x) dN,     nu = pi11(I) of Fj x  (real)
 
 Every term is built from S, L and H with the Kronecker identity above;
@@ -124,33 +125,9 @@ def compile_filter(model: SLHModel) -> CompiledFilter:
     return CompiledFilter(drift, diffusion, jump_gain, k, readout, initial)
 
 
-def _evaluate(poly: np.ndarray, xi: complex, out: np.ndarray | None) -> np.ndarray:
-    """F0 + xi F1 + xi* F2 + |xi|^2 F3, written into ``out`` when given."""
-    w = np.array([1.0, xi, np.conj(xi), abs(xi) ** 2], dtype=np.complex128)
-    flat = poly.reshape(4, -1)
-    if out is None:
-        return (w @ flat).reshape(poly.shape[1:])
-    np.dot(w, flat, out=out.reshape(-1))
-    return out
-
-
-def drift_matrix(f: CompiledFilter, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
-    """dt-coefficient matrix Fd (shared by both detection schemes)."""
-    return _evaluate(f.drift, xi, out)
-
-
-def diffusion_matrix(f: CompiledFilter, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
-    """Homodyne dW-coefficients, excluding the common -K x term."""
-    return _evaluate(f.diffusion, xi, out)
-
-
-def jump_gain_matrix(f: CompiledFilter, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
-    """Photon-counting gains Fj: the post-jump state is (Fj x) / nu, nu its pi11(I);
-    between counts the unnormalised state follows Fd - Fj."""
-    return _evaluate(f.jump_gain, xi, out)
-
-
-def k_row(f: CompiledFilter, xi: complex, out: np.ndarray | None = None) -> np.ndarray:
-    """Row vector such that K_t = Re[k_row . x]."""
-    return _evaluate(f.k, xi, out)
-
+def evaluate(poly: np.ndarray, xi) -> np.ndarray:
+    """F0 + xi F1 + xi* F2 + |xi|^2 F3 at every entry of ``xi`` (a scalar or
+    an array): shape xi.shape + poly.shape[1:], from one product."""
+    z = np.asarray(xi, dtype=np.complex128)
+    weights = np.stack([np.ones_like(z), z, z.conj(), np.abs(z) ** 2], axis=-1)
+    return (weights @ poly.reshape(4, -1)).reshape(z.shape + poly.shape[1:])

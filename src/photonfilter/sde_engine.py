@@ -5,14 +5,16 @@ ensemble spawns child i of the master seed for trajectory i), so results do
 not depend on scheduling, and a trajectory inside a block matches the same
 trajectory run alone to rounding.  :func:`run_block` runs a block in
 lock-step: homodyne detection by Euler-Maruyama on the cascade's pure state
-or on the filter compiled by :mod:`photonfilter.filter_moments`, photon
-counting by inverting the probability of no count, one uniform per
-trajectory.  Every error names the time and the trajectory.
+or on the filter compiled by :mod:`photonfilter.filter_moments` (in
+sub-chunks of steps that share one evaluation of the maps, one pass of the
+guards and one of the sums), photon counting by inverting the probability
+of no count, one uniform per trajectory.  Every error names the time and
+the trajectory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .errors import FilterDivergenceError, NonRealInnovationError
 
 _CHUNK = 4096  # steps of noise drawn at once
 _PATH = 64  # steps of the master equation's path held at once
+_SUB = 8  # steps of the generic filter whose maps are evaluated at once
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,7 @@ def master_path(cfg: SimConfig, f):
     w = wp.Wavepacket(cfg.gamma, t0)
     steps = SimGrid(0.0, cfg.t_end, dt).steps
     on = _support(f)
-    poly = f.drift[:, on[:, None], on].reshape(4, -1)
+    poly = f.drift[:, on[:, None], on]
     eye = np.eye(on.size)
     buf = np.zeros((_PATH + 1, f.initial.size), dtype=np.complex128)
     y = np.empty((_PATH + 1, on.size), dtype=np.complex128)
@@ -169,8 +172,7 @@ def master_path(cfg: SimConfig, f):
         h[cut] = t[1:][cut] - t0
         ta[cut], tb[cut] = t0, t[1:][cut] - 0.5 * h[cut]
         z = wp.xi(w, np.concatenate([ta, tb, t[1:]]))
-        weights = np.stack([np.ones_like(z), z, z.conj(), np.abs(z) ** 2], axis=1)
-        a, b, c = (weights @ poly).reshape(3, n, on.size, on.size)
+        a, b, c = fm.evaluate(poly, z).reshape(3, n, on.size, on.size)
         h = h[:, None, None]
         k2 = b @ (0.5 * h * a + eye)
         k3 = b @ (0.5 * h * k2 + eye)
@@ -194,10 +196,13 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
     closed-form probability of no count falls below it (:func:`_first_passage`).
     ``cfg.engine`` selects the homodyne filter: ``cascade`` steps one complex
     amplitude per trajectory (:func:`_cascade`); ``generic`` compiles the filter
-    once from the cavity's (S, L, H) at ``cfg.fock_dim``, restricts it to the
+    once from the cavity's (S, L, H) at ``cfg.fock_dim`` and restricts it to the
     nine entries its drift and diffusion reach from the vacuum (:func:`_support`;
-    the -K x term only rescales), evaluates its maps at xi(t) each step and
-    applies them with one matmul each to a (9, m) state, the same at every D.
+    the -K x term only rescales), the same at every D.  It steps in sub-chunks
+    of ``_SUB`` steps: one product evaluates the stacked map [Fd dt; Fg; k] at
+    every step's xi(t), a step is one (19 x 9) . (9 x m) product, the Euler
+    update and the readout into a buffer, and the guards (:func:`_guard`) and
+    sums (:func:`_accumulate`) then run once over the sub-chunk's rows.
     ``noise`` replaces the trajectories' own draws: Wiener increments
     (steps x m) for homodyne detection, uniforms (m,) for photon counting.
     """
@@ -218,53 +223,62 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
         return stats
     f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
     on = _support(f, f.drift, f.diffusion)
-    sq = np.ix_(range(4), on, on)
-    f = replace(f, drift=f.drift[sq], diffusion=f.diffusion[sq], jump_gain=f.jump_gain[sq],
-                k=f.k[:, on], readout=f.readout[:, on], initial=f.initial[on])
-
-    dt = cfg.dt
-    sqrt_dt = np.sqrt(dt)
-    xi_arr = np.asarray(wp.xi(wp.Wavepacket(cfg.gamma, cfg.t0), times[:-1]))
-    x = np.repeat(f.initial[:, None], m, axis=1)
-    fd = fm.drift_matrix(f, 0j)
-    fgm = fm.diffusion_matrix(f, 0j)
-    kr = fm.k_row(f, 0j)
-    r = _readout(f, x)
-    _accumulate(stats, 0, r)
+    d, sq = on.size, np.ix_(range(4), on, on)
+    # A step's map: rows :d give Fd x dt, rows d:2d Fg x and the last k . x.
+    stack = np.concatenate([f.drift[sq] * cfg.dt, f.diffusion[sq], f.k[:, None, on]], axis=1)
+    readout, x = f.readout[:, on], np.repeat(f.initial[on, None], m, axis=1)
+    del f  # the full maps are not held while stepping
+    xi_arr = wp.xi(wp.Wavepacket(cfg.gamma, cfg.t0), times[:-1])
+    y = np.empty((2 * d + 1, m), dtype=np.complex128)
+    fx = np.empty((d, m), dtype=np.complex128)
+    kx = np.empty((_SUB, m), dtype=np.complex128)  # K of each step, before Re
+    r = np.empty((_SUB, len(fm.READOUTS), m), dtype=np.complex128)
+    _readout(readout, x, r[0])
+    _accumulate(stats, 0, r[:1])
     if record_series:
-        stats.series[0] = r[0].real
-
+        stats.series[0] = r[0, 0].real
     for start in range(0, steps, _CHUNK):
         n = min(_CHUNK, steps - start)
-        nz = noise[start:start + n] if noise is not None else _chunk_noise(gens, n, sqrt_dt)
-        for i in range(n):
-            k = start + i
-            xi_k = complex(xi_arr[k])
-            drift = fm.drift_matrix(f, xi_k, out=fd) @ x
-            fm.diffusion_matrix(f, xi_k, out=fgm)
-            kc = fm.k_row(f, xi_k, out=kr) @ x
-            im = np.abs(kc.imag)
-            im_max = float(im.max())
-            if im_max > fg._IM_ERR:
-                j = int(np.argmax(im > fg._IM_ERR))
-                _fail(NonRealInnovationError, f"K_t has imaginary part {im[j]:.3e}",
-                      times[k], seed_seqs, j)
-            stats.max_im_k = max(stats.max_im_k, im_max)
-            kk = kc.real
-            dw = nz[i]
-            x = x + drift * dt + ((fgm @ x) - kk * x) * dw
+        nz = noise[start:start + n] if noise is not None else _chunk_noise(gens, n, np.sqrt(cfg.dt))
+        for s0 in range(0, n, _SUB):
+            k0, ns = start + s0, min(_SUB, n - s0)
+            maps = fm.evaluate(stack, xi_arr[k0:k0 + ns])
+            for i in range(ns):  # x += Fd x dt + (Fg x - K x) dW
+                np.matmul(maps[i], x, out=y)
+                kx[i] = y[-1]
+                np.multiply(x, y[-1].real, out=fx)
+                np.subtract(y[d:-1], fx, out=fx)
+                fx *= nz[s0 + i]
+                x += y[:d]
+                x += fx
+                _readout(readout, x, out=r[i])
+            im = np.abs(kx[:ns].imag)
+            _guard(im, r[:ns, 0], times[k0:], seed_seqs)
+            stats.max_im_k = max(stats.max_im_k, float(im.max()))
+            _accumulate(stats, k0 + 1, r[:ns])
             if record_series:
-                stats.record[k + 1] = kk * dt + dw
-            r = _readout(f, x)
-            finite = np.isfinite(r[0])
-            if not finite.all():
-                j = int(np.argmin(finite))
-                _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {r[0, j].real}",
-                      times[k + 1], seed_seqs, j)
-            _accumulate(stats, k + 1, r)
-            if record_series:
-                stats.series[k + 1] = r[0].real
+                rows = slice(k0 + 1, k0 + ns + 1)
+                stats.series[rows] = r[:ns, 0].real
+                stats.record[rows] = kx[:ns].real * cfg.dt + nz[s0:s0 + ns]
     return stats
+
+
+def _guard(im: np.ndarray, n: np.ndarray, times, seed_seqs) -> None:
+    """Raise at the first bad step of a generic sub-chunk, in the order the
+    steps meet them: row i holds |Im K| on the state at times[i] and pi11(n)
+    of the state at times[i + 1]."""
+    over, finite = im > fg._IM_ERR, np.isfinite(n)
+    bad = over.any(axis=1) | ~finite.all(axis=1)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if over[i].any():
+        j = int(np.argmax(over[i]))
+        _fail(NonRealInnovationError, f"K_t has imaginary part {im[i, j]:.3e}",
+              times[i], seed_seqs, j)
+    j = int(np.argmin(finite[i]))
+    _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {n[i, j].real}",
+          times[i + 1], seed_seqs, j)
 
 
 def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
@@ -286,17 +300,19 @@ def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
     fc = np.stack([f.real, f.imag], axis=1)[:, :, None]
     gain = 2.0 * dt * fc[:, :, 0]  # K dt = gain . (Re c, Im c) / N
     c, nrm = np.zeros((2, stats.m)), np.ones(stats.m)  # the photon starts in the source
+    y, tmp = np.empty(stats.m), np.empty((2, stats.m))
     _fold_cascade(stats, 0, bb, np.ones((1, stats.m)), seed_seqs)
     for start in range(0, len(times) - 1, _CHUNK):
         n = min(_CHUNK, len(times) - 1 - start)
         nz = (noise[start:start + n].copy() if noise is not None
               else _chunk_noise(gens, n, np.sqrt(dt)))
         for i, k in enumerate(range(start, start + n)):
-            y = gain[k] @ c
+            np.dot(gain[k], c, out=y)
             y /= nrm
             y += nz[i]  # dY = K dt + dW
-            c += fc[k] * y
-            nrm = np.einsum("ij,ij->j", c, c, out=nz[i])
+            c += np.multiply(fc[k], y, out=tmp)
+            np.multiply(c, c, out=tmp)
+            nrm = np.add(tmp[0], tmp[1], out=nz[i])
             nrm += floor[k + 1]
             if stats.record is not None:
                 stats.record[k + 1] = y
@@ -359,27 +375,26 @@ def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) ->
         stats.record[:] = rows[:, None] >= at
 
 
-def _readout(f, x: np.ndarray) -> np.ndarray:
-    """Readouts of the (N, m) state: the real readout matrix acts on its float view."""
-    return (f.readout @ x.view(np.float64)).view(np.complex128)
+def _readout(readout: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """Readouts of the (N, m) state into ``out``: the real readout matrix acts
+    on the float views."""
+    np.matmul(readout, x.view(np.float64), out=out.view(np.float64))
 
 
 def _accumulate(stats, k, r):
-    """Fold the homodyne readouts ``r`` (rows as in ``filter_moments.READOUTS``)
-    of the m trajectories at step k, and track the range of n and the
-    invariant residuals."""
-    v = r[0].real
-    stats.sum_n[k] = np.add.reduce(v)
-    stats.sumsq_n[k] = v @ v
-    u = r[2].real
-    stats.sum_i00[k] = np.add.reduce(u)
-    stats.sumsq_i00[k] = u @ u
+    """Fold the homodyne readouts ``r`` (steps x rows as in
+    ``filter_moments.READOUTS`` x m trajectories) of steps k, k + 1, ...,
+    and track the range of n and the invariant residuals."""
+    rows, v, u = slice(k, k + len(r)), r[:, 0].real, r[:, 2].real
+    stats.sum_n[rows], stats.sumsq_n[rows] = v.sum(axis=1), np.einsum("ij,ij->i", v, v)
+    stats.sum_i00[rows], stats.sumsq_i00[rows] = u.sum(axis=1), np.einsum("ij,ij->i", u, u)
     stats.n_min = min(stats.n_min, float(v.min()))
     stats.n_max = max(stats.n_max, float(v.max()))
-    stats.max_im_n = max(stats.max_im_n, float(np.abs(r[:2].imag).max()))
-    stats.max_i11_dev = max(stats.max_i11_dev, float(np.abs(r[3] - 1.0).max()))
+    stats.max_im_n = max(stats.max_im_n, float(np.abs(r[:, :2].imag).max()))
+    stats.max_i11_dev = max(stats.max_i11_dev, float(np.abs(r[:, 3] - 1.0).max()))
     # The conjugation pairs (d10, a01), (i10, i01) and (d01, a10).
-    dev = float(np.abs(r[4::2] - r[5::2].conj()).max())
+    d = np.conjugate(r[:, 5::2])
+    dev = float(np.abs(np.subtract(r[:, 4::2], d, out=d)).max())
     stats.max_pair_dev = max(stats.max_pair_dev, dev)
 
 

@@ -24,7 +24,7 @@ def read(f, x, name):
 
 def nu(f, z, x):
     """The jump intensity: pi11(I) of the jump gain."""
-    return read(f, fm.jump_gain_matrix(f, z) @ x, "i11")
+    return read(f, fm.evaluate(f.jump_gain, z) @ x, "i11")
 
 
 def pack(state):
@@ -53,7 +53,7 @@ def test_init_moments():
 
 def test_hand_euler_step_ad10():
     # one drift step at the onset moves pi10(a^dag) by -sqrt(kappa) xi* dt
-    x = F2.initial + fm.drift_matrix(F2, SQ) @ F2.initial * 1e-3
+    x = F2.initial + fm.evaluate(F2.drift, SQ) @ F2.initial * 1e-3
     assert read(F2, x, "d10") == pytest.approx(-np.sqrt(KAPPA) * SQ * 1e-3)
 
 
@@ -64,7 +64,7 @@ def test_undriven_decay_matches_exponential():
         np.diag([0.5, 0.5]).astype(complex), np.zeros((2, 2), complex),
         np.zeros((2, 2), complex), np.diag([1.0, 0.0]).astype(complex),
     ))
-    fd = fm.drift_matrix(F2, 0.0)
+    fd = fm.evaluate(F2.drift, 0.0)
     for _ in range(2000):
         x = x + fd @ x * dt
     exact = 0.5 * np.exp(-KAPPA * 2.0)
@@ -75,7 +75,7 @@ def test_moment_k_matches_generic():
     model = fg.SLHModel.cavity(2, KAPPA)
     state = fg.init_filter(np.eye(2)[0])
     state.rho11 = np.array([[0.7, 0.3], [0.3, 0.3]], dtype=complex)
-    k = fm.k_row(F2, 0.0) @ pack(state)
+    k = fm.evaluate(F2.k, 0.0) @ pack(state)
     assert k.real == pytest.approx(fg.k_t(state, model, 0.0))
     assert k.real == pytest.approx(2.0 * np.sqrt(KAPPA) * 0.3)
 
@@ -95,16 +95,16 @@ def test_jump_consumes_photon():
             x = f.initial
             for k in range(2000):
                 z = xi(w, k * dt)
-                comp = fm.jump_gain_matrix(f, z) @ x - nu(f, z, x).real * x
-                x = x + (fm.drift_matrix(f, z) @ x - comp) * dt
+                comp = fm.evaluate(f.jump_gain, z) @ x - nu(f, z, x).real * x
+                x = x + (fm.evaluate(f.drift, z) @ x - comp) * dt
             z = xi(w, 2.0)
-            post = fm.jump_gain_matrix(f, z) @ x / nu(f, z, x).real
+            post = fm.evaluate(f.jump_gain, z) @ x / nu(f, z, x).real
             assert abs(read(f, post, "i00")) <= 1e-12
             assert abs(read(f, post, "n11")) <= 1e-12
             assert read(f, post, "i11").real == pytest.approx(1.0, abs=1e-9)
             for later in (z, xi(w, 5.0)):
                 assert abs(nu(f, later, post)) <= 1e-12
-                assert np.abs(fm.drift_matrix(f, later) @ post).max() <= 1e-12
+                assert np.abs(fm.evaluate(f.drift, later) @ post).max() <= 1e-12
 
 
 def test_jump_rejected_at_zero_intensity():
@@ -117,19 +117,19 @@ def test_jump_rejected_at_zero_intensity():
     assert stats.jump_times == [[pytest.approx(1.01)]] * 3
 
 
-@pytest.mark.parametrize("factory,args", [
-    (fm.drift_matrix, (F2_DETUNED,)),
-    (fm.diffusion_matrix, (F2,)),
-    (fm.jump_gain_matrix, (F2,)),
-    (fm.k_row, (F2,)),
-])
-def test_inplace_update_matches_fresh(factory, args):
+@pytest.mark.parametrize("name", ["drift", "diffusion", "jump_gain", "k"])
+def test_evaluate_batch_matches_single(name):
+    # one product over a run of xi gives each map as the polynomial does,
+    # and as evaluated at that xi alone
+    poly = getattr(F2_DETUNED, name)
     rng = np.random.default_rng(0)
-    xis = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    out = factory(*args, complex(xis[0]))
-    for z in xis[1:]:
-        factory(*args, complex(z), out=out)
-        np.testing.assert_array_equal(out, factory(*args, complex(z)))
+    xis = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    batch = fm.evaluate(poly, xis)
+    assert batch.shape == xis.shape + poly.shape[1:]
+    for z, got in zip(xis.ravel(), batch.reshape(-1, *poly.shape[1:])):
+        want = poly[fm.ONE] + z * poly[fm.XI] + np.conj(z) * poly[fm.CXI] + abs(z) ** 2 * poly[fm.AXI2]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(fm.evaluate(poly, complex(z)), want, rtol=0, atol=1e-14)
 
 
 def test_scalar_steps_match_generic_filter():
@@ -146,8 +146,8 @@ def test_scalar_steps_match_generic_filter():
         z = complex(xi(w, k * dt))
         dw = rng.standard_normal() * np.sqrt(dt)
         gst, dy_g = fg.homodyne_step(gst, model, z, dt, dw)
-        kk = (fm.k_row(F2, z) @ x).real
-        x = x + fm.drift_matrix(F2, z) @ x * dt + (fm.diffusion_matrix(F2, z) @ x - kk * x) * dw
+        kk = (fm.evaluate(F2.k, z) @ x).real
+        x = x + fm.evaluate(F2.drift, z) @ x * dt + (fm.evaluate(F2.diffusion, z) @ x - kk * x) * dw
         assert abs(dy_g - (kk * dt + dw)) <= 1e-12
         assert abs(gst.pi("11", n_op) - read(F2, x, "n11")) <= 1e-12
 
@@ -183,8 +183,8 @@ def test_compiled_maps_match_einsum(kappa, delta, xi_re, xi_im, dim, general, se
     # the linear maps on an arbitrary stacked state
     x = rng.normal(size=(4 * dim * dim, batch)) + 1j * rng.normal(size=(4 * dim * dim, batch))
     state = unpack(x, dim)
-    close(fm.drift_matrix(f, z) @ x, pack(fg.GenericFilterState(*fg._drifts(state, model, z))))
-    close(fm.jump_gain_matrix(f, z) @ x, pack(fg.GenericFilterState(*fg._jump_gains(state, model, z))))
+    close(fm.evaluate(f.drift, z) @ x, pack(fg.GenericFilterState(*fg._drifts(state, model, z))))
+    close(fm.evaluate(f.jump_gain, z) @ x, pack(fg.GenericFilterState(*fg._jump_gains(state, model, z))))
 
     # K, nu and the diffusion on a state for which K and nu are real and
     # nu >= 0: rho^{ij} = |psi_j><psi_i| for random kets psi_1, psi_0
@@ -194,10 +194,10 @@ def test_compiled_maps_match_einsum(kappa, delta, xi_re, xi_im, dim, general, se
     phys = fg.GenericFilterState(outer(psi[0], psi[0]), outer(psi[1], psi[0]),
                                  outer(psi[0], psi[1]), outer(psi[1], psi[1]))
     y = pack(phys)
-    k = fm.k_row(f, z) @ y
+    k = fm.evaluate(f.k, z) @ y
     close(k, fg.k_t(phys, model, z))
     close(nu(f, z, y), fg.nu_t(phys, model, z))
     # the homodyne dW-coefficients are the step at dW = 1 minus the one at dW = 0
     unit, _ = fg.homodyne_step(phys, model, z, 1.0, np.ones(batch))
     base, _ = fg.homodyne_step(phys, model, z, 1.0, np.zeros(batch))
-    close(fm.diffusion_matrix(f, z) @ y - k.real * y, pack(unit) - pack(base))
+    close(fm.evaluate(f.diffusion, z) @ y - k.real * y, pack(unit) - pack(base))

@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +13,7 @@ from photonfilter import filter_moments as fm
 from photonfilter import sde_engine as se
 from photonfilter import wavepacket as wp
 from photonfilter.config import SimConfig
-from photonfilter.errors import FilterDivergenceError
+from photonfilter.errors import FilterDivergenceError, NonRealInnovationError
 from photonfilter.master_ensemble import analytic_mean_photon_series, integrate_master
 
 
@@ -54,7 +56,7 @@ def _full_rk4(cfg, poly, x0):
             continue
         start = max(times[k], cfg.t0)
         h = times[k + 1] - start
-        fa, fb, fc = (fm._evaluate(poly, complex(wp.xi(w, u)), None)
+        fa, fb, fc = (fm.evaluate(poly, wp.xi(w, u))
                       for u in (start, times[k + 1] - 0.5 * h, times[k + 1]))
         k1 = fa @ x[k]
         k2 = fb @ (x[k] + 0.5 * h * k1)
@@ -92,20 +94,39 @@ class TestMasterPath:
 
 def _full_euler(cfg, f, noise):
     """Euler-Maruyama of the homodyne filter on all 4 D^2 entries, one
-    trajectory per column of ``noise``: the runner's step without its
-    restriction to the entries the vacuum reaches; returns (n series, record)."""
+    trajectory per column of ``noise``, one step at a time: the runner's step
+    without its restriction to the entries the vacuum reaches or its
+    sub-chunks.  Returns the readouts (steps + 1, rows, m), the record and
+    |Im K| of every step."""
     times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
     xis = wp.xi(wp.Wavepacket(cfg.gamma, cfg.t0), times[:-1])
     x = np.repeat(f.initial[:, None], noise.shape[1], axis=1)
-    n, record = np.empty((times.size, noise.shape[1])), np.zeros((times.size, noise.shape[1]))
-    n[0] = (f.readout[0] @ x).real
+    r = np.empty((times.size, len(fm.READOUTS), noise.shape[1]), dtype=complex)
+    record, im = np.zeros((times.size, noise.shape[1])), np.empty((times.size - 1, noise.shape[1]))
+    r[0] = f.readout @ x
     for k, xi in enumerate(xis):
-        fd, fgm, kr = (fm._evaluate(p, complex(xi), None) for p in (f.drift, f.diffusion, f.k))
-        kk = (kr @ x).real
+        fd, fgm, kr = (fm.evaluate(p, xi) for p in (f.drift, f.diffusion, f.k))
+        kc = kr @ x
+        kk, im[k] = kc.real, np.abs(kc.imag)
         x = x + (fd @ x) * cfg.dt + ((fgm @ x) - kk * x) * noise[k]
         record[k + 1] = kk * cfg.dt + noise[k]
-        n[k + 1] = (f.readout[0] @ x).real
-    return n, record
+        r[k + 1] = f.readout @ x
+    return r, record, im
+
+
+def _tilt(monkeypatch, k_im: float, start=None):
+    """Make the runner compile filters whose K has imaginary part k_im pi11(n)
+    and whose initial state adds ``start``; returns the patched compiler."""
+    compile_filter = fm.compile_filter
+
+    def tilted(model):
+        f = compile_filter(model)
+        k = f.k.copy()
+        k[fm.ONE] += 1j * k_im * f.readout[0]
+        return replace(f, k=k, initial=f.initial + (0.0 if start is None else start))
+
+    monkeypatch.setattr(fm, "compile_filter", tilted)
+    return tilted
 
 
 class TestGenericFilter:
@@ -130,8 +151,8 @@ class TestGenericFilter:
         noise = _noise(cfg, 4, seed=8)
         stats = se.run_block(cfg, "homodyne", seed_seqs=np.random.SeedSequence(8).spawn(4),
                              noise=noise, record_series=True)
-        series, record = _full_euler(cfg, f, noise)
-        np.testing.assert_allclose(stats.series, series, rtol=0, atol=1e-12)
+        r, record, _ = _full_euler(cfg, f, noise)
+        np.testing.assert_allclose(stats.series, r[:, 0].real, rtol=0, atol=1e-12)
         np.testing.assert_allclose(stats.record, record, rtol=0, atol=1e-12)
 
     def test_same_at_every_truncation(self):
@@ -145,6 +166,74 @@ class TestGenericFilter:
             stats = se.run_block(cfg.with_(fock_dim=dim), "homodyne", seed_seqs=seqs)
             for name in names:
                 np.testing.assert_array_equal(getattr(stats, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("steps", [se._SUB - 3, se._SUB, 3 * se._SUB + 5])
+    def test_sums_match_per_step_reference(self, steps, monkeypatch):
+        # the runner folds its sums and diagnostics once per sub-chunk; on
+        # grids shorter than one, of exactly one and ending in a partial one
+        # they equal the reductions of the one-step-at-a-time filter.  So
+        # that every residual reads far above rounding, K gets an imaginary
+        # part below the bound and the start is tilted off the physical
+        # states: pi11(n) = 1e-8 i (so pi11(I) = 1 + 1e-8 i) and pi10(I) = 1e-8
+        start = np.zeros(36, dtype=complex)
+        start[4], start[9] = 1e-8j, 1e-8  # |1><1| in block 11, |0><0| in block 10
+        tilted = _tilt(monkeypatch, 1e-7, start)
+        cfg = SimConfig(kappa=1.0, gamma=1.0, delta=0.7, t0=0.0, dt=0.05, t_end=steps * 0.05,
+                        fock_dim=3, engine="generic")
+        f = tilted(fg.SLHModel.cavity(3, cfg.kappa, cfg.delta))
+        noise = _noise(cfg, 5, seed=2)
+        stats = se.run_block(cfg, "homodyne", seed_seqs=np.random.SeedSequence(2).spawn(5),
+                             noise=noise, record_series=True)
+        r, record, im = _full_euler(cfg, f, noise)
+        v, u = r[:, 0].real, r[:, 2].real
+        want = {
+            "sum_n": v.sum(axis=1), "sumsq_n": (v * v).sum(axis=1),
+            "sum_i00": u.sum(axis=1), "sumsq_i00": (u * u).sum(axis=1),
+            "n_min": v.min(), "n_max": v.max(), "max_im_k": im.max(),
+            "max_im_n": np.abs(r[:, :2].imag).max(),
+            "max_i11_dev": np.abs(r[:, 3] - 1.0).max(),
+            "max_pair_dev": np.abs(r[:, 4::2] - r[:, 5::2].conj()).max(),
+            "series": v, "record": record,
+        }
+        assert stats.sum_n.size == steps + 1 and 0.0 < stats.n_max
+        assert min(stats.max_im_k, stats.max_im_n, stats.max_i11_dev, stats.max_pair_dev) > 1e-9
+        for name, value in want.items():
+            np.testing.assert_allclose(getattr(stats, name), value, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("k", [3 * se._SUB + se._SUB // 2, 4 * se._SUB - 1, 1299],
+                             ids=["mid-sub-chunk", "sub-chunk-end", "grid-end"])
+    def test_divergence_names_time_and_trajectory(self, k):
+        # trajectories 4..7 of an ensemble; a NaN increment in the third
+        # column at step k makes the state non-finite at the next grid time,
+        # wherever step k falls in its sub-chunk (1300 steps: the last is the
+        # end of a partial sub-chunk)
+        cfg = SimConfig(t_end=13.0, dt=1e-2, engine="generic")
+        seqs = np.random.SeedSequence(3).spawn(8)[4:]
+        noise = _noise(cfg, 4, seed=3)
+        noise[k, 2] = np.nan
+        t = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()[k + 1]
+        with pytest.raises(FilterDivergenceError,
+                           match=rf"at t={re.escape(f'{t:.6g}')} in trajectory 6$"):
+            se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=noise)
+
+    def test_non_real_innovation_names_first_step_and_trajectory(self, monkeypatch):
+        # a k row with Im K = 1e-3 pi11(n): |Im K| passes the 1e-6 bound as
+        # the photon enters, first at the step and trajectory where the
+        # one-step-at-a-time filter first passes it.  The K guard reads the
+        # state before the step, so it also wins over NaN increments in that
+        # step, which make the state after it non-finite
+        tilted = _tilt(monkeypatch, 1e-3)
+        cfg = SimConfig(t_end=8.0, dt=1e-2, delta=0.7, fock_dim=3, engine="generic")
+        seqs = np.random.SeedSequence(5).spawn(8)[3:]
+        noise = _noise(cfg, 5, seed=5)
+        _, _, im = _full_euler(cfg, tilted(fg.SLHModel.cavity(3, cfg.kappa, cfg.delta)), noise)
+        k, j = divmod(int(np.argmax(im > fg._IM_ERR)), im.shape[1])
+        t = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()[k]
+        noise[k] = np.nan
+        with pytest.raises(NonRealInnovationError,
+                           match=rf"at t={re.escape(f'{t:.6g}')} in trajectory {3 + j}$"):
+            se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=noise)
 
 
 class TestNoCountPath:
