@@ -24,7 +24,10 @@ from . import wavepacket as wp
 from .config import SimConfig
 from .errors import FilterDivergenceError, NonRealInnovationError
 
-_CHUNK = 4096  # steps of noise drawn at once
+# Steps of Wiener increments held at once, in one buffer per homodyne block
+# (2 MB at m = 500, so it stays in cache).  A multiple of _SUB, so that the
+# generic filter's sub-chunks, and with them its outputs, do not move.
+_CHUNK = 512
 _PATH = 64  # steps of the master equation's path held at once
 _SUB = 8  # steps of the generic filter whose maps are evaluated at once
 
@@ -105,11 +108,31 @@ def _fold(blocks: list[BlockStats]) -> BlockStats:
     return out
 
 
-def _chunk_noise(gens, n: int, sqrt_dt: float) -> np.ndarray:
-    out = np.empty((n, len(gens)))
+def _chunk_noise(gens, n: int, sqrt_dt: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Wiener increments of ``n`` steps, one column per generator: column j
+    is ``gens[j].standard_normal(n)``, and the block is then scaled by
+    ``sqrt_dt`` once, in place.  They fill ``out[:n]`` (at least n rows, one
+    column per generator), or a new array, which is returned."""
+    out = np.empty((n, len(gens))) if out is None else out[:n]
     for j, g in enumerate(gens):
-        out[:, j] = g.standard_normal(n) * sqrt_dt
+        out[:, j] = g.standard_normal(n)
+    out *= sqrt_dt
     return out
+
+
+def _noise_chunks(gens, steps: int, sqrt_dt: float, noise: np.ndarray | None):
+    """Yield (start, increments) for the chunks of at most ``_CHUNK`` steps of
+    a grid of ``steps``: the trajectories' own draws (:func:`_chunk_noise`),
+    or rows start, start + 1, ... of ``noise``, copied.  Every chunk fills
+    one buffer that the next overwrites, and the caller may overwrite it."""
+    buf = np.empty((min(_CHUNK, steps), len(gens)))
+    for start in range(0, steps, _CHUNK):
+        n = min(_CHUNK, steps - start)
+        if noise is None:
+            yield start, _chunk_noise(gens, n, sqrt_dt, out=buf)
+        else:
+            np.copyto(buf[:n], noise[start:start + n])
+            yield start, buf[:n]
 
 
 def _fail(exc, what: str, t: float, seed_seqs, j: int):
@@ -203,13 +226,21 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
     every step's xi(t), a step is one (19 x 9) . (9 x m) product, the Euler
     update and the readout into a buffer, and the guards (:func:`_guard`) and
     sums (:func:`_accumulate`) then run once over the sub-chunk's rows.
-    ``noise`` replaces the trajectories' own draws: Wiener increments
-    (steps x m) for homodyne detection, uniforms (m,) for photon counting.
+    Both homodyne engines draw their Wiener increments ``_CHUNK`` steps at a
+    time into one buffer per block (:func:`_noise_chunks`).  ``noise``
+    replaces the trajectories' own draws: Wiener increments (steps x m) for
+    homodyne detection, uniforms (m,) for photon counting; any other shape
+    raises ``ValueError``.
     """
     grid = SimGrid(0.0, cfg.t_end, cfg.dt)
     steps = grid.steps
     times = grid.times()
     m = len(seed_seqs)
+    if noise is not None:
+        want = (steps, m) if detector == "homodyne" else (m,)
+        if np.shape(noise) != want:
+            raise ValueError(f"noise for {detector} detection must have shape {want}, "
+                             f"got {np.shape(noise)}")
     gens = [np.random.default_rng(ss) for ss in seed_seqs]
     stats = BlockStats(m, times, *(np.zeros(steps + 1) for _ in range(4)),
                        jump_counts=np.zeros(m, dtype=np.int64), jump_times=[[] for _ in range(m)])
@@ -237,11 +268,9 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
     _accumulate(stats, 0, r[:1])
     if record_series:
         stats.series[0] = r[0, 0].real
-    for start in range(0, steps, _CHUNK):
-        n = min(_CHUNK, steps - start)
-        nz = noise[start:start + n] if noise is not None else _chunk_noise(gens, n, np.sqrt(cfg.dt))
-        for s0 in range(0, n, _SUB):
-            k0, ns = start + s0, min(_SUB, n - s0)
+    for start, nz in _noise_chunks(gens, steps, np.sqrt(cfg.dt), noise):
+        for s0 in range(0, len(nz), _SUB):
+            k0, ns = start + s0, min(_SUB, len(nz) - s0)
             maps = fm.evaluate(stack, xi_arr[k0:k0 + ns])
             for i in range(ns):  # x += Fd x dt + (Fg x - K x) dW
                 np.matmul(maps[i], x, out=y)
@@ -290,7 +319,9 @@ def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
     dc = f (K dt + dW), K = 2 Re(conj(c) f) / N, N = alpha^2 + |beta|^2 + |c|^2.
     n = |beta|^2 / N is in [0, 1] by construction and pi00(I) = 1 / N.  The
     noise is additive (strong order 1).  Each step's N overwrites its spent
-    increments, and :func:`_fold_cascade` takes the sums per chunk.
+    increment in the block's noise buffer (:func:`_noise_chunks`, which
+    copies ``noise`` in rather than writing to it), :func:`_fold_cascade`
+    takes the sums per chunk, and the last row's N carries to the next.
     """
     times, dt = stats.times, cfg.dt
     w = wp.Wavepacket(cfg.gamma, cfg.t0)
@@ -302,11 +333,8 @@ def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
     c, nrm = np.zeros((2, stats.m)), np.ones(stats.m)  # the photon starts in the source
     y, tmp = np.empty(stats.m), np.empty((2, stats.m))
     _fold_cascade(stats, 0, bb, np.ones((1, stats.m)), seed_seqs)
-    for start in range(0, len(times) - 1, _CHUNK):
-        n = min(_CHUNK, len(times) - 1 - start)
-        nz = (noise[start:start + n].copy() if noise is not None
-              else _chunk_noise(gens, n, np.sqrt(dt)))
-        for i, k in enumerate(range(start, start + n)):
+    for start, nz in _noise_chunks(gens, len(times) - 1, np.sqrt(dt), noise):
+        for i, k in enumerate(range(start, start + len(nz))):
             np.dot(gain[k], c, out=y)
             y /= nrm
             y += nz[i]  # dY = K dt + dW

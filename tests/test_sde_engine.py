@@ -1,5 +1,6 @@
 import re
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -455,6 +456,86 @@ class TestNoise:
                              record_series=True)
         assert not any(stats.jump_times)
         assert 0.0 <= stats.series.min() and stats.series.max() <= 1.0
+
+
+class TestNoiseChunks:
+    # both homodyne engines draw their increments in chunks of _CHUNK steps
+    # into one buffer per block
+
+    @pytest.mark.parametrize("engine", ["cascade", "generic"])
+    def test_chunk_size_does_not_matter(self, engine, monkeypatch):
+        # 1003 steps end in a partial chunk at every size tried; whether a
+        # block draws its own increments or is given the same ones, in one
+        # chunk or in many, every output is the same to the bit
+        cfg = SimConfig(t_end=10.03, dt=1e-2, delta=0.7, engine=engine)
+        steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
+        assert steps % se._SUB and steps % se._CHUNK and steps > se._CHUNK
+        seqs = np.random.SeedSequence(12).spawn(5)
+        noise = _noise(cfg, 5, seed=12)
+        ref = se.run_block(cfg, "homodyne", seed_seqs=seqs, record_series=True)
+        for chunk in (se._SUB, 5 * se._SUB, se._CHUNK, steps + 1):
+            monkeypatch.setattr(se, "_CHUNK", chunk)
+            for given in (None, noise):
+                stats = se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=given,
+                                     record_series=True)
+                for fld in fields(se.BlockStats):
+                    np.testing.assert_array_equal(getattr(stats, fld.name),
+                                                  getattr(ref, fld.name), err_msg=fld.name)
+        np.testing.assert_array_equal(noise, _noise(cfg, 5, seed=12))  # only read
+
+    @pytest.mark.parametrize("engine", ["cascade", "generic"])
+    @pytest.mark.parametrize("k", [se._CHUNK - 1, se._CHUNK, 2 * se._CHUNK],
+                             ids=["chunk-end", "chunk-start", "third-chunk-start"])
+    def test_divergence_at_chunk_boundary(self, engine, k):
+        # trajectories 4..7 of an ensemble; a NaN increment in the second
+        # column at step k makes the state non-finite at the next grid time,
+        # on the last step of a chunk and on the first of a later one
+        cfg = SimConfig(t_end=13.0, dt=1e-2, engine=engine)
+        seqs = np.random.SeedSequence(3).spawn(8)[4:]
+        noise = _noise(cfg, 4, seed=3)
+        noise[k, 1] = np.nan
+        t = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()[k + 1]
+        with pytest.raises(FilterDivergenceError,
+                           match=rf"at t={re.escape(f'{t:.6g}')} in trajectory 5$"):
+            se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=noise)
+
+    @pytest.mark.parametrize("engine,detector", [("cascade", "homodyne"),
+                                                 ("generic", "homodyne"),
+                                                 ("cascade", "photocount")])
+    def test_noise_shape_checked(self, engine, detector):
+        # too few steps, the wrong m, or one column for all trajectories:
+        # the block raises rather than broadcast or count nothing
+        cfg = SimConfig(t_end=5.0, dt=5e-2, engine=engine)
+        steps, m = 100, 3
+        seqs = np.random.SeedSequence(0).spawn(m)
+        if detector == "homodyne":
+            want, bad = (steps, m), [(steps - 1, m), (steps, m - 1), (steps, m + 1), (steps, 1)]
+        else:
+            want, bad = (m,), [(m - 1,), (m + 1,), (steps, 1), (steps, m)]
+        for shape in bad:
+            with pytest.raises(ValueError, match=re.escape(f"shape {want}, got {shape}")):
+                se.run_block(cfg, detector, seed_seqs=seqs, noise=np.full(shape, 0.5))
+        se.run_block(cfg, detector, seed_seqs=seqs, noise=np.full(want, 0.5))
+
+    @pytest.mark.parametrize("engine,m,cfg,bound_mb", [
+        # 4600 steps: a block that held 4096 steps of increments peaked at 19.4 MB
+        ("cascade", 500, SimConfig(t_end=23.0, dt=5e-3), 4.0),
+        # the benchmark's generic-d3 block (1150 steps), at the peak it had
+        # when it held all of its increments at once
+        ("generic", 200, SimConfig(t_end=23.0, dt=2e-2, fock_dim=3), 2.64),
+    ], ids=["cascade", "generic-d3"])
+    def test_peak_memory(self, engine, m, cfg, bound_mb):
+        # a block holds one chunk of increments, not its whole grid
+        cfg = cfg.with_(engine=engine)
+        seqs = np.random.SeedSequence(1).spawn(m)
+        se.run_block(cfg, "homodyne", seed_seqs=seqs[:2])  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            se.run_block(cfg, "homodyne", seed_seqs=seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
 
 
 class TestTrajectory:
