@@ -10,8 +10,4 @@ class NonRealInnovationError(PhotonFilterError):
 
 
 class FilterDivergenceError(PhotonFilterError):
-    """A filter state became NaN/inf or its jump intensity went strongly negative."""
-
-
-class InvalidJumpError(PhotonFilterError):
-    """A detection jump was requested while the jump intensity is (numerically) zero."""
+    """A filter state, or the photon number read from it, became NaN/inf."""

@@ -1,9 +1,9 @@
 """Single-photon filter compiled from (S, L, H) into packed superoperators.
 
 The filter state is the four coefficient matrices rho^{ij} of the
-conditional moments pi^{ij}(|m><n|), ij in {11, 10, 01, 00} (see
-:mod:`photonfilter.filter_generic`), stacked as one vector of 4 D^2
-entries: block ij holds vec(rho^{ij}) in column-major order, so that
+conditional moments pi^{ij}(X) = tr(rho^{ij} X), ij in {11, 10, 01, 00},
+stacked as one vector of 4 D^2 entries: block ij holds vec(rho^{ij}) in
+column-major order, so that
 
     vec(A rho B) = (B^T (x) A) vec(rho)    and    tr(rho X) = X.ravel() . vec(rho).
 
@@ -18,11 +18,13 @@ product:
 
     drift:      dx = Fd x dt
     homodyne:   dx += (Fg x - K x) dW,        K  = Re(k . x)
-    counting:   dx += (Fj x / nu - x) dN,     nu = pi11(I) of Fj x  (real)
 
-Every term is built from S, L and H with the Kronecker identity above;
-nothing is taken from the einsum step functions of ``filter_generic``,
-which stay the independent oracle the compiled maps are tested against.
+Photon counting needs no map of its own: it samples the closed-form
+probability of no count (:func:`photonfilter.sde_engine.run_block`).
+
+Every term is built from S, L and H with the Kronecker identity above.  The
+tests check the compiled maps against an independent einsum filter, which
+lives with them in ``tests/einsum_oracle.py``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class CompiledFilter:
 
     drift: np.ndarray      # (4, N, N)
     diffusion: np.ndarray  # (4, N, N), without the -K x term
-    jump_gain: np.ndarray  # (4, N, N)
     k: np.ndarray          # (4, N)
     readout: np.ndarray    # (len(READOUTS), N), real
     initial: np.ndarray    # (N,) vacuum cavity: rho11 = rho00 = |0><0|
@@ -75,7 +76,7 @@ def _row(dim: int, terms) -> np.ndarray:
 
 
 def compile_filter(model: SLHModel) -> CompiledFilter:
-    """Compile the drift, diffusion, jump-gain and K maps of ``model``."""
+    """Compile the drift, diffusion and K maps of ``model``."""
     dim = model.dim
     S, L, H = (np.asarray(v, dtype=np.complex128) for v in (model.S, model.L, model.H))
     Sd, Ld = S.conj().T, L.conj().T
@@ -102,11 +103,6 @@ def compile_filter(model: SLHModel) -> CompiledFilter:
         (CXI, B11, B01, eye, Sd), (XI, B11, B10, S, eye),
         (CXI, B10, B00, eye, Sd), (XI, B01, B00, S, eye),
     ])
-    jump_gain = _superop(dim, [
-        *((ONE, blk, blk, L, Ld) for blk in range(4)),
-        (CXI, B11, B01, L, Sd), (XI, B11, B10, S, Ld), (AXI2, B11, B00, S, Sd),
-        (CXI, B10, B00, L, Sd), (XI, B01, B00, S, Ld),
-    ])
     k = _row(dim, [(ONE, B11, L + Ld), (CXI, B10, Sd), (XI, B01, S)])
 
     a = ops.annihilation(dim)
@@ -122,7 +118,7 @@ def compile_filter(model: SLHModel) -> CompiledFilter:
     initial = np.zeros(4 * n, dtype=np.complex128)
     initial[B11 * n:(B11 + 1) * n] = vac.ravel(order="F")
     initial[B00 * n:(B00 + 1) * n] = vac.ravel(order="F")
-    return CompiledFilter(drift, diffusion, jump_gain, k, readout, initial)
+    return CompiledFilter(drift, diffusion, k, readout, initial)
 
 
 def evaluate(poly: np.ndarray, xi) -> np.ndarray:

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import filter_generic as fg
 from . import filter_moments as fm
 from . import sde_engine as se
 from . import wavepacket as wp
 from .config import SimConfig
+from .filter_generic import SLHModel
 
 _ENSEMBLE_BLOCK = 500
 
@@ -55,7 +55,7 @@ class EnsembleStats:
 def integrate_master(cfg: SimConfig) -> SeriesND:
     """RK4 integration of the compiled drift (:func:`photonfilter.sde_engine.master_path`);
     returns <n>(t), the same at every ``cfg.fock_dim``."""
-    f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
+    f = fm.compile_filter(SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
     times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
     out = np.empty(times.shape)
     for k, states in se.master_path(cfg, f):
@@ -74,36 +74,27 @@ def analytic_mean_photon_series(cfg: SimConfig, times: np.ndarray) -> np.ndarray
 
 
 def _ensemble_block(args):
-    cfg, detector, seqs = args
-    return se.run_block(cfg, detector, seed_seqs=seqs)
+    cfg, seqs = args
+    return se.run_block(cfg, seed_seqs=seqs)
 
 
-def run_ensemble(
-    cfg: SimConfig,
-    detector: str | None = None,
-    M: int | None = None,
-    master_seed: int | None = None,
-    workers: int = 1,
-) -> EnsembleStats:
-    """Run M independent trajectories and return pointwise mean and stderr.
+def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
+    """Run ``cfg.ntraj`` independent trajectories and return pointwise mean and stderr.
 
-    Trajectory i draws its noise from child i of SeedSequence(master_seed),
+    Trajectory i draws its noise from child i of SeedSequence(cfg.seed),
     so the result is independent of how the work is scheduled.  Blocks of
     fixed size are folded in index order, making the reduction deterministic
-    for any worker count.
+    for any worker count.  At most one worker process starts per block.
     """
-    detector = detector or cfg.detector
-    m_total = M if M is not None else cfg.ntraj
-    seed = master_seed if master_seed is not None else cfg.seed
-    children = np.random.SeedSequence(seed).spawn(m_total)
-    tasks = [
-        (cfg, detector, children[lo:lo + _ENSEMBLE_BLOCK])
-        for lo in range(0, m_total, _ENSEMBLE_BLOCK)
-    ]
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    m_total = cfg.ntraj
+    children = np.random.SeedSequence(cfg.seed).spawn(m_total)
+    tasks = [(cfg, children[lo:lo + _ENSEMBLE_BLOCK]) for lo in range(0, m_total, _ENSEMBLE_BLOCK)]
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             blocks = list(pool.map(_ensemble_block, tasks))
     else:
         blocks = [_ensemble_block(t) for t in tasks]
@@ -115,37 +106,3 @@ def run_ensemble(
     else:
         stderr = np.zeros_like(mean)
     return EnsembleStats(stats.times, mean, stderr, m_total, diagnostics=stats)
-
-
-def weak_convergence_bias(
-    cfg: SimConfig,
-    M: int,
-    master_seed: int,
-) -> tuple[float, float]:
-    """Homodyne ensemble-mean bias of ``cfg.engine`` vs the closed-form oracle
-    at dt and dt/2.
-
-    Uses common random numbers: each trajectory's fine-grid Wiener
-    increments are drawn once and pairwise-summed to form its coarse-grid
-    increments.  Trajectories run in blocks of ``_ENSEMBLE_BLOCK``, each
-    drawing its own increments, and the blocks' sums are added in order.
-    Returns (bias at dt, bias at dt/2), each a sup over the coarse grid.
-    """
-    grid = se.SimGrid(0.0, cfg.t_end, cfg.dt)
-    steps = grid.steps
-    cfg_f = cfg.with_(dt=0.5 * cfg.dt)
-    children = np.random.SeedSequence(master_seed).spawn(M)
-    sum_c, sum_f = np.zeros(steps + 1), np.zeros(2 * steps + 1)
-    for lo in range(0, M, _ENSEMBLE_BLOCK):
-        seqs = children[lo:lo + _ENSEMBLE_BLOCK]
-        gens = [np.random.default_rng(ss) for ss in seqs]
-        noise_f = se._chunk_noise(gens, 2 * steps, np.sqrt(0.5 * cfg.dt))
-        noise_c = noise_f[0::2] + noise_f[1::2]
-        sum_c += se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=noise_c).sum_n
-        sum_f += se.run_block(cfg_f, "homodyne", seed_seqs=seqs, noise=noise_f).sum_n
-    mean_c = sum_c / M
-    mean_f = sum_f[::2] / M
-    oracle = analytic_mean_photon_series(cfg, grid.times())
-    bias_c = float(np.abs(mean_c - oracle).max())
-    bias_f = float(np.abs(mean_f - oracle).max())
-    return bias_c, bias_f

@@ -28,8 +28,8 @@ def annihilation(dim: int) -> np.ndarray:
 
 
 def creation(dim: int) -> np.ndarray:
-    """Creation operator ``a^dag``, the adjoint of :func:`annihilation`."""
-    return adjoint(annihilation(dim))
+    """Creation operator ``a^dag``, the conjugate transpose of :func:`annihilation`."""
+    return annihilation(dim).conj().T
 
 
 def number_op(dim: int) -> np.ndarray:
@@ -43,11 +43,6 @@ def identity(dim: int) -> np.ndarray:
     if dim < 1:
         raise ValueError(f"Fock dimension must be >= 1, got {dim}")
     return np.eye(dim, dtype=np.complex128)
-
-
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Hermitian transpose."""
-    return np.asarray(m).conj().T
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

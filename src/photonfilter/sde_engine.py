@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import filter_generic as fg
 from . import filter_moments as fm
 from . import wavepacket as wp
 from .config import SimConfig
 from .errors import FilterDivergenceError, NonRealInnovationError
+from .filter_generic import SLHModel
 
 # Steps of Wiener increments held at once, in one buffer per homodyne block
 # (2 MB at m = 500, so it stays in cache).  A multiple of _SUB, so that the
@@ -30,6 +30,9 @@ from .errors import FilterDivergenceError, NonRealInnovationError
 _CHUNK = 512
 _PATH = 64  # steps of the master equation's path held at once
 _SUB = 8  # steps of the generic filter whose maps are evaluated at once
+# Imaginary residue of K: dropped up to _IM_ERR, a hard error above it
+# (signals an index-ordering bug).
+_IM_ERR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -108,12 +111,12 @@ def _fold(blocks: list[BlockStats]) -> BlockStats:
     return out
 
 
-def _chunk_noise(gens, n: int, sqrt_dt: float, out: np.ndarray | None = None) -> np.ndarray:
+def _chunk_noise(gens, n: int, sqrt_dt: float, out: np.ndarray) -> np.ndarray:
     """Wiener increments of ``n`` steps, one column per generator: column j
     is ``gens[j].standard_normal(n)``, and the block is then scaled by
     ``sqrt_dt`` once, in place.  They fill ``out[:n]`` (at least n rows, one
-    column per generator), or a new array, which is returned."""
-    out = np.empty((n, len(gens))) if out is None else out[:n]
+    column per generator), which is returned."""
+    out = out[:n]
     for j, g in enumerate(gens):
         out[:, j] = g.standard_normal(n)
     out *= sqrt_dt
@@ -129,7 +132,7 @@ def _noise_chunks(gens, steps: int, sqrt_dt: float, noise: np.ndarray | None):
     for start in range(0, steps, _CHUNK):
         n = min(_CHUNK, steps - start)
         if noise is None:
-            yield start, _chunk_noise(gens, n, sqrt_dt, out=buf)
+            yield start, _chunk_noise(gens, n, sqrt_dt, buf)
         else:
             np.copyto(buf[:n], noise[start:start + n])
             yield start, buf[:n]
@@ -211,12 +214,13 @@ def master_path(cfg: SimConfig, f):
         y[0] = y[n]
 
 
-def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | None = None,
+def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
               record_series: bool = False) -> BlockStats:
     """Advance a block of trajectories (one per seed sequence) in lock-step.
 
-    Photon counting draws one uniform per trajectory and counts where the
-    closed-form probability of no count falls below it (:func:`_first_passage`).
+    ``cfg.detector`` selects the detection scheme.  Photon counting draws
+    one uniform per trajectory and counts where the closed-form probability
+    of no count falls below it (:func:`_first_passage`).
     ``cfg.engine`` selects the homodyne filter: ``cascade`` steps one complex
     amplitude per trajectory (:func:`_cascade`); ``generic`` compiles the filter
     once from the cavity's (S, L, H) at ``cfg.fock_dim`` and restricts it to the
@@ -237,22 +241,22 @@ def run_block(cfg: SimConfig, detector: str, seed_seqs, *, noise: np.ndarray | N
     times = grid.times()
     m = len(seed_seqs)
     if noise is not None:
-        want = (steps, m) if detector == "homodyne" else (m,)
+        want = (steps, m) if cfg.detector == "homodyne" else (m,)
         if np.shape(noise) != want:
-            raise ValueError(f"noise for {detector} detection must have shape {want}, "
+            raise ValueError(f"noise for {cfg.detector} detection must have shape {want}, "
                              f"got {np.shape(noise)}")
     gens = [np.random.default_rng(ss) for ss in seed_seqs]
     stats = BlockStats(m, times, *(np.zeros(steps + 1) for _ in range(4)),
                        jump_counts=np.zeros(m, dtype=np.int64), jump_times=[[] for _ in range(m)])
     if record_series:
         stats.series, stats.record = np.zeros((steps + 1, m)), np.zeros((steps + 1, m))
-    if detector != "homodyne":
+    if cfg.detector != "homodyne":
         _first_passage(cfg, stats, seed_seqs, gens, noise)
         return stats
     if cfg.engine == "cascade":
         _cascade(cfg, stats, seed_seqs, gens, noise)
         return stats
-    f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
+    f = fm.compile_filter(SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
     on = _support(f, f.drift, f.diffusion)
     d, sq = on.size, np.ix_(range(4), on, on)
     # A step's map: rows :d give Fd x dt, rows d:2d Fg x and the last k . x.
@@ -296,7 +300,7 @@ def _guard(im: np.ndarray, n: np.ndarray, times, seed_seqs) -> None:
     """Raise at the first bad step of a generic sub-chunk, in the order the
     steps meet them: row i holds |Im K| on the state at times[i] and pi11(n)
     of the state at times[i + 1]."""
-    over, finite = im > fg._IM_ERR, np.isfinite(n)
+    over, finite = im > _IM_ERR, np.isfinite(n)
     bad = over.any(axis=1) | ~finite.all(axis=1)
     if not bad.any():
         return
@@ -385,13 +389,12 @@ def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) ->
     # the largest V count first, at the rows where that number drops.
     live = np.searchsorted(v[order], np.fmin.accumulate(s), side="right")
     at[order[live[-1]:][::-1]] = np.repeat(rows, -np.diff(live, prepend=stats.m))
-    n, u, p = n_me / s, 1.0 / s, np.append(1.0 - s[1:] / s[:-1], 0.0)
-    bad = (~np.isfinite(n) | (p < -fg.nu_floor(cfg.dt) * cfg.dt)) & (live > 0)
+    n, u = n_me / s, 1.0 / s
+    bad = ~np.isfinite(n) & (live > 0)
     if bad.any():
         i = int(np.argmax(bad))
-        what = (f"filter diverged to pi11(n) = {n[i]}" if not np.isfinite(n[i])
-                else f"count probability {p[i]:.3e} strongly negative")
-        _fail(FilterDivergenceError, what, times[i], seed_seqs, np.argmax(at > i))
+        _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {n[i]}", times[i],
+              seed_seqs, np.argmax(at > i))
     e = int(np.count_nonzero(live))  # the rows someone waits at: a prefix
     stats.n_min, stats.n_max = float(n[:e].min()), float(n[:e].max())
     for name, val in (("sum_n", n), ("sumsq_n", n * n), ("sum_i00", u), ("sumsq_i00", u * u)):
@@ -426,8 +429,8 @@ def _accumulate(stats, k, r):
     stats.max_pair_dev = max(stats.max_pair_dev, dev)
 
 
-def simulate_trajectory(cfg: SimConfig, detector: str | None = None, seed=None) -> Trajectory:
-    """Run one seeded trajectory and return its full time series.
+def simulate_trajectory(cfg: SimConfig, seed=None) -> Trajectory:
+    """Run one seeded trajectory of ``cfg.detector`` and return its full time series.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; by default the
     config's seed is used.  The record holds dY increments for homodyne
@@ -435,6 +438,6 @@ def simulate_trajectory(cfg: SimConfig, detector: str | None = None, seed=None) 
     """
     seed = cfg.seed if seed is None else seed
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    stats = run_block(cfg, detector or cfg.detector, seed_seqs=[ss], record_series=True)
+    stats = run_block(cfg, seed_seqs=[ss], record_series=True)
     return Trajectory(stats.times, stats.series[:, 0].copy(), stats.record[:, 0].copy(),
                       list(stats.jump_times[0]), seed)

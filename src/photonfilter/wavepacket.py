@@ -1,13 +1,14 @@
 """Single-photon temporal amplitude, the share of it still to come, and the
 amplitude it drives in a vacuum cavity.
 
-The only shape currently implemented is the decaying exponential emitted by
-a two-level atom with decay rate gamma, switched on at t0:
+The shape is the decaying exponential emitted by a two-level atom with
+decay rate gamma, switched on at t0:
 
     xi(t) = sqrt(gamma) * exp(-gamma/2 * (t - t0)) * step(t - t0)
 
-which has unit L2 norm.  The amplitude is real for this shape, but every
-consumer of xi treats it as complex so other shapes can slot in later.
+which has unit L2 norm.  The closed forms below hold for this shape only,
+and photon counting and the cascade filter rest on them.  The amplitude is
+real, but the compiled filter's maps take xi as complex.
 """
 
 from __future__ import annotations

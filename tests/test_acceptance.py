@@ -9,11 +9,11 @@ from photonfilter import cli
 from photonfilter import sde_engine as se
 from photonfilter.config import SimConfig
 from einsum_oracle import einsum_block
+from helpers import weak_convergence_bias
 from photonfilter.master_ensemble import (
     analytic_mean_photon_series,
     integrate_master,
     run_ensemble,
-    weak_convergence_bias,
 )
 from photonfilter.verify import run_checks
 
@@ -90,10 +90,9 @@ def test_criterion_5_oracle_equivalence():
     for j, child in enumerate(children):
         noise[:, j] = np.random.default_rng(child).standard_normal(steps)
     noise *= np.sqrt(cfg.dt)
-    c2 = se.run_block(cfg, "homodyne", seed_seqs=children,
-                      noise=noise, record_series=True)
-    c3 = se.run_block(cfg.with_(fock_dim=3), "homodyne", seed_seqs=children,
-                      noise=noise, record_series=True)
+    c2 = se.run_block(cfg, seed_seqs=children, noise=noise, record_series=True)
+    c3 = se.run_block(cfg.with_(fock_dim=3), seed_seqs=children, noise=noise,
+                      record_series=True)
     oracle, _, _ = einsum_block(cfg, "homodyne", noise)
     dev_2 = float(np.abs(c2.series - oracle).max())
     dev_3 = float(np.abs(c3.series - oracle).max())

@@ -93,6 +93,11 @@ def test_invalid_config_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_no_workers_exits_one(capsys):
+    assert cli.main(["ensemble", *FAST, "--workers", "0"]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_one(tmp_path, capsys):
     rc = cli.main(["me", *FAST, "--out", str(tmp_path / "no" / "dir" / "x.csv")])
     assert rc == 1

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
-from photonfilter.config import SimConfig
+from photonfilter import master_ensemble as me
+from photonfilter import sde_engine as se
+from photonfilter.config import DETECTORS, SimConfig
 
 
 def test_rejects_photon_before_grid_start():
@@ -23,3 +26,37 @@ def test_photon_counting_samples_closed_form():
         SimConfig(engine="generic", detector="photocount")
     assert SimConfig(engine="generic").detector == "homodyne"
     assert SimConfig(detector="photocount").engine == "cascade"
+
+
+def test_config_is_the_one_gate():
+    # a detector typo and a homodyne filter asked to count photons are
+    # rejected where the run is configured ...
+    with pytest.raises(ValueError, match="unknown detector"):
+        SimConfig(detector="Homodyne")
+    with pytest.raises(ValueError, match="photon counting samples the exact closed form"):
+        SimConfig(engine="generic", detector="photocount")
+    # ... and the runners take no detector, ensemble size or seed that
+    # would go around the check
+    cfg = SimConfig(t_end=5.0, dt=5e-2)
+    with pytest.raises(TypeError):
+        se.simulate_trajectory(cfg, detector="Homodyne")
+    with pytest.raises(TypeError):
+        me.run_ensemble(cfg, M=0)
+    with pytest.raises(TypeError):
+        me.run_ensemble(SimConfig(engine="generic"), detector="photocount")
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_runs_follow_config_detector(detector):
+    # homodyne records are Gaussian increments of variance dt (K dt is
+    # small beside them); photon-counting records are cumulative counts of
+    # at most one photon, and only photon counting counts
+    cfg = SimConfig(t_end=23.0, dt=1e-2, ntraj=20, seed=3, detector=detector)
+    block = se.run_block(cfg, seed_seqs=np.random.SeedSequence(3).spawn(20), record_series=True)
+    for record in (block.record, se.simulate_trajectory(cfg).record[:, None]):
+        if detector == "homodyne":
+            assert abs(record[1:].std() / np.sqrt(cfg.dt) - 1.0) <= 0.1
+        else:
+            assert np.isin(record, (0.0, 1.0)).all() and (np.diff(record, axis=0) >= 0).all()
+    for counts in (block.jump_counts, me.run_ensemble(cfg).diagnostics.jump_counts):
+        assert counts.max() <= 1 and (counts.sum() > 0) == (detector == "photocount")

@@ -3,18 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonfilter import filter_generic as fg
+import einsum_oracle as eo
+from helpers import jump_gain
 from photonfilter import filter_moments as fm
 from photonfilter import operators as ops
 from photonfilter import sde_engine as se
 from photonfilter.config import SimConfig
+from photonfilter.filter_generic import SLHModel
 from photonfilter.wavepacket import Wavepacket, xi
 
 KAPPA = 0.1
 GAMMA = 0.1
 SQ = np.sqrt(GAMMA)
-F2 = fm.compile_filter(fg.SLHModel.cavity(2, KAPPA))
-F2_DETUNED = fm.compile_filter(fg.SLHModel.cavity(2, KAPPA, 0.05))
+F2 = fm.compile_filter(SLHModel.cavity(2, KAPPA))
+FJ2 = jump_gain(SLHModel.cavity(2, KAPPA))
 
 
 def read(f, x, name):
@@ -22,9 +24,9 @@ def read(f, x, name):
     return f.readout[fm.READOUTS.index(name)] @ x
 
 
-def nu(f, z, x):
-    """The jump intensity: pi11(I) of the jump gain."""
-    return read(f, fm.evaluate(f.jump_gain, z) @ x, "i11")
+def nu(f, fj, z, x):
+    """The jump intensity: pi11(I) of the jump gain ``fj``."""
+    return read(f, fm.evaluate(fj, z) @ x, "i11")
 
 
 def pack(state):
@@ -37,7 +39,7 @@ def pack(state):
 def unpack(x, dim):
     """The einsum filter state of a packed (N, ...) vector."""
     n = dim * dim
-    return fg.GenericFilterState(*(
+    return eo.GenericFilterState(*(
         np.swapaxes(np.moveaxis(x[b * n:(b + 1) * n], 0, -1).reshape(*x.shape[1:], dim, dim), -1, -2)
         for b in range(4)
     ))
@@ -60,7 +62,7 @@ def test_hand_euler_step_ad10():
 def test_undriven_decay_matches_exponential():
     # xi = 0 forever: n11(t) = n11(0) exp(-kappa t) within O(dt)
     dt = 1e-3
-    x = pack(fg.GenericFilterState(
+    x = pack(eo.GenericFilterState(
         np.diag([0.5, 0.5]).astype(complex), np.zeros((2, 2), complex),
         np.zeros((2, 2), complex), np.diag([1.0, 0.0]).astype(complex),
     ))
@@ -72,16 +74,16 @@ def test_undriven_decay_matches_exponential():
 
 
 def test_moment_k_matches_generic():
-    model = fg.SLHModel.cavity(2, KAPPA)
-    state = fg.init_filter(np.eye(2)[0])
+    model = SLHModel.cavity(2, KAPPA)
+    state = eo.init_filter(np.eye(2)[0])
     state.rho11 = np.array([[0.7, 0.3], [0.3, 0.3]], dtype=complex)
     k = fm.evaluate(F2.k, 0.0) @ pack(state)
-    assert k.real == pytest.approx(fg.k_t(state, model, 0.0))
+    assert k.real == pytest.approx(eo.k_t(state, model, 0.0))
     assert k.real == pytest.approx(2.0 * np.sqrt(KAPPA) * 0.3)
 
 
 def test_moment_nu_at_onset():
-    assert nu(F2, SQ, F2.initial).real == pytest.approx(GAMMA)
+    assert nu(F2, FJ2, SQ, F2.initial).real == pytest.approx(GAMMA)
 
 
 def test_jump_consumes_photon():
@@ -91,19 +93,20 @@ def test_jump_consumes_photon():
     w = Wavepacket(GAMMA, 0.0)
     for dim in (2, 3, 4):
         for delta in (0.0, 0.7):
-            f = fm.compile_filter(fg.SLHModel.cavity(dim, KAPPA, delta))
+            model = SLHModel.cavity(dim, KAPPA, delta)
+            f, fj = fm.compile_filter(model), jump_gain(model)
             x = f.initial
             for k in range(2000):
                 z = xi(w, k * dt)
-                comp = fm.evaluate(f.jump_gain, z) @ x - nu(f, z, x).real * x
+                comp = fm.evaluate(fj, z) @ x - nu(f, fj, z, x).real * x
                 x = x + (fm.evaluate(f.drift, z) @ x - comp) * dt
             z = xi(w, 2.0)
-            post = fm.evaluate(f.jump_gain, z) @ x / nu(f, z, x).real
+            post = fm.evaluate(fj, z) @ x / nu(f, fj, z, x).real
             assert abs(read(f, post, "i00")) <= 1e-12
             assert abs(read(f, post, "n11")) <= 1e-12
             assert read(f, post, "i11").real == pytest.approx(1.0, abs=1e-9)
             for later in (z, xi(w, 5.0)):
-                assert abs(nu(f, later, post)) <= 1e-12
+                assert abs(nu(f, fj, later, post)) <= 1e-12
                 assert np.abs(fm.evaluate(f.drift, later) @ post).max() <= 1e-12
 
 
@@ -113,7 +116,7 @@ def test_jump_rejected_at_zero_intensity():
     # trajectory counts at the first row after t0
     cfg = SimConfig(t0=1.0, t_end=2.0, dt=1e-2, detector="photocount")
     seqs = np.random.SeedSequence(0).spawn(3)
-    stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.ones(3))
+    stats = se.run_block(cfg, seed_seqs=seqs, noise=np.ones(3))
     assert stats.jump_times == [[pytest.approx(1.01)]] * 3
 
 
@@ -121,7 +124,8 @@ def test_jump_rejected_at_zero_intensity():
 def test_evaluate_batch_matches_single(name):
     # one product over a run of xi gives each map as the polynomial does,
     # and as evaluated at that xi alone
-    poly = getattr(F2_DETUNED, name)
+    model = SLHModel.cavity(2, KAPPA, 0.05)
+    poly = jump_gain(model) if name == "jump_gain" else getattr(fm.compile_filter(model), name)
     rng = np.random.default_rng(0)
     xis = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     batch = fm.evaluate(poly, xis)
@@ -137,15 +141,15 @@ def test_scalar_steps_match_generic_filter():
     # the operator filter at D=2, record and photon number at every step
     rng = np.random.default_rng(42)
     dt = 1e-3
-    model = fg.SLHModel.cavity(2, KAPPA)
-    gst = fg.init_filter(np.eye(2)[0])
+    model = SLHModel.cavity(2, KAPPA)
+    gst = eo.init_filter(np.eye(2)[0])
     x = F2.initial
     w = Wavepacket(GAMMA, 0.5)
     n_op = ops.number_op(2)
     for k in range(3000):
         z = complex(xi(w, k * dt))
         dw = rng.standard_normal() * np.sqrt(dt)
-        gst, dy_g = fg.homodyne_step(gst, model, z, dt, dw)
+        gst, dy_g = eo.homodyne_step(gst, model, z, dt, dw)
         kk = (fm.evaluate(F2.k, z) @ x).real
         x = x + fm.evaluate(F2.drift, z) @ x * dt + (fm.evaluate(F2.diffusion, z) @ x - kk * x) * dw
         assert abs(dy_g - (kk * dt + dw)) <= 1e-12
@@ -157,7 +161,7 @@ def _random_model(rng, dim):
     z = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
     q, r = np.linalg.qr(z[0])
     s = q * (np.diag(r) / np.abs(np.diag(r)))
-    return fg.SLHModel(S=s, L=0.3 * z[1], H=0.2 * (z[2] + z[2].conj().T))
+    return SLHModel(S=s, L=0.3 * z[1], H=0.2 * (z[2] + z[2].conj().T))
 
 
 @settings(max_examples=40, deadline=None)
@@ -172,8 +176,8 @@ def _random_model(rng, dim):
 )
 def test_compiled_maps_match_einsum(kappa, delta, xi_re, xi_im, dim, general, seed):
     rng = np.random.default_rng(seed)
-    model = _random_model(rng, dim) if general else fg.SLHModel.cavity(dim, kappa, delta)
-    f = fm.compile_filter(model)
+    model = _random_model(rng, dim) if general else SLHModel.cavity(dim, kappa, delta)
+    f, fj = fm.compile_filter(model), jump_gain(model)
     z = complex(xi_re, xi_im)
     batch = 3
 
@@ -183,21 +187,21 @@ def test_compiled_maps_match_einsum(kappa, delta, xi_re, xi_im, dim, general, se
     # the linear maps on an arbitrary stacked state
     x = rng.normal(size=(4 * dim * dim, batch)) + 1j * rng.normal(size=(4 * dim * dim, batch))
     state = unpack(x, dim)
-    close(fm.evaluate(f.drift, z) @ x, pack(fg.GenericFilterState(*fg._drifts(state, model, z))))
-    close(fm.evaluate(f.jump_gain, z) @ x, pack(fg.GenericFilterState(*fg._jump_gains(state, model, z))))
+    close(fm.evaluate(f.drift, z) @ x, pack(eo.GenericFilterState(*eo._drifts(state, model, z))))
+    close(fm.evaluate(fj, z) @ x, pack(eo.GenericFilterState(*eo._jump_gains(state, model, z))))
 
     # K, nu and the diffusion on a state for which K and nu are real and
     # nu >= 0: rho^{ij} = |psi_j><psi_i| for random kets psi_1, psi_0
     psi = rng.normal(size=(2, batch, dim)) + 1j * rng.normal(size=(2, batch, dim))
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
     outer = lambda a, b: np.einsum("mi,mj->mij", a, b.conj())  # noqa: E731
-    phys = fg.GenericFilterState(outer(psi[0], psi[0]), outer(psi[1], psi[0]),
+    phys = eo.GenericFilterState(outer(psi[0], psi[0]), outer(psi[1], psi[0]),
                                  outer(psi[0], psi[1]), outer(psi[1], psi[1]))
     y = pack(phys)
     k = fm.evaluate(f.k, z) @ y
-    close(k, fg.k_t(phys, model, z))
-    close(nu(f, z, y), fg.nu_t(phys, model, z))
+    close(k, eo.k_t(phys, model, z))
+    close(nu(f, fj, z, y), eo.nu_t(phys, model, z))
     # the homodyne dW-coefficients are the step at dW = 1 minus the one at dW = 0
-    unit, _ = fg.homodyne_step(phys, model, z, 1.0, np.ones(batch))
-    base, _ = fg.homodyne_step(phys, model, z, 1.0, np.zeros(batch))
+    unit, _ = eo.homodyne_step(phys, model, z, 1.0, np.ones(batch))
+    base, _ = eo.homodyne_step(phys, model, z, 1.0, np.zeros(batch))
     close(fm.evaluate(f.diffusion, z) @ y - k.real * y, pack(unit) - pack(base))

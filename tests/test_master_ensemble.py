@@ -1,6 +1,9 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
+from helpers import weak_convergence_bias
 from photonfilter import master_ensemble as me
 from photonfilter.config import SimConfig
 from photonfilter.sde_engine import simulate_trajectory
@@ -110,9 +113,39 @@ def test_parallel_reduction_identical():
     np.testing.assert_array_equal(a.stderr, b.stderr)
 
 
+def test_workers_capped_at_blocks(monkeypatch):
+    # a pool forks all of its workers at the first submit, so it gets no
+    # more than one per block; this pool records its size and starts nothing
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    cfg = SimConfig(t_end=5.0, dt=5e-2, ntraj=1000, seed=2)
+    serial = me.run_ensemble(cfg)
+    for workers in (2, 3, 5000):
+        np.testing.assert_array_equal(me.run_ensemble(cfg, workers=workers).mean, serial.mean)
+    assert sizes == [2, 2, 2]
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            me.run_ensemble(cfg, workers=workers)
+    assert sizes == [2, 2, 2]
+
+
 def test_weak_convergence_bias_smoke():
     cfg = SimConfig(t_end=13.0, dt=0.25, engine="generic")
-    bc, bf = me.weak_convergence_bias(cfg, M=50, master_seed=0)
+    bc, bf = weak_convergence_bias(cfg, M=50, master_seed=0)
     assert np.isfinite(bc) and np.isfinite(bf)
     assert bc > 0.0 and bf > 0.0
 
@@ -121,7 +154,7 @@ def test_weak_convergence_bias_blocks(monkeypatch):
     # blocks draw each trajectory's own increments: the same biases as one
     # block, to the rounding of the summation order
     cfg = SimConfig(t_end=13.0, dt=0.25, engine="generic")
-    whole = me.weak_convergence_bias(cfg, M=20, master_seed=3)
+    whole = weak_convergence_bias(cfg, M=20, master_seed=3)
     monkeypatch.setattr(me, "_ENSEMBLE_BLOCK", 7)
-    np.testing.assert_allclose(me.weak_convergence_bias(cfg, M=20, master_seed=3), whole,
+    np.testing.assert_allclose(weak_convergence_bias(cfg, M=20, master_seed=3), whole,
                                rtol=0, atol=1e-15)

@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from einsum_oracle import einsum_block
-from photonfilter import filter_generic as fg
+from helpers import jump_gain
 from photonfilter import filter_moments as fm
 from photonfilter import sde_engine as se
 from photonfilter import wavepacket as wp
 from photonfilter.config import SimConfig
 from photonfilter.errors import FilterDivergenceError, NonRealInnovationError
+from photonfilter.filter_generic import SLHModel
 from photonfilter.master_ensemble import analytic_mean_photon_series, integrate_master
 
 
@@ -22,7 +23,7 @@ def _noise(cfg, m, seed):
     """Wiener increments as the runner draws them, steps x m."""
     steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
     gens = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(m)]
-    return se._chunk_noise(gens, steps, np.sqrt(cfg.dt))
+    return se._chunk_noise(gens, steps, np.sqrt(cfg.dt), np.empty((steps, m)))
 
 
 def _path_states(cfg, f):
@@ -35,7 +36,7 @@ def _path_states(cfg, f):
 
 def _path_s(cfg):
     """The probability of no count on the RK4 path: |pi01(a)|^2 + tail."""
-    f = fm.compile_filter(fg.SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
+    f = fm.compile_filter(SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
     times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
     s = np.empty(times.size)
     for k, states in se.master_path(cfg, f):
@@ -76,7 +77,7 @@ class TestMasterPath:
     def test_matches_full_state(self, dim, delta, t0):
         # the same RK4 on all 4 D^2 entries; t0 = 3.004 falls inside a step
         cfg = SimConfig(delta=delta, t0=t0, fock_dim=dim, t_end=23.0, dt=1e-2)
-        f = fm.compile_filter(fg.SLHModel.cavity(dim, cfg.kappa, delta))
+        f = fm.compile_filter(SLHModel.cavity(dim, cfg.kappa, delta))
         states = _path_states(cfg, f)
         np.testing.assert_allclose(states, _full_rk4(cfg, f.drift, f.initial),
                                    rtol=0, atol=1e-12)
@@ -138,7 +139,7 @@ class TestGenericFilter:
     def test_support(self, dim, delta):
         # drift and diffusion together: all of block 11 on |0>, |1>, two
         # coherences each in blocks 10 and 01, and |0><0| of block 00
-        f = fm.compile_filter(fg.SLHModel.cavity(dim, 1.0, delta))
+        f = fm.compile_filter(SLHModel.cavity(dim, 1.0, delta))
         on = se._support(f, f.drift, f.diffusion)
         n = dim * dim
         assert [(i // n, i % n % dim, i % n // dim) for i in on] == [
@@ -148,9 +149,9 @@ class TestGenericFilter:
     def test_matches_full_state(self):
         # the same Euler-Maruyama steps on all 4 D^2 entries and shared noise
         cfg = SimConfig(t_end=23.0, dt=1e-2, delta=0.7, fock_dim=3, engine="generic")
-        f = fm.compile_filter(fg.SLHModel.cavity(3, cfg.kappa, cfg.delta))
+        f = fm.compile_filter(SLHModel.cavity(3, cfg.kappa, cfg.delta))
         noise = _noise(cfg, 4, seed=8)
-        stats = se.run_block(cfg, "homodyne", seed_seqs=np.random.SeedSequence(8).spawn(4),
+        stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(8).spawn(4),
                              noise=noise, record_series=True)
         r, record, _ = _full_euler(cfg, f, noise)
         np.testing.assert_allclose(stats.series, r[:, 0].real, rtol=0, atol=1e-12)
@@ -162,9 +163,9 @@ class TestGenericFilter:
         seqs = np.random.SeedSequence(6).spawn(8)
         names = ("sum_n", "sumsq_n", "sum_i00", "sumsq_i00", "n_min", "n_max",
                  "max_pair_dev", "max_im_k", "max_im_n", "max_i11_dev")
-        ref = se.run_block(cfg, "homodyne", seed_seqs=seqs)
+        ref = se.run_block(cfg, seed_seqs=seqs)
         for dim in range(3, 6):
-            stats = se.run_block(cfg.with_(fock_dim=dim), "homodyne", seed_seqs=seqs)
+            stats = se.run_block(cfg.with_(fock_dim=dim), seed_seqs=seqs)
             for name in names:
                 np.testing.assert_array_equal(getattr(stats, name), getattr(ref, name))
 
@@ -181,9 +182,9 @@ class TestGenericFilter:
         tilted = _tilt(monkeypatch, 1e-7, start)
         cfg = SimConfig(kappa=1.0, gamma=1.0, delta=0.7, t0=0.0, dt=0.05, t_end=steps * 0.05,
                         fock_dim=3, engine="generic")
-        f = tilted(fg.SLHModel.cavity(3, cfg.kappa, cfg.delta))
+        f = tilted(SLHModel.cavity(3, cfg.kappa, cfg.delta))
         noise = _noise(cfg, 5, seed=2)
-        stats = se.run_block(cfg, "homodyne", seed_seqs=np.random.SeedSequence(2).spawn(5),
+        stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(2).spawn(5),
                              noise=noise, record_series=True)
         r, record, im = _full_euler(cfg, f, noise)
         v, u = r[:, 0].real, r[:, 2].real
@@ -216,7 +217,7 @@ class TestGenericFilter:
         t = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()[k + 1]
         with pytest.raises(FilterDivergenceError,
                            match=rf"at t={re.escape(f'{t:.6g}')} in trajectory 6$"):
-            se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=noise)
+            se.run_block(cfg, seed_seqs=seqs, noise=noise)
 
     def test_non_real_innovation_names_first_step_and_trajectory(self, monkeypatch):
         # a k row with Im K = 1e-3 pi11(n): |Im K| passes the 1e-6 bound as
@@ -228,13 +229,13 @@ class TestGenericFilter:
         cfg = SimConfig(t_end=8.0, dt=1e-2, delta=0.7, fock_dim=3, engine="generic")
         seqs = np.random.SeedSequence(5).spawn(8)[3:]
         noise = _noise(cfg, 5, seed=5)
-        _, _, im = _full_euler(cfg, tilted(fg.SLHModel.cavity(3, cfg.kappa, cfg.delta)), noise)
-        k, j = divmod(int(np.argmax(im > fg._IM_ERR)), im.shape[1])
+        _, _, im = _full_euler(cfg, tilted(SLHModel.cavity(3, cfg.kappa, cfg.delta)), noise)
+        k, j = divmod(int(np.argmax(im > se._IM_ERR)), im.shape[1])
         t = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()[k]
         noise[k] = np.nan
         with pytest.raises(NonRealInnovationError,
                            match=rf"at t={re.escape(f'{t:.6g}')} in trajectory {3 + j}$"):
-            se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=noise)
+            se.run_block(cfg, seed_seqs=seqs, noise=noise)
 
 
 class TestNoCountPath:
@@ -244,12 +245,14 @@ class TestNoCountPath:
     def test_closed_form(self, delta, gamma, dim):
         # no count so far: the photon is in the cavity or still to come, so
         # s = <n> + tail, and the cavity holds the master equation's <n>
-        cfg = SimConfig(delta=delta, gamma=gamma, fock_dim=dim, t_end=53.0, dt=1e-2)
-        f = fm.compile_filter(fg.SLHModel.cavity(dim, cfg.kappa, delta))
+        cfg = SimConfig(delta=delta, gamma=gamma, fock_dim=dim, t_end=53.0, dt=1e-2,
+                        detector="photocount")
+        model = SLHModel.cavity(dim, cfg.kappa, delta)
+        f = fm.compile_filter(model)
         times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
         w = wp.Wavepacket(gamma, cfg.t0)
         # the unnormalised no-count state: classical RK4 of dx = (Fd - Fj) x dt
-        r = _full_rk4(cfg, f.drift - f.jump_gain, f.initial) @ f.readout.T
+        r = _full_rk4(cfg, f.drift - jump_gain(model), f.initial) @ f.readout.T
         n = analytic_mean_photon_series(cfg, times)
         s = n + wp.tail_norm(w, times)
         np.testing.assert_allclose(r[:, fm.READOUTS.index("i11")], s, rtol=0, atol=1e-10)
@@ -262,7 +265,7 @@ class TestNoCountPath:
             np.testing.assert_allclose(np.abs(me[:, fm.READOUTS.index("a01")]) ** 2,
                                        me[:, 0].real, rtol=0, atol=1e-11)
         # the runner's conditional photon number: n_cond = <n> / s
-        stats = se.run_block(cfg, "photocount", seed_seqs=[np.random.SeedSequence(0)],
+        stats = se.run_block(cfg, seed_seqs=[np.random.SeedSequence(0)],
                              noise=np.zeros(1), record_series=True)
         np.testing.assert_allclose(stats.series[:, 0], n / s, rtol=0, atol=1e-10)
 
@@ -286,8 +289,8 @@ class TestNoCountPath:
         dt = coarse / max(kappa, gamma)
         steps = int(np.ceil((t0 + 20.0 / min(kappa, gamma)) / dt))
         cfg = SimConfig(kappa=kappa, gamma=gamma, delta=delta, t0=t0, t_end=steps * dt,
-                        dt=dt, fock_dim=dim)
-        stats = se.run_block(cfg, "photocount", seed_seqs=[np.random.SeedSequence(0)],
+                        dt=dt, fock_dim=dim, detector="photocount")
+        stats = se.run_block(cfg, seed_seqs=[np.random.SeedSequence(0)],
                              noise=np.zeros(1), record_series=True)
         assert not stats.jump_times[0]
         assert stats.series.min() >= 0.0 and stats.series.max() <= 1.0 + 1e-9
@@ -307,7 +310,7 @@ class TestCascade:
         coarse = fine.reshape(-1, 4, 16).sum(axis=1)
         gaps = []
         for c, noise in ((cfg.with_(dt=4e-3), coarse), (cfg, fine)):
-            a, b = (se.run_block(c.with_(engine=e), "homodyne", seed_seqs=seqs, noise=noise,
+            a, b = (se.run_block(c.with_(engine=e), seed_seqs=seqs, noise=noise,
                                  record_series=True).series for e in ("cascade", "generic"))
             gaps.append(np.sqrt(np.mean((a - b) ** 2)))
         assert gaps[0] <= bounds[0] and gaps[1] <= bounds[1]
@@ -329,7 +332,7 @@ class TestCascade:
         dt = coarse / max(kappa, gamma)
         steps = int(np.ceil((t0 + 10.0 / min(kappa, gamma)) / dt))
         cfg = SimConfig(kappa=kappa, gamma=gamma, delta=delta, t0=t0, t_end=steps * dt, dt=dt)
-        stats = se.run_block(cfg, "homodyne", seed_seqs=np.random.SeedSequence(seed).spawn(8),
+        stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(seed).spawn(8),
                              record_series=True)
         assert stats.series.min() >= 0.0 and stats.series.max() <= 1.0 + 1e-12
         assert stats.n_min == stats.series.min() and stats.n_max == stats.series.max()
@@ -343,7 +346,7 @@ class TestCascade:
         monkeypatch.setattr(se, "master_path", forbidden)
         monkeypatch.setattr(fm, "compile_filter", forbidden)
         cfg = SimConfig(t_end=53.0, dt=1e-2, detector="photocount")
-        stats = se.run_block(cfg, "photocount", seed_seqs=np.random.SeedSequence(4).spawn(50),
+        stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(4).spawn(50),
                              record_series=True)
         assert stats.jump_counts.sum() > 0
         assert 0.0 <= stats.n_min <= stats.n_max <= 1.0
@@ -372,12 +375,12 @@ class TestNoise:
     def test_wiener_increment_mean(self):
         n = 10**6
         dt = 1e-3
-        dw = se._chunk_noise([np.random.default_rng(0)], n, np.sqrt(dt))
+        dw = se._chunk_noise([np.random.default_rng(0)], n, np.sqrt(dt), np.empty((n, 1)))
         assert abs(dw.mean()) <= 3.0 * np.sqrt(dt / n)
 
     def test_wiener_increment_deterministic(self):
-        a = se._chunk_noise([np.random.default_rng(7)], 3, np.sqrt(1e-3))
-        b = se._chunk_noise([np.random.default_rng(7)], 3, np.sqrt(1e-3))
+        a = se._chunk_noise([np.random.default_rng(7)], 3, np.sqrt(1e-3), np.empty((3, 1)))
+        b = se._chunk_noise([np.random.default_rng(7)], 3, np.sqrt(1e-3), np.empty((3, 1)))
         np.testing.assert_array_equal(a, b)
 
     def test_jump_draw_never_fires_at_zero(self):
@@ -385,7 +388,7 @@ class TestNoise:
         # uniforms of 1, which count as soon as s falls below 1, draw no count
         cfg = SimConfig(t0=5.0, t_end=6.0, dt=1e-2, detector="photocount")
         seqs = np.random.SeedSequence(0).spawn(4)
-        stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.ones(4),
+        stats = se.run_block(cfg, seed_seqs=seqs, noise=np.ones(4),
                              record_series=True)
         assert all(times == [pytest.approx(5.01)] for times in stats.jump_times)
         # every trajectory has counted: the runner stops, and the rest of
@@ -401,7 +404,7 @@ class TestNoise:
         # With M = 2000 the counted fraction has sd 0.0105; the bound is 4 sd.
         cfg = SimConfig(t_end=23.0, dt=1e-2, detector="photocount", engine=engine)
         seqs = np.random.SeedSequence(1).spawn(2000)
-        blocks = [se.run_block(cfg, "photocount", seed_seqs=seqs[lo:lo + 500])
+        blocks = [se.run_block(cfg, seed_seqs=seqs[lo:lo + 500])
                   for lo in range(0, 2000, 500)]
         counted = np.concatenate([b.jump_counts for b in blocks])
         expect = 1.0 - 5.0 * np.exp(-2.0)
@@ -425,7 +428,7 @@ class TestNoise:
         # its record reads 1 from there on and its photon number 0
         cfg = SimConfig(t_end=53.0, dt=1e-2, detector="photocount", engine=engine)
         v = np.array([0.2, 0.9, 0.01, 0.5, 0.9])
-        stats = se.run_block(cfg, "photocount", seed_seqs=np.random.SeedSequence(0).spawn(5),
+        stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(0).spawn(5),
                              noise=v, record_series=True)
         times = stats.times
         n = analytic_mean_photon_series(cfg, times)
@@ -438,13 +441,41 @@ class TestNoise:
             np.testing.assert_allclose(stats.series[~after, j], (n / s)[~after], rtol=0, atol=1e-10)
         np.testing.assert_allclose(stats.sum_n, stats.series.sum(axis=1), rtol=0, atol=1e-12)
 
+    def test_jump_draw_through_underflow(self):
+        # gamma (t - t0) reaches 750 on this grid: the tail underflows to 0
+        # and s = <n> + tail falls below the smallest normal double.  Where a
+        # uniform the runner draws (0 or at least 2^-53) can wait, s never
+        # rises, so each uniform counts at the first row where s falls below
+        # it.  With tiny uniforms among them, the run ends with finite sums,
+        # at most one count each and n in [0, 1]
+        cfg = SimConfig(t_end=7503.0, dt=0.5, detector="photocount")
+        times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
+        w = wp.Wavepacket(cfg.gamma, cfg.t0)
+        s = analytic_mean_photon_series(cfg, times) + wp.tail_norm(w, times)
+        assert wp.tail_norm(w, times[-1]) == 0.0 and s[-1] < np.finfo(float).tiny
+        waits = s[:-1] >= 2.0**-53
+        assert (s[1:][waits] <= s[:-1][waits]).all()
+        v = np.array([2.0**-53, 1e-12, 1e-6, 0.3, 1.0 - 2.0**-53])
+        seqs = np.random.SeedSequence(0).spawn(200)
+        for noise, m in ((v, v.size), (None, 200)):
+            stats = se.run_block(cfg, seed_seqs=seqs[:m], noise=noise, record_series=True)
+            for name in ("sum_n", "sumsq_n", "sum_i00", "sumsq_i00"):
+                assert np.isfinite(getattr(stats, name)).all(), name
+            assert [len(t) for t in stats.jump_times] == [1] * m
+            assert (stats.jump_counts == 1).all() and (stats.record[-1] == 1.0).all()
+            assert 0.0 <= stats.n_min <= stats.n_max <= 1.0
+            assert 0.0 <= stats.series.min() and stats.series.max() <= 1.0
+            if noise is v:
+                assert [t[0] for t in stats.jump_times] == [times[np.argmax(s < x)] for x in v]
+
     def test_jump_draw_guards(self):
         # a grid coarser than the validator allows (s falls by 15% in the
         # step after t0): the closed-form s stays the exact probability of no
         # count, so with none (uniforms of 0) the run finishes with n in [0, 1]
-        cfg = SimpleNamespace(kappa=0.1, gamma=0.1, delta=0.0, t0=2.0, t_end=8.0, dt=2.0)
+        cfg = SimpleNamespace(kappa=0.1, gamma=0.1, delta=0.0, t0=2.0, t_end=8.0, dt=2.0,
+                              detector="photocount")
         seqs = np.random.SeedSequence(0).spawn(3)
-        stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.zeros(3),
+        stats = se.run_block(cfg, seed_seqs=seqs, noise=np.zeros(3),
                              record_series=True)
         assert not any(stats.jump_times)
         assert 0.0 <= stats.series.min() and stats.series.max() <= 1.0
@@ -452,7 +483,7 @@ class TestNoise:
         # path stays physical to the end (an Euler no-jump step passes n = 1
         # at t = 88.5 here and a count probability of 0.1 per step at t = 141.03)
         cfg = SimConfig(t_end=203.0, dt=1e-2, detector="photocount")
-        stats = se.run_block(cfg, "photocount", seed_seqs=seqs, noise=np.zeros(3),
+        stats = se.run_block(cfg, seed_seqs=seqs, noise=np.zeros(3),
                              record_series=True)
         assert not any(stats.jump_times)
         assert 0.0 <= stats.series.min() and stats.series.max() <= 1.0
@@ -472,11 +503,11 @@ class TestNoiseChunks:
         assert steps % se._SUB and steps % se._CHUNK and steps > se._CHUNK
         seqs = np.random.SeedSequence(12).spawn(5)
         noise = _noise(cfg, 5, seed=12)
-        ref = se.run_block(cfg, "homodyne", seed_seqs=seqs, record_series=True)
+        ref = se.run_block(cfg, seed_seqs=seqs, record_series=True)
         for chunk in (se._SUB, 5 * se._SUB, se._CHUNK, steps + 1):
             monkeypatch.setattr(se, "_CHUNK", chunk)
             for given in (None, noise):
-                stats = se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=given,
+                stats = se.run_block(cfg, seed_seqs=seqs, noise=given,
                                      record_series=True)
                 for fld in fields(se.BlockStats):
                     np.testing.assert_array_equal(getattr(stats, fld.name),
@@ -497,7 +528,7 @@ class TestNoiseChunks:
         t = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()[k + 1]
         with pytest.raises(FilterDivergenceError,
                            match=rf"at t={re.escape(f'{t:.6g}')} in trajectory 5$"):
-            se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=noise)
+            se.run_block(cfg, seed_seqs=seqs, noise=noise)
 
     @pytest.mark.parametrize("engine,detector", [("cascade", "homodyne"),
                                                  ("generic", "homodyne"),
@@ -505,7 +536,7 @@ class TestNoiseChunks:
     def test_noise_shape_checked(self, engine, detector):
         # too few steps, the wrong m, or one column for all trajectories:
         # the block raises rather than broadcast or count nothing
-        cfg = SimConfig(t_end=5.0, dt=5e-2, engine=engine)
+        cfg = SimConfig(t_end=5.0, dt=5e-2, engine=engine, detector=detector)
         steps, m = 100, 3
         seqs = np.random.SeedSequence(0).spawn(m)
         if detector == "homodyne":
@@ -514,8 +545,8 @@ class TestNoiseChunks:
             want, bad = (m,), [(m - 1,), (m + 1,), (steps, 1), (steps, m)]
         for shape in bad:
             with pytest.raises(ValueError, match=re.escape(f"shape {want}, got {shape}")):
-                se.run_block(cfg, detector, seed_seqs=seqs, noise=np.full(shape, 0.5))
-        se.run_block(cfg, detector, seed_seqs=seqs, noise=np.full(want, 0.5))
+                se.run_block(cfg, seed_seqs=seqs, noise=np.full(shape, 0.5))
+        se.run_block(cfg, seed_seqs=seqs, noise=np.full(want, 0.5))
 
     @pytest.mark.parametrize("engine,m,cfg,bound_mb", [
         # 4600 steps: a block that held 4096 steps of increments peaked at 19.4 MB
@@ -528,10 +559,10 @@ class TestNoiseChunks:
         # a block holds one chunk of increments, not its whole grid
         cfg = cfg.with_(engine=engine)
         seqs = np.random.SeedSequence(1).spawn(m)
-        se.run_block(cfg, "homodyne", seed_seqs=seqs[:2])  # lazy imports and caches
+        se.run_block(cfg, seed_seqs=seqs[:2])  # lazy imports and caches
         tracemalloc.start()
         try:
-            se.run_block(cfg, "homodyne", seed_seqs=seqs)
+            se.run_block(cfg, seed_seqs=seqs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -557,7 +588,7 @@ class TestTrajectory:
         # step of the drift
         cfg = SimConfig(t_end=33.0, dt=1e-2, engine="generic")
         steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
-        stats = se.run_block(cfg, "homodyne", seed_seqs=[np.random.SeedSequence(0)],
+        stats = se.run_block(cfg, seed_seqs=[np.random.SeedSequence(0)],
                              noise=np.zeros((steps, 1)), record_series=True)
         me = integrate_master(cfg)
         # explicit Euler vs RK4: O(dt) agreement
@@ -568,7 +599,7 @@ class TestTrajectory:
         cfg = SimConfig(t_end=8.0, dt=1e-3, fock_dim=3, detector="homodyne", engine="generic")
         noise = _noise(cfg, 2, seed=5)
         seqs = np.random.SeedSequence(5).spawn(2)
-        a = se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=noise, record_series=True)
+        a = se.run_block(cfg, seed_seqs=seqs, noise=noise, record_series=True)
         series, record, _ = einsum_block(cfg, "homodyne", noise)
         assert np.abs(a.series - series).max() <= 1e-12
         assert np.abs(a.record - record).max() <= 1e-12
@@ -581,7 +612,7 @@ class TestTrajectory:
         devs = []
         for c in (cfg, cfg.with_(dt=5e-3)):
             ones = np.ones((se.SimGrid(0.0, c.t_end, c.dt).steps, 1))
-            b = se.run_block(c, "photocount", seed_seqs=[np.random.SeedSequence(9)],
+            b = se.run_block(c, seed_seqs=[np.random.SeedSequence(9)],
                              noise=np.zeros(1), record_series=True)
             devs.append(np.abs(b.series - einsum_block(c, "photocount", ones)[0]).max())
         assert devs[0] <= 5e-4 and 1.8 <= devs[0] / devs[1] <= 2.2
@@ -603,7 +634,7 @@ class TestTrajectory:
         # summation-order rounding, which depends on the batch width)
         cfg = SimConfig(t_end=13.0, dt=1e-2)
         children = np.random.SeedSequence(11).spawn(3)
-        block = se.run_block(cfg, "homodyne", seed_seqs=children, record_series=True)
+        block = se.run_block(cfg, seed_seqs=children, record_series=True)
         for j, child in enumerate(children):
             solo = se.simulate_trajectory(cfg, seed=child)
             np.testing.assert_allclose(block.series[:, j], solo.n_cond, atol=1e-13)
@@ -621,4 +652,4 @@ class TestTrajectory:
         noise = _noise(cfg, 4, seed=3)
         noise[250, 2] = np.nan
         with pytest.raises(FilterDivergenceError, match=r"at t=2\.51 in trajectory 6$"):
-            se.run_block(cfg, "homodyne", seed_seqs=seqs, noise=noise)
+            se.run_block(cfg, seed_seqs=seqs, noise=noise)
