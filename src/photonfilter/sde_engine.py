@@ -5,15 +5,16 @@ ensemble spawns child i of the master seed for trajectory i), so results do
 not depend on scheduling, and a trajectory inside a block matches the same
 trajectory run alone to rounding.  :func:`run_block` runs a block in
 lock-step: homodyne detection by Euler-Maruyama on the cascade's pure state
-or on the filter compiled by :mod:`photonfilter.filter_moments` (in
-sub-chunks of steps that share one evaluation of the maps, one pass of the
-guards and one of the sums), photon counting by inverting the probability
-of no count, one uniform per trajectory.  Every error names the time and
-the trajectory.
+(on Python floats when the block holds one trajectory) or on the filter
+compiled by :mod:`photonfilter.filter_moments` (in sub-chunks of steps that
+share one evaluation of the maps, one pass of the guards and one of the
+sums), photon counting by inverting the probability of no count, one
+uniform per trajectory.  Every error names the time and the trajectory.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,12 +223,13 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
     one uniform per trajectory and counts where the closed-form probability
     of no count falls below it (:func:`_first_passage`).
     ``cfg.engine`` selects the homodyne filter: ``cascade`` steps one complex
-    amplitude per trajectory (:func:`_cascade`); ``generic`` compiles the filter
-    once from the cavity's (S, L, H) at ``cfg.fock_dim`` and restricts it to the
-    nine entries its drift and diffusion reach from the vacuum (:func:`_support`;
-    the -K x term only rescales), the same at every D.  It steps in sub-chunks
-    of ``_SUB`` steps: one product evaluates the stacked map [Fd dt; Fg; k] at
-    every step's xi(t), a step is one (19 x 9) . (9 x m) product, the Euler
+    amplitude per trajectory (:func:`_cascade`), on Python floats in a block
+    of one; ``generic`` compiles the filter once from the cavity's (S, L, H)
+    at ``cfg.fock_dim`` and restricts it to the nine entries its drift and
+    diffusion reach from the vacuum (:func:`_support`; the -K x term only
+    rescales), the same at every D.  It steps in sub-chunks of ``_SUB``
+    steps: one product evaluates the stacked map [Fd dt; Fg; k] at every
+    step's xi(t), a step is one (19 x 9) . (9 x m) product, the Euler
     update and the readout into a buffer, and the guards (:func:`_guard`) and
     sums (:func:`_accumulate`) then run once over the sub-chunk's rows.
     Both homodyne engines draw their Wiener increments ``_CHUNK`` steps at a
@@ -326,6 +328,10 @@ def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
     increment in the block's noise buffer (:func:`_noise_chunks`, which
     copies ``noise`` in rather than writing to it), :func:`_fold_cascade`
     takes the sums per chunk, and the last row's N carries to the next.
+    A block steps as (2 x m) arrays, except a block of one trajectory (a
+    ``trajectory`` run, or an ensemble block that holds one), which steps on
+    Python floats (:func:`_cascade_floats`): a step is a few flops, and on
+    length-1 arrays the numpy calls' overhead cost about ten times as much.
     """
     times, dt = stats.times, cfg.dt
     w = wp.Wavepacket(cfg.gamma, cfg.t0)
@@ -338,18 +344,53 @@ def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
     y, tmp = np.empty(stats.m), np.empty((2, stats.m))
     _fold_cascade(stats, 0, bb, np.ones((1, stats.m)), seed_seqs)
     for start, nz in _noise_chunks(gens, len(times) - 1, np.sqrt(dt), noise):
-        for i, k in enumerate(range(start, start + len(nz))):
-            np.dot(gain[k], c, out=y)
-            y /= nrm
-            y += nz[i]  # dY = K dt + dW
-            c += np.multiply(fc[k], y, out=tmp)
-            np.multiply(c, c, out=tmp)
-            nrm = np.add(tmp[0], tmp[1], out=nz[i])
-            nrm += floor[k + 1]
+        stop = start + len(nz)
+        if stats.m == 1:
+            ys = _cascade_floats(c, nrm, gain[start:stop], fc[start:stop, :, 0],
+                                 floor[start + 1:stop + 1], nz)
             if stats.record is not None:
-                stats.record[k + 1] = y
+                stats.record[start + 1:stop + 1, 0] = ys
+        else:
+            for i, k in enumerate(range(start, stop)):
+                np.dot(gain[k], c, out=y)
+                y /= nrm
+                y += nz[i]  # dY = K dt + dW
+                c += np.multiply(fc[k], y, out=tmp)
+                np.multiply(c, c, out=tmp)
+                nrm = np.add(tmp[0], tmp[1], out=nz[i])
+                nrm += floor[k + 1]
+                if stats.record is not None:
+                    stats.record[k + 1] = y
         nrm = nz[-1].copy()
         _fold_cascade(stats, start + 1, bb, nz, seed_seqs)
+
+
+def _cascade_floats(c, nrm, gain, fc, floor, nz) -> list[float]:
+    """The steps of :func:`_cascade` over one chunk for a block of one
+    trajectory, on Python floats: at m = 1 each of the block loop's numpy
+    calls costs far more than its few flops.  The same operations in the same
+    order; only the block's ``np.dot`` may round differently.  ``c`` (2 x 1)
+    and ``nrm`` (1,) hold the state before the chunk, ``c`` is left holding it
+    after; each step's N overwrites its increment in ``nz``.  Returns the
+    steps' dY."""
+    (c0,), (c1,) = c.tolist()
+    n = float(nrm[0])
+    ys, ns = [], []
+    for (g0, g1), (fr, fi), fl, dw in zip(gain.tolist(), fc.tolist(), floor.tolist(),
+                                        nz[:, 0].tolist()):
+        num = g0 * c0 + g1 * c1
+        try:
+            y = num / n + dw  # dY = K dt + dW
+        except ZeroDivisionError:  # N underflowed to +0; numpy's x / +0 is x * inf
+            y = num * math.inf + dw
+        c0 += fr * y
+        c1 += fi * y
+        n = c0 * c0 + c1 * c1 + fl
+        ys.append(y)
+        ns.append(n)
+    c[:, 0] = c0, c1
+    nz[:, 0] = ns
+    return ys
 
 
 def _fold_cascade(stats: BlockStats, k: int, bb: np.ndarray, nrm: np.ndarray, seed_seqs):
@@ -389,20 +430,20 @@ def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) ->
     # the largest V count first, at the rows where that number drops.
     live = np.searchsorted(v[order], np.fmin.accumulate(s), side="right")
     at[order[live[-1]:][::-1]] = np.repeat(rows, -np.diff(live, prepend=stats.m))
-    n, u = n_me / s, 1.0 / s
-    bad = ~np.isfinite(n) & (live > 0)
+    e = int(np.count_nonzero(live))  # the rows someone waits at: a prefix
+    n, u, live = n_me[:e] / s[:e], 1.0 / s[:e], live[:e]
+    bad = ~np.isfinite(n)
     if bad.any():
         i = int(np.argmax(bad))
         _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {n[i]}", times[i],
               seed_seqs, np.argmax(at > i))
-    e = int(np.count_nonzero(live))  # the rows someone waits at: a prefix
-    stats.n_min, stats.n_max = float(n[:e].min()), float(n[:e].max())
+    stats.n_min, stats.n_max = float(n.min()), float(n.max())
     for name, val in (("sum_n", n), ("sumsq_n", n * n), ("sum_i00", u), ("sumsq_i00", u * u)):
-        getattr(stats, name)[:e] = val[:e] * live[:e]
+        getattr(stats, name)[:e] = val * live
     stats.jump_counts[:] = counted = at < times.size
     stats.jump_times = [[float(times[k])] if c else [] for k, c in zip(at, counted)]
     if stats.series is not None:
-        stats.series[:] = np.where(at > rows[:, None], n[:, None], 0.0)
+        stats.series[:e] = np.where(at > rows[:e, None], n[:, None], 0.0)
         stats.record[:] = rows[:, None] >= at
 
 
@@ -434,7 +475,8 @@ def simulate_trajectory(cfg: SimConfig, seed=None) -> Trajectory:
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; by default the
     config's seed is used.  The record holds dY increments for homodyne
-    detection and cumulative counts for photon counting.
+    detection and cumulative counts for photon counting.  It runs a block of
+    one, so the cascade steps on Python floats (:func:`_cascade`).
     """
     seed = cfg.seed if seed is None else seed
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

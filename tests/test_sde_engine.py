@@ -337,6 +337,22 @@ class TestCascade:
         assert stats.series.min() >= 0.0 and stats.series.max() <= 1.0 + 1e-12
         assert stats.n_min == stats.series.min() and stats.n_max == stats.series.max()
 
+    def test_divergence_past_underflow_same_at_one_and_two(self):
+        # with no noise c stays 0 and N = alpha^2 + |beta|^2 underflows to +0
+        # at t = 7587 (dt 0.5); the next step's K dt = 0 / 0.  A block of one
+        # steps on Python floats, where that division would raise
+        # ZeroDivisionError, and must raise what the array loop of a wider
+        # block raises.  Both fold 1 / N of subnormal N on the way (0 * inf
+        # in the sums), so the numpy warnings are silenced for these calls
+        cfg = SimConfig(t_end=8503.0, dt=0.5)
+        steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
+        for m in (1, 2):
+            with np.errstate(all="ignore"), pytest.raises(
+                    FilterDivergenceError,
+                    match=r"^filter diverged to pi11\(n\) = nan at t=7587\.5 in trajectory 0$"):
+                se.run_block(cfg, seed_seqs=np.random.SeedSequence(0).spawn(m),
+                             noise=np.zeros((steps, m)))
+
     def test_photocount_without_compiled_filter(self, monkeypatch):
         # photon counting reads s = alpha^2 + |beta|^2 in closed form: it
         # neither compiles the filter nor integrates the master equation
@@ -441,13 +457,15 @@ class TestNoise:
             np.testing.assert_allclose(stats.series[~after, j], (n / s)[~after], rtol=0, atol=1e-10)
         np.testing.assert_allclose(stats.sum_n, stats.series.sum(axis=1), rtol=0, atol=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_jump_draw_through_underflow(self):
         # gamma (t - t0) reaches 750 on this grid: the tail underflows to 0
         # and s = <n> + tail falls below the smallest normal double.  Where a
         # uniform the runner draws (0 or at least 2^-53) can wait, s never
         # rises, so each uniform counts at the first row where s falls below
         # it.  With tiny uniforms among them, the run ends with finite sums,
-        # at most one count each and n in [0, 1]
+        # at most one count each and n in [0, 1], and without a numpy warning:
+        # n and 1 / s are formed on the rows someone waits at only
         cfg = SimConfig(t_end=7503.0, dt=0.5, detector="photocount")
         times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
         w = wp.Wavepacket(cfg.gamma, cfg.t0)
@@ -493,16 +511,19 @@ class TestNoiseChunks:
     # both homodyne engines draw their increments in chunks of _CHUNK steps
     # into one buffer per block
 
-    @pytest.mark.parametrize("engine", ["cascade", "generic"])
-    def test_chunk_size_does_not_matter(self, engine, monkeypatch):
+    @pytest.mark.parametrize("engine,m", [("cascade", 5), ("generic", 5), ("cascade", 1)],
+                             ids=["cascade", "generic", "cascade-m1"])
+    def test_chunk_size_does_not_matter(self, engine, m, monkeypatch):
         # 1003 steps end in a partial chunk at every size tried; whether a
         # block draws its own increments or is given the same ones, in one
-        # chunk or in many, every output is the same to the bit
+        # chunk or in many, every output is the same to the bit (a block of
+        # one cascade trajectory steps on floats and carries its state
+        # across chunks in the block's arrays)
         cfg = SimConfig(t_end=10.03, dt=1e-2, delta=0.7, engine=engine)
         steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
         assert steps % se._SUB and steps % se._CHUNK and steps > se._CHUNK
-        seqs = np.random.SeedSequence(12).spawn(5)
-        noise = _noise(cfg, 5, seed=12)
+        seqs = np.random.SeedSequence(12).spawn(m)
+        noise = _noise(cfg, m, seed=12)
         ref = se.run_block(cfg, seed_seqs=seqs, record_series=True)
         for chunk in (se._SUB, 5 * se._SUB, se._CHUNK, steps + 1):
             monkeypatch.setattr(se, "_CHUNK", chunk)
@@ -512,19 +533,22 @@ class TestNoiseChunks:
                 for fld in fields(se.BlockStats):
                     np.testing.assert_array_equal(getattr(stats, fld.name),
                                                   getattr(ref, fld.name), err_msg=fld.name)
-        np.testing.assert_array_equal(noise, _noise(cfg, 5, seed=12))  # only read
+        np.testing.assert_array_equal(noise, _noise(cfg, m, seed=12))  # only read
 
-    @pytest.mark.parametrize("engine", ["cascade", "generic"])
+    @pytest.mark.parametrize("engine,m", [("cascade", 4), ("generic", 4), ("cascade", 1)],
+                             ids=["cascade", "generic", "cascade-m1"])
     @pytest.mark.parametrize("k", [se._CHUNK - 1, se._CHUNK, 2 * se._CHUNK],
                              ids=["chunk-end", "chunk-start", "third-chunk-start"])
-    def test_divergence_at_chunk_boundary(self, engine, k):
-        # trajectories 4..7 of an ensemble; a NaN increment in the second
-        # column at step k makes the state non-finite at the next grid time,
-        # on the last step of a chunk and on the first of a later one
+    def test_divergence_at_chunk_boundary(self, engine, m, k):
+        # trajectories 4..7 of an ensemble (or trajectory 5 alone); a NaN
+        # increment in trajectory 5's column at step k makes the state
+        # non-finite at the next grid time, on the last step of a chunk and
+        # on the first of a later one
         cfg = SimConfig(t_end=13.0, dt=1e-2, engine=engine)
-        seqs = np.random.SeedSequence(3).spawn(8)[4:]
-        noise = _noise(cfg, 4, seed=3)
-        noise[k, 1] = np.nan
+        lo = 5 if m == 1 else 4
+        seqs = np.random.SeedSequence(3).spawn(8)[lo:lo + m]
+        noise = _noise(cfg, m, seed=3)
+        noise[k, 5 - lo] = np.nan
         t = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()[k + 1]
         with pytest.raises(FilterDivergenceError,
                            match=rf"at t={re.escape(f'{t:.6g}')} in trajectory 5$"):
@@ -630,14 +654,18 @@ class TestTrajectory:
         assert jumps_seen > 0
 
     def test_trajectory_in_block_matches_alone(self):
-        # batching must not change any individual trajectory (up to BLAS
-        # summation-order rounding, which depends on the batch width)
-        cfg = SimConfig(t_end=13.0, dt=1e-2)
+        # batching must not change any individual trajectory.  Alone, a
+        # trajectory steps on Python floats; in a block, on arrays, where
+        # the gain's np.dot with (Re c, Im c) may round differently.  At
+        # delta = 0 f is real, Im c stays 0 and the two agree to the bit
         children = np.random.SeedSequence(11).spawn(3)
-        block = se.run_block(cfg, seed_seqs=children, record_series=True)
-        for j, child in enumerate(children):
-            solo = se.simulate_trajectory(cfg, seed=child)
-            np.testing.assert_allclose(block.series[:, j], solo.n_cond, atol=1e-13)
+        for delta, atol in ((0.0, 0.0), (0.7, 1e-15)):
+            cfg = SimConfig(t_end=13.0, dt=1e-2, delta=delta)
+            block = se.run_block(cfg, seed_seqs=children, record_series=True)
+            for j, child in enumerate(children):
+                solo = se.simulate_trajectory(cfg, seed=child)
+                np.testing.assert_allclose(block.series[:, j], solo.n_cond, rtol=0, atol=atol)
+                np.testing.assert_allclose(block.record[:, j], solo.record, rtol=0, atol=atol)
 
     def test_unknown_engine(self):
         for engine in ("exact", "moments"):
