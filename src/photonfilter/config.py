@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict, replace
 
 DETECTORS = ("homodyne", "photocount")
@@ -33,6 +34,10 @@ class SimConfig:
     detector: str = "homodyne"
 
     def __post_init__(self) -> None:
+        # A nan passes every comparison below; an inf breaks the grid or the model.
+        for name in ("kappa", "gamma", "delta", "t0", "t_end", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kappa <= 0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
         if self.gamma <= 0:

@@ -40,10 +40,11 @@ from .filter_generic import SLHModel
 B11, B10, B01, B00 = range(4)
 ONE, XI, CXI, AXI2 = range(4)
 
-# Rows of the readout matrix: pi^{ij}(X) for the invariants the runner
-# accumulates; "d" is a^dag, "a" the annihilation operator.  The runner
-# relies on this order: n11 first, the conjugation pairs adjacent.
-READOUTS = ("n11", "n00", "i00", "i11", "d10", "a01", "i10", "i01", "d01", "a10")
+# Rows of the readout matrix: pi^{ij}(X), "a" being the annihilation
+# operator.  The runner reads the first three, in this order: n11 (the
+# photon number) and its residuals Im pi00(n) and pi11(I) - 1.  a01 gives
+# the master equation's no-count probability (verify and the tests).
+READOUTS = ("n11", "n00", "i11", "a01")
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,7 @@ def compile_filter(model: SLHModel) -> CompiledFilter:
     ])
     k = _row(dim, [(ONE, B11, L + Ld), (CXI, B10, Sd), (XI, B01, S)])
 
-    a = ops.annihilation(dim)
-    x_of = {"n": ops.number_op(dim), "i": eye, "d": a.conj().T, "a": a}
+    x_of = {"n": ops.number_op(dim), "i": eye, "a": ops.annihilation(dim)}
     blk_of = {"11": B11, "10": B10, "01": B01, "00": B00}
     # The readout operators are real in the Fock basis.
     readout = np.stack([

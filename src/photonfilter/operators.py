@@ -27,11 +27,6 @@ def annihilation(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(np.complex128)
 
 
-def creation(dim: int) -> np.ndarray:
-    """Creation operator ``a^dag``, the conjugate transpose of :func:`annihilation`."""
-    return annihilation(dim).conj().T
-
-
 def number_op(dim: int) -> np.ndarray:
     """Number operator n = a^dag a = diag(0, 1, ..., dim-1)."""
     if dim < 1:
@@ -44,11 +39,3 @@ def identity(dim: int) -> np.ndarray:
         raise ValueError(f"Fock dimension must be >= 1, got {dim}")
     return np.eye(dim, dtype=np.complex128)
 
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[A, B] = AB - BA for square matrices of equal dimension."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch in commutator: {a.shape} vs {b.shape}")
-    return a @ b - b @ a

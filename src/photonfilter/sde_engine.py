@@ -15,7 +15,7 @@ uniform per trajectory.  Every error names the time and the trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,24 +77,27 @@ class Trajectory:
 
 @dataclass
 class BlockStats:
-    """Per-block accumulators; ensembles fold these in trajectory-index order."""
+    """Per-block accumulators; ensembles fold these in trajectory-index order.
+
+    ``sum_n`` and ``sumsq_n`` hold the sums of n and n^2 over the block's
+    trajectories at each grid time, ``count_times`` each trajectory's count
+    time (NaN where it has none; only photon counting counts).  The generic
+    filter also tracks its residuals: |Im K|, the imaginary parts of
+    pi11(n) and pi00(n), and |pi11(I) - 1|.
+    """
 
     m: int
     times: np.ndarray
     sum_n: np.ndarray
     sumsq_n: np.ndarray
-    sum_i00: np.ndarray
-    sumsq_i00: np.ndarray
-    jump_counts: np.ndarray
+    count_times: np.ndarray
     n_min: float = np.inf
     n_max: float = -np.inf
-    max_pair_dev: float = 0.0
     max_im_k: float = 0.0
     max_im_n: float = 0.0
     max_i11_dev: float = 0.0
     series: np.ndarray | None = None
     record: np.ndarray | None = None
-    jump_times: list[list[float]] = field(default_factory=list)
 
 
 def _fold(blocks: list[BlockStats]) -> BlockStats:
@@ -102,13 +105,12 @@ def _fold(blocks: list[BlockStats]) -> BlockStats:
     out = blocks[0]
     for b in blocks[1:]:
         out.m += b.m
-        for name in ("sum_n", "sumsq_n", "sum_i00", "sumsq_i00"):
-            getattr(out, name)[:] += getattr(b, name)
-        for name in ("n_max", "max_pair_dev", "max_im_k", "max_im_n", "max_i11_dev"):
+        out.sum_n += b.sum_n
+        out.sumsq_n += b.sumsq_n
+        for name in ("n_max", "max_im_k", "max_im_n", "max_i11_dev"):
             setattr(out, name, max(getattr(out, name), getattr(b, name)))
         out.n_min = min(out.n_min, b.n_min)
-        out.jump_counts = np.concatenate([out.jump_counts, b.jump_counts])
-        out.jump_times.extend(b.jump_times)
+    out.count_times = np.concatenate([b.count_times for b in blocks])
     return out
 
 
@@ -248,8 +250,7 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
             raise ValueError(f"noise for {cfg.detector} detection must have shape {want}, "
                              f"got {np.shape(noise)}")
     gens = [np.random.default_rng(ss) for ss in seed_seqs]
-    stats = BlockStats(m, times, *(np.zeros(steps + 1) for _ in range(4)),
-                       jump_counts=np.zeros(m, dtype=np.int64), jump_times=[[] for _ in range(m)])
+    stats = BlockStats(m, times, np.zeros(steps + 1), np.zeros(steps + 1), np.full(m, np.nan))
     if record_series:
         stats.series, stats.record = np.zeros((steps + 1, m)), np.zeros((steps + 1, m))
     if cfg.detector != "homodyne":
@@ -263,13 +264,14 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
     d, sq = on.size, np.ix_(range(4), on, on)
     # A step's map: rows :d give Fd x dt, rows d:2d Fg x and the last k . x.
     stack = np.concatenate([f.drift[sq] * cfg.dt, f.diffusion[sq], f.k[:, None, on]], axis=1)
-    readout, x = f.readout[:, on], np.repeat(f.initial[on, None], m, axis=1)
+    # The readouts the runner reads: n11, n00 and i11 (fm.READOUTS).
+    readout, x = f.readout[:3, on], np.repeat(f.initial[on, None], m, axis=1)
     del f  # the full maps are not held while stepping
     xi_arr = wp.xi(wp.Wavepacket(cfg.gamma, cfg.t0), times[:-1])
     y = np.empty((2 * d + 1, m), dtype=np.complex128)
     fx = np.empty((d, m), dtype=np.complex128)
     kx = np.empty((_SUB, m), dtype=np.complex128)  # K of each step, before Re
-    r = np.empty((_SUB, len(fm.READOUTS), m), dtype=np.complex128)
+    r = np.empty((_SUB, len(readout), m), dtype=np.complex128)
     _readout(readout, x, r[0])
     _accumulate(stats, 0, r[:1])
     if record_series:
@@ -323,11 +325,11 @@ def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
     alpha^2 = tail_norm and beta (:func:`wavepacket.cavity_amplitude`) do not
     see the record; only c does, with f = xi + sqrt(kappa) beta:
     dc = f (K dt + dW), K = 2 Re(conj(c) f) / N, N = alpha^2 + |beta|^2 + |c|^2.
-    n = |beta|^2 / N is in [0, 1] by construction and pi00(I) = 1 / N.  The
-    noise is additive (strong order 1).  Each step's N overwrites its spent
-    increment in the block's noise buffer (:func:`_noise_chunks`, which
-    copies ``noise`` in rather than writing to it), :func:`_fold_cascade`
-    takes the sums per chunk, and the last row's N carries to the next.
+    n = |beta|^2 / N is in [0, 1] by construction.  The noise is additive
+    (strong order 1).  Each step's N overwrites its spent increment in the
+    block's noise buffer (:func:`_noise_chunks`, which copies ``noise`` in
+    rather than writing to it), :func:`_fold_cascade` takes the sums per
+    chunk, and the last row's N carries to the next.
     A block steps as (2 x m) arrays, except a block of one trajectory (a
     ``trajectory`` run, or an ensemble block that holds one), which steps on
     Python floats (:func:`_cascade_floats`): a step is a few flops, and on
@@ -394,8 +396,9 @@ def _cascade_floats(c, nrm, gain, fc, floor, nz) -> list[float]:
 
 
 def _fold_cascade(stats: BlockStats, k: int, bb: np.ndarray, nrm: np.ndarray, seed_seqs):
-    """Fold the norms N of rows k, k + 1, ..., which become 1 / N: every sum
-    follows from the row sums of 1 / N and of its square."""
+    """Fold the norms N of rows k, k + 1, ..., which become 1 / N: with n =
+    |beta|^2 / N, the sums of n and n^2 are |beta|^2 and |beta|^4 times the
+    row sums of 1 / N and of its square."""
     finite = np.isfinite(nrm)
     if not finite.all():
         i, j = divmod(int(np.argmin(finite)), nrm.shape[1])
@@ -403,8 +406,8 @@ def _fold_cascade(stats: BlockStats, k: int, bb: np.ndarray, nrm: np.ndarray, se
               stats.times[k + i], seed_seqs, j)
     u = np.reciprocal(nrm, out=nrm)
     rows, b = slice(k, k + len(u)), bb[k:k + len(u)]
-    stats.sum_i00[rows], stats.sumsq_i00[rows] = u.sum(axis=1), np.einsum("ij,ij->i", u, u)
-    stats.sum_n[rows], stats.sumsq_n[rows] = b * stats.sum_i00[rows], b * b * stats.sumsq_i00[rows]
+    stats.sum_n[rows] = b * u.sum(axis=1)
+    stats.sumsq_n[rows] = b * b * np.einsum("ij,ij->i", u, u)
     stats.n_min = min(stats.n_min, float((b * u.min(axis=1)).min()))
     stats.n_max = max(stats.n_max, float((b * u.max(axis=1)).max()))
     if stats.series is not None:
@@ -415,11 +418,12 @@ def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) ->
     """Photon counting by inversion of the probability s = <n> + tail_norm of
     no count (the photon is in the cavity or still to come), with <n> =
     |beta|^2 in closed form (:func:`wavepacket.cavity_amplitude`) on the whole
-    grid; n = <n> / s and pi00(I) = 1 / s.  Each trajectory draws one uniform
-    V and counts at the first row where the running minimum of s falls below
-    V, so P(no count by row k) = min_{i <= k} s_i even where rounding raises s
-    by an ulp.  The count takes |e,0> and |g,1> to |g,0>, so n = 0 after it and
-    it adds nothing to the sums; guards read rows where someone waits.
+    grid; n = <n> / s.  Each trajectory draws one uniform V and counts at the
+    first row where the running minimum of s falls below V, so P(no count by
+    row k) = min_{i <= k} s_i even where rounding raises s by an ulp; its
+    count time is that row's time (NaN if there is none).  The count takes
+    |e,0> and |g,1> to |g,0>, so n = 0 after it and it adds nothing to the
+    sums; guards read rows where someone waits.
     """
     times, w = stats.times, wp.Wavepacket(cfg.gamma, cfg.t0)
     v = np.array([g.random() for g in gens]) if noise is None else np.asarray(noise, dtype=float)
@@ -431,17 +435,16 @@ def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) ->
     live = np.searchsorted(v[order], np.fmin.accumulate(s), side="right")
     at[order[live[-1]:][::-1]] = np.repeat(rows, -np.diff(live, prepend=stats.m))
     e = int(np.count_nonzero(live))  # the rows someone waits at: a prefix
-    n, u, live = n_me[:e] / s[:e], 1.0 / s[:e], live[:e]
+    n, live = n_me[:e] / s[:e], live[:e]
     bad = ~np.isfinite(n)
     if bad.any():
         i = int(np.argmax(bad))
         _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {n[i]}", times[i],
               seed_seqs, np.argmax(at > i))
     stats.n_min, stats.n_max = float(n.min()), float(n.max())
-    for name, val in (("sum_n", n), ("sumsq_n", n * n), ("sum_i00", u), ("sumsq_i00", u * u)):
-        getattr(stats, name)[:e] = val * live
-    stats.jump_counts[:] = counted = at < times.size
-    stats.jump_times = [[float(times[k])] if c else [] for k, c in zip(at, counted)]
+    stats.sum_n[:e], stats.sumsq_n[:e] = n * live, n * n * live
+    counted = at < times.size
+    stats.count_times[counted] = times[at[counted]]
     if stats.series is not None:
         stats.series[:e] = np.where(at > rows[:e, None], n[:, None], 0.0)
         stats.record[:] = rows[:, None] >= at
@@ -454,20 +457,15 @@ def _readout(readout: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
 
 
 def _accumulate(stats, k, r):
-    """Fold the homodyne readouts ``r`` (steps x rows as in
-    ``filter_moments.READOUTS`` x m trajectories) of steps k, k + 1, ...,
-    and track the range of n and the invariant residuals."""
-    rows, v, u = slice(k, k + len(r)), r[:, 0].real, r[:, 2].real
+    """Fold the homodyne readouts ``r`` (steps x (n11, n00, i11) x m
+    trajectories) of steps k, k + 1, ..., and track the range of n and the
+    invariant residuals."""
+    rows, v = slice(k, k + len(r)), r[:, 0].real
     stats.sum_n[rows], stats.sumsq_n[rows] = v.sum(axis=1), np.einsum("ij,ij->i", v, v)
-    stats.sum_i00[rows], stats.sumsq_i00[rows] = u.sum(axis=1), np.einsum("ij,ij->i", u, u)
     stats.n_min = min(stats.n_min, float(v.min()))
     stats.n_max = max(stats.n_max, float(v.max()))
     stats.max_im_n = max(stats.max_im_n, float(np.abs(r[:, :2].imag).max()))
-    stats.max_i11_dev = max(stats.max_i11_dev, float(np.abs(r[:, 3] - 1.0).max()))
-    # The conjugation pairs (d10, a01), (i10, i01) and (d01, a10).
-    d = np.conjugate(r[:, 5::2])
-    dev = float(np.abs(np.subtract(r[:, 4::2], d, out=d)).max())
-    stats.max_pair_dev = max(stats.max_pair_dev, dev)
+    stats.max_i11_dev = max(stats.max_i11_dev, float(np.abs(r[:, 2] - 1.0).max()))
 
 
 def simulate_trajectory(cfg: SimConfig, seed=None) -> Trajectory:
@@ -475,11 +473,13 @@ def simulate_trajectory(cfg: SimConfig, seed=None) -> Trajectory:
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; by default the
     config's seed is used.  The record holds dY increments for homodyne
-    detection and cumulative counts for photon counting.  It runs a block of
-    one, so the cascade steps on Python floats (:func:`_cascade`).
+    detection and cumulative counts for photon counting, and ``jumps`` the
+    count time, if any.  It runs a block of one, so the cascade steps on
+    Python floats (:func:`_cascade`).
     """
     seed = cfg.seed if seed is None else seed
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     stats = run_block(cfg, seed_seqs=[ss], record_series=True)
+    t = float(stats.count_times[0])
     return Trajectory(stats.times, stats.series[:, 0].copy(), stats.record[:, 0].copy(),
-                      list(stats.jump_times[0]), seed)
+                      [] if math.isnan(t) else [t], seed)

@@ -1,5 +1,7 @@
 """Test-only builders on top of the package.
 
+:func:`creation` and :func:`commutator` complete the operator algebra of
+:mod:`photonfilter.operators`, which the runs do not need.
 :func:`jump_gain` is the compiled counting map Fj, which the runner does not
 need: photon counting samples the closed-form probability of no count.
 :func:`weak_convergence_bias` is the harness of the weak-convergence check.
@@ -9,7 +11,22 @@ import numpy as np
 
 from photonfilter import filter_moments as fm
 from photonfilter import master_ensemble as me
+from photonfilter import operators as ops
 from photonfilter import sde_engine as se
+
+
+def creation(dim: int) -> np.ndarray:
+    """Creation operator ``a^dag``, the conjugate transpose of ``ops.annihilation``."""
+    return ops.annihilation(dim).conj().T
+
+
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A, B] = AB - BA for square matrices of equal dimension."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch in commutator: {a.shape} vs {b.shape}")
+    return a @ b - b @ a
 
 
 def jump_gain(model):

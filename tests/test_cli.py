@@ -93,6 +93,18 @@ def test_invalid_config_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,field", [
+    ("--kappa", "kappa"), ("--gamma", "gamma"), ("--delta", "delta"),
+    ("--t0", "t0"), ("--tend", "t_end"), ("--dt", "dt"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_exits_one(flag, field, value, capsys):
+    # a nan passes every comparison and an inf overflows the grid or the
+    # model; both are rejected where the config is built, naming the field
+    assert cli.main(["me", "--dt", "1e-2", f"{flag}={value}"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+
+
 def test_no_workers_exits_one(capsys):
     assert cli.main(["ensemble", *FAST, "--workers", "0"]) == 1
     assert "workers must be >= 1" in capsys.readouterr().err

@@ -50,7 +50,7 @@ def test_config_is_the_one_gate():
 def test_runs_follow_config_detector(detector):
     # homodyne records are Gaussian increments of variance dt (K dt is
     # small beside them); photon-counting records are cumulative counts of
-    # at most one photon, and only photon counting counts
+    # at most one photon, and only photon counting has count times
     cfg = SimConfig(t_end=23.0, dt=1e-2, ntraj=20, seed=3, detector=detector)
     block = se.run_block(cfg, seed_seqs=np.random.SeedSequence(3).spawn(20), record_series=True)
     for record in (block.record, se.simulate_trajectory(cfg).record[:, None]):
@@ -58,5 +58,6 @@ def test_runs_follow_config_detector(detector):
             assert abs(record[1:].std() / np.sqrt(cfg.dt) - 1.0) <= 0.1
         else:
             assert np.isin(record, (0.0, 1.0)).all() and (np.diff(record, axis=0) >= 0).all()
-    for counts in (block.jump_counts, me.run_ensemble(cfg).diagnostics.jump_counts):
-        assert counts.max() <= 1 and (counts.sum() > 0) == (detector == "photocount")
+    for count_times in (block.count_times, me.run_ensemble(cfg).diagnostics.count_times):
+        assert count_times.shape == (20,)
+        assert (~np.isnan(count_times)).any() == (detector == "photocount")

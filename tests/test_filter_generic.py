@@ -5,6 +5,7 @@ import pytest
 
 import einsum_oracle as eo
 from einsum_oracle import InvalidJumpError
+from helpers import creation
 from photonfilter import operators as ops
 from photonfilter.config import SimConfig
 from photonfilter.errors import FilterDivergenceError, NonRealInnovationError
@@ -127,7 +128,7 @@ class TestHomodyneStep:
         # d pi10(a^dag) = -sqrt(kappa) pi00(I) xi* dt at the initial state
         dt = 1e-3
         new, _ = eo.homodyne_step(vacuum_state(), cavity, np.sqrt(GAMMA), dt, 0.0)
-        got = new.pi("10", ops.creation(2))
+        got = new.pi("10", creation(2))
         assert got == pytest.approx(-np.sqrt(KAPPA) * np.sqrt(GAMMA) * dt)
 
     def test_drift_only_first_order_accuracy(self, cavity):

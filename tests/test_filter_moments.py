@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import einsum_oracle as eo
-from helpers import jump_gain
+from helpers import creation, jump_gain
 from photonfilter import filter_moments as fm
 from photonfilter import operators as ops
 from photonfilter import sde_engine as se
@@ -20,8 +22,12 @@ FJ2 = jump_gain(SLHModel.cavity(2, KAPPA))
 
 
 def read(f, x, name):
-    """pi^{ij}(X) of a packed state, by its readout name."""
-    return f.readout[fm.READOUTS.index(name)] @ x
+    """pi^{ij}(X) of a packed state of ``f``, named like ``fm.READOUTS``: X is
+    n, i (the identity) or d (a^dag) by the first letter, ij the rest."""
+    dim = math.isqrt(f.initial.size // 4)
+    x_op = {"n": ops.number_op, "i": ops.identity, "d": creation}[name[0]](dim)
+    blk = {"11": fm.B11, "10": fm.B10, "01": fm.B01, "00": fm.B00}[name[1:]]
+    return fm._row(dim, [(fm.ONE, blk, x_op)])[fm.ONE] @ x
 
 
 def nu(f, fj, z, x):
@@ -117,7 +123,7 @@ def test_jump_rejected_at_zero_intensity():
     cfg = SimConfig(t0=1.0, t_end=2.0, dt=1e-2, detector="photocount")
     seqs = np.random.SeedSequence(0).spawn(3)
     stats = se.run_block(cfg, seed_seqs=seqs, noise=np.ones(3))
-    assert stats.jump_times == [[pytest.approx(1.01)]] * 3
+    assert stats.count_times.tolist() == [pytest.approx(1.01)] * 3
 
 
 @pytest.mark.parametrize("name", ["drift", "diffusion", "jump_gain", "k"])

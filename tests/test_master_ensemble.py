@@ -94,13 +94,19 @@ def test_single_trajectory_ensemble():
 
 
 def test_normalization_martingale():
-    # the ensemble mean of pi00(I) is a martingale pinned at 1
+    # the ensemble mean of pi00(I) = 1 / N is a martingale pinned at 1.  On
+    # the cascade n = |beta|^2 pi00(I), so pi00(I) is read from the sums of n
+    # where |beta|^2 > 0; before t0 nothing has arrived and N = 1 exactly
     cfg = SimConfig(t_end=23.0, dt=1e-2, ntraj=300, seed=8)
     stats = me.run_ensemble(cfg)
     d = stats.diagnostics
     m = d.m
-    mean_i00 = d.sum_i00 / m
-    var = np.clip(d.sumsq_i00 - d.sum_i00**2 / m, 0.0, None) / (m - 1)
+    bb = me.analytic_mean_photon_series(cfg, d.times)
+    on = bb > 0.0
+    assert d.times[~on].max() <= cfg.t0
+    sum_i00, sumsq_i00 = d.sum_n[on] / bb[on], d.sumsq_n[on] / bb[on] ** 2
+    mean_i00 = sum_i00 / m
+    var = np.clip(sumsq_i00 - sum_i00**2 / m, 0.0, None) / (m - 1)
     stderr = np.sqrt(var / m)
     assert np.all(np.abs(mean_i00 - 1.0) <= 3.0 * stderr + 1e-12)
 
