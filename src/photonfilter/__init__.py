@@ -15,7 +15,7 @@ from .master_ensemble import (
     integrate_master,
     run_ensemble,
 )
-from .sde_engine import SimGrid, Trajectory, simulate_trajectory
+from .sde_engine import Trajectory, simulate_trajectory
 from .wavepacket import Wavepacket
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "analytic_mean_photon_series",
     "integrate_master",
     "run_ensemble",
-    "SimGrid",
     "Trajectory",
     "simulate_trajectory",
     "Wavepacket",

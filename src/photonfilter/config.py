@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict, replace
 
+import numpy as np
+
 DETECTORS = ("homodyne", "photocount")
 ENGINES = ("cascade", "generic")
 
@@ -15,6 +17,7 @@ class SimConfig:
 
     Defaults reproduce the headline run: kappa = gamma = 0.1, no detuning,
     photon arriving at t0 = 3, horizon t0 + 100 (over ten cavity lifetimes).
+    The time grid runs from 0 to ``t_end`` in ``steps`` steps of ``dt``.
     ``engine`` selects the homodyne filter: the pure state of the source
     feeding the cavity (``cascade``, no Fock truncation) or the filter
     compiled from (S, L, H) at ``fock_dim`` (``generic``).  Photon counting
@@ -50,6 +53,11 @@ class SimConfig:
             raise ValueError(f"t_end ({self.t_end}) must exceed t0 ({self.t0})")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
+        steps = self.steps
+        if steps < 1:
+            raise ValueError(f"grid needs at least one step, t_end={self.t_end}, dt={self.dt}")
+        if abs(steps * self.dt - self.t_end) > 1e-12 * max(1.0, self.t_end):
+            raise ValueError(f"t_end {self.t_end} is not an integer multiple of dt={self.dt}")
         if self.dt >= 1.0 / (10.0 * max(self.kappa, self.gamma)):
             raise ValueError(
                 f"dt = {self.dt} too coarse for rates kappa={self.kappa}, gamma={self.gamma}"
@@ -69,6 +77,13 @@ class SimConfig:
                 f"engine {self.engine!r} is a homodyne filter; photon counting "
                 "samples the exact closed form (engine 'cascade')"
             )
+
+    @property
+    def steps(self) -> int:
+        return round(self.t_end / self.dt)
+
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(self.steps + 1)
 
     def asdict(self) -> dict:
         return asdict(self)

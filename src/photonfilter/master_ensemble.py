@@ -56,7 +56,7 @@ def integrate_master(cfg: SimConfig) -> SeriesND:
     """RK4 integration of the compiled drift (:func:`photonfilter.sde_engine.master_path`);
     returns <n>(t), the same at every ``cfg.fock_dim``."""
     f = fm.compile_filter(SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
-    times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
+    times = cfg.times()
     out = np.empty(times.shape)
     for k, states in se.master_path(cfg, f):
         n = out[k:k + len(states)] = (states @ f.readout[0]).real

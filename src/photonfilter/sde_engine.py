@@ -1,4 +1,4 @@
-"""Time grids, reproducible noise, and the trajectory driver.
+"""Reproducible noise and the trajectory driver.
 
 Every trajectory draws from its own ``numpy.random.SeedSequence`` (an
 ensemble spawns child i of the master seed for trajectory i), so results do
@@ -26,42 +26,18 @@ from .errors import FilterDivergenceError, NonRealInnovationError
 from .filter_generic import SLHModel
 
 # Steps of Wiener increments held at once, in one buffer per homodyne block
-# (2 MB at m = 500, so it stays in cache).  A multiple of _SUB, so that the
-# generic filter's sub-chunks, and with them its outputs, do not move.
+# (2 MB at m = 500, so it stays in cache), with the coefficients of those
+# steps.  A multiple of _SUB, so that the generic filter's sub-chunks, and
+# with them its outputs, do not move.
 _CHUNK = 512
-_PATH = 64  # steps of the master equation's path held at once
+# Steps of the master equation's path held at once.  Its stage maps take
+# about 3 KB a step; at _CHUNK steps they raised the peak resident memory
+# of a homodyne ensemble, which also integrates the master equation.
+_PATH = 64
 _SUB = 8  # steps of the generic filter whose maps are evaluated at once
 # Imaginary residue of K: dropped up to _IM_ERR, a hard error above it
 # (signals an index-ordering bug).
 _IM_ERR = 1e-6
-
-
-@dataclass(frozen=True)
-class SimGrid:
-    """Uniform time grid [t_start, t_end] with step dt."""
-
-    t_start: float
-    t_end: float
-    dt: float
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        span = self.t_end - self.t_start
-        steps = int(round(span / self.dt))
-        if steps < 1:
-            raise ValueError(f"grid needs at least one step, span={span}, dt={self.dt}")
-        if abs(steps * self.dt - span) > 1e-12 * max(1.0, abs(span)):
-            raise ValueError(
-                f"span {span} is not an integer multiple of dt={self.dt}"
-            )
-
-    @property
-    def steps(self) -> int:
-        return int(round((self.t_end - self.t_start) / self.dt))
-
-    def times(self) -> np.ndarray:
-        return self.t_start + self.dt * np.arange(self.steps + 1)
 
 
 @dataclass
@@ -183,9 +159,8 @@ def master_path(cfg: SimConfig, f):
     K3 = B(I + h/2 K2), K4 = C(I + h K3) for the drift A, B, C at t, t + h/2
     and t + h; the step is then y + E y.
     """
-    dt, t0 = cfg.dt, cfg.t0
+    dt, t0, steps = cfg.dt, cfg.t0, cfg.steps
     w = wp.Wavepacket(cfg.gamma, t0)
-    steps = SimGrid(0.0, cfg.t_end, dt).steps
     on = _support(f)
     poly = f.drift[:, on[:, None], on]
     eye = np.eye(on.size)
@@ -235,14 +210,15 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
     update and the readout into a buffer, and the guards (:func:`_guard`) and
     sums (:func:`_accumulate`) then run once over the sub-chunk's rows.
     Both homodyne engines draw their Wiener increments ``_CHUNK`` steps at a
-    time into one buffer per block (:func:`_noise_chunks`).  ``noise``
-    replaces the trajectories' own draws: Wiener increments (steps x m) for
-    homodyne detection, uniforms (m,) for photon counting; any other shape
-    raises ``ValueError``.
+    time into one buffer per block (:func:`_noise_chunks`), evaluate the
+    wavepacket and their coefficients at that chunk's times only, and fold
+    n through the one :func:`_accumulate`, so that a block holds nothing the
+    length of its grid but its times, its two sums and a recorded series and
+    record.  ``noise`` replaces the trajectories' own draws: Wiener
+    increments (steps x m) for homodyne detection, uniforms (m,) for photon
+    counting; any other shape raises ``ValueError``.
     """
-    grid = SimGrid(0.0, cfg.t_end, cfg.dt)
-    steps = grid.steps
-    times = grid.times()
+    steps, times = cfg.steps, cfg.times()
     m = len(seed_seqs)
     if noise is not None:
         want = (steps, m) if cfg.detector == "homodyne" else (m,)
@@ -267,19 +243,20 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
     # The readouts the runner reads: n11, n00 and i11 (fm.READOUTS).
     readout, x = f.readout[:3, on], np.repeat(f.initial[on, None], m, axis=1)
     del f  # the full maps are not held while stepping
-    xi_arr = wp.xi(wp.Wavepacket(cfg.gamma, cfg.t0), times[:-1])
+    w = wp.Wavepacket(cfg.gamma, cfg.t0)
     y = np.empty((2 * d + 1, m), dtype=np.complex128)
     fx = np.empty((d, m), dtype=np.complex128)
     kx = np.empty((_SUB, m), dtype=np.complex128)  # K of each step, before Re
     r = np.empty((_SUB, len(readout), m), dtype=np.complex128)
     _readout(readout, x, r[0])
-    _accumulate(stats, 0, r[:1])
-    if record_series:
-        stats.series[0] = r[0, 0].real
+    _accumulate(stats, 0, r[:1, 0].real)
+    stats.max_im_n = float(np.abs(r[0, :2].imag).max())
+    stats.max_i11_dev = float(np.abs(r[0, 2] - 1.0).max())
     for start, nz in _noise_chunks(gens, steps, np.sqrt(cfg.dt), noise):
+        xis = wp.xi(w, times[start:start + len(nz)])
         for s0 in range(0, len(nz), _SUB):
             k0, ns = start + s0, min(_SUB, len(nz) - s0)
-            maps = fm.evaluate(stack, xi_arr[k0:k0 + ns])
+            maps = fm.evaluate(stack, xis[s0:s0 + ns])
             for i in range(ns):  # x += Fd x dt + (Fg x - K x) dW
                 np.matmul(maps[i], x, out=y)
                 kx[i] = y[-1]
@@ -291,12 +268,12 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
                 _readout(readout, x, out=r[i])
             im = np.abs(kx[:ns].imag)
             _guard(im, r[:ns, 0], times[k0:], seed_seqs)
+            _accumulate(stats, k0 + 1, r[:ns, 0].real)
             stats.max_im_k = max(stats.max_im_k, float(im.max()))
-            _accumulate(stats, k0 + 1, r[:ns])
+            stats.max_im_n = max(stats.max_im_n, float(np.abs(r[:ns, :2].imag).max()))
+            stats.max_i11_dev = max(stats.max_i11_dev, float(np.abs(r[:ns, 2] - 1.0).max()))
             if record_series:
-                rows = slice(k0 + 1, k0 + ns + 1)
-                stats.series[rows] = r[:ns, 0].real
-                stats.record[rows] = kx[:ns].real * cfg.dt + nz[s0:s0 + ns]
+                stats.record[k0 + 1:k0 + ns + 1] = kx[:ns].real * cfg.dt + nz[s0:s0 + ns]
     return stats
 
 
@@ -325,11 +302,14 @@ def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
     alpha^2 = tail_norm and beta (:func:`wavepacket.cavity_amplitude`) do not
     see the record; only c does, with f = xi + sqrt(kappa) beta:
     dc = f (K dt + dW), K = 2 Re(conj(c) f) / N, N = alpha^2 + |beta|^2 + |c|^2.
-    n = |beta|^2 / N is in [0, 1] by construction.  The noise is additive
-    (strong order 1).  Each step's N overwrites its spent increment in the
-    block's noise buffer (:func:`_noise_chunks`, which copies ``noise`` in
-    rather than writing to it), :func:`_fold_cascade` takes the sums per
-    chunk, and the last row's N carries to the next.
+    The noise is additive (strong order 1).  Each chunk of the block's noise
+    buffer (:func:`_noise_chunks`, which copies ``noise`` in rather than
+    writing to it) evaluates beta, f, the gain and the floor alpha^2 +
+    |beta|^2 at its own times.  Each step's N overwrites its spent increment,
+    the guard reads the chunk's N, and n = |beta|^2 / N then replaces N in
+    place and goes through :func:`_accumulate`; n is in [0, 1] exactly, as
+    |beta|^2 <= N holds in floating point.  The last row's N carries to the
+    next chunk.
     A block steps as (2 x m) arrays, except a block of one trajectory (a
     ``trajectory`` run, or an ensemble block that holds one), which steps on
     Python floats (:func:`_cascade_floats`): a step is a few flops, and on
@@ -337,34 +317,37 @@ def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
     """
     times, dt = stats.times, cfg.dt
     w = wp.Wavepacket(cfg.gamma, cfg.t0)
-    beta = wp.cavity_amplitude(w, cfg.kappa, cfg.delta, times)
-    bb, f = np.abs(beta) ** 2, wp.xi(w, times) + np.sqrt(cfg.kappa) * beta
-    floor = wp.tail_norm(w, times) + bb  # N at c = 0
-    fc = np.stack([f.real, f.imag], axis=1)[:, :, None]
-    gain = 2.0 * dt * fc[:, :, 0]  # K dt = gain . (Re c, Im c) / N
     c, nrm = np.zeros((2, stats.m)), np.ones(stats.m)  # the photon starts in the source
     y, tmp = np.empty(stats.m), np.empty((2, stats.m))
-    _fold_cascade(stats, 0, bb, np.ones((1, stats.m)), seed_seqs)
+    _accumulate(stats, 0, np.zeros((1, stats.m)))  # beta(0) = 0, as t0 >= 0
     for start, nz in _noise_chunks(gens, len(times) - 1, np.sqrt(dt), noise):
-        stop = start + len(nz)
+        t = times[start:start + len(nz) + 1]  # the chunk's steps run from t[i] to t[i + 1]
+        beta = wp.cavity_amplitude(w, cfg.kappa, cfg.delta, t)
+        bb, f = np.abs(beta) ** 2, wp.xi(w, t) + np.sqrt(cfg.kappa) * beta
+        floor = wp.tail_norm(w, t) + bb  # N at c = 0
+        fc = np.stack([f.real, f.imag], axis=1)[:, :, None]
+        gain = 2.0 * dt * fc[:, :, 0]  # K dt = gain . (Re c, Im c) / N
         if stats.m == 1:
-            ys = _cascade_floats(c, nrm, gain[start:stop], fc[start:stop, :, 0],
-                                 floor[start + 1:stop + 1], nz)
+            ys = _cascade_floats(c, nrm, gain[:-1], fc[:-1, :, 0], floor[1:], nz)
             if stats.record is not None:
-                stats.record[start + 1:stop + 1, 0] = ys
+                stats.record[start + 1:start + len(nz) + 1, 0] = ys
         else:
-            for i, k in enumerate(range(start, stop)):
-                np.dot(gain[k], c, out=y)
+            for i in range(len(nz)):
+                np.dot(gain[i], c, out=y)
                 y /= nrm
                 y += nz[i]  # dY = K dt + dW
-                c += np.multiply(fc[k], y, out=tmp)
+                c += np.multiply(fc[i], y, out=tmp)
                 np.multiply(c, c, out=tmp)
                 nrm = np.add(tmp[0], tmp[1], out=nz[i])
-                nrm += floor[k + 1]
+                nrm += floor[i + 1]
                 if stats.record is not None:
-                    stats.record[k + 1] = y
+                    stats.record[start + i + 1] = y
         nrm = nz[-1].copy()
-        _fold_cascade(stats, start + 1, bb, nz, seed_seqs)
+        if not np.isfinite(nz.max()):  # N >= 0, and max propagates nan
+            i, j = divmod(int(np.argmin(np.isfinite(nz))), stats.m)
+            _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {bb[i + 1] / nz[i, j]}",
+                  t[i + 1], seed_seqs, j)
+        _accumulate(stats, start + 1, np.divide(bb[1:, None], nz, out=nz))
 
 
 def _cascade_floats(c, nrm, gain, fc, floor, nz) -> list[float]:
@@ -393,25 +376,6 @@ def _cascade_floats(c, nrm, gain, fc, floor, nz) -> list[float]:
     c[:, 0] = c0, c1
     nz[:, 0] = ns
     return ys
-
-
-def _fold_cascade(stats: BlockStats, k: int, bb: np.ndarray, nrm: np.ndarray, seed_seqs):
-    """Fold the norms N of rows k, k + 1, ..., which become 1 / N: with n =
-    |beta|^2 / N, the sums of n and n^2 are |beta|^2 and |beta|^4 times the
-    row sums of 1 / N and of its square."""
-    finite = np.isfinite(nrm)
-    if not finite.all():
-        i, j = divmod(int(np.argmin(finite)), nrm.shape[1])
-        _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {bb[k + i] / nrm[i, j]}",
-              stats.times[k + i], seed_seqs, j)
-    u = np.reciprocal(nrm, out=nrm)
-    rows, b = slice(k, k + len(u)), bb[k:k + len(u)]
-    stats.sum_n[rows] = b * u.sum(axis=1)
-    stats.sumsq_n[rows] = b * b * np.einsum("ij,ij->i", u, u)
-    stats.n_min = min(stats.n_min, float((b * u.min(axis=1)).min()))
-    stats.n_max = max(stats.n_max, float((b * u.max(axis=1)).max()))
-    if stats.series is not None:
-        stats.series[rows] = b[:, None] * u
 
 
 def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
@@ -456,16 +420,16 @@ def _readout(readout: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
     np.matmul(readout, x.view(np.float64), out=out.view(np.float64))
 
 
-def _accumulate(stats, k, r):
-    """Fold the homodyne readouts ``r`` (steps x (n11, n00, i11) x m
-    trajectories) of steps k, k + 1, ..., and track the range of n and the
-    invariant residuals."""
-    rows, v = slice(k, k + len(r)), r[:, 0].real
-    stats.sum_n[rows], stats.sumsq_n[rows] = v.sum(axis=1), np.einsum("ij,ij->i", v, v)
-    stats.n_min = min(stats.n_min, float(v.min()))
-    stats.n_max = max(stats.n_max, float(v.max()))
-    stats.max_im_n = max(stats.max_im_n, float(np.abs(r[:, :2].imag).max()))
-    stats.max_i11_dev = max(stats.max_i11_dev, float(np.abs(r[:, 2] - 1.0).max()))
+def _accumulate(stats, k, n):
+    """Fold the photon numbers ``n`` (steps x m trajectories) of steps k, k +
+    1, ...: their sums and sums of squares, their range and, when one is
+    recorded, the series."""
+    rows = slice(k, k + len(n))
+    stats.sum_n[rows], stats.sumsq_n[rows] = n.sum(axis=1), np.einsum("ij,ij->i", n, n)
+    stats.n_min = min(stats.n_min, float(n.min()))
+    stats.n_max = max(stats.n_max, float(n.max()))
+    if stats.series is not None:
+        stats.series[rows] = n
 
 
 def simulate_trajectory(cfg: SimConfig, seed=None) -> Trajectory:

@@ -59,13 +59,20 @@ def cavity_amplitude(w: Wavepacket, kappa: float, delta: float, t):
     """Amplitude beta(t) of the photon in a vacuum cavity (rate kappa, detuning
     delta) driven by ``w``: d beta = -(c beta + sqrt(kappa) xi) dt, so with
     tau = t - t0, c = i delta + kappa/2 and z = c - gamma/2, beta = -sqrt(kappa
-    gamma) exp(-c tau) tau expm1(z tau) / (z tau), the last factor 1 where
-    |z tau| is 0 or subnormal (1 to double precision there, and the complex
-    division overflows).  |beta|^2 is the master equation's <n>."""
+    gamma) exp(-c tau) tau expm1(z tau) / (z tau).  Where Re z > 0 (kappa >
+    gamma) exp(-c tau) underflows long before the slower decay, so the same
+    beta is written exp(-gamma tau / 2) tau expm1(-z tau) / (-z tau).  The
+    last factor is 1 where |z tau| is 0 or subnormal (1 to double precision
+    there, and the complex division overflows).  |beta|^2 is the master
+    equation's <n>."""
     tau = np.clip(np.asarray(t, dtype=float) - w.t0, 0.0, None)
     c = 1j * delta + 0.5 * kappa
-    zt = (c - 0.5 * w.gamma) * tau
+    z = c - 0.5 * w.gamma
+    if z.real > 0:
+        decay, zt = np.exp(-0.5 * w.gamma * tau), -z * tau
+    else:
+        decay, zt = np.exp(-c * tau), z * tau
     normal = np.abs(zt) >= np.finfo(float).tiny
     ratio = np.ones_like(zt)
     ratio[normal] = np.expm1(zt[normal]) / zt[normal]
-    return -np.sqrt(kappa * w.gamma) * np.exp(-c * tau) * tau * ratio
+    return -np.sqrt(kappa * w.gamma) * decay * tau * ratio

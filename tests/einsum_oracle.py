@@ -262,7 +262,7 @@ def einsum_block(cfg, detector, noise):
     no-jump step; the runner draws one uniform per trajectory and inverts
     the probability of no count.
     """
-    times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
+    times = cfg.times()
     xis = wp.xi(wp.Wavepacket(cfg.gamma, cfg.t0), times[:-1])
     dim = cfg.fock_dim
     model = SLHModel.cavity(dim, cfg.kappa, cfg.delta)

@@ -55,8 +55,7 @@ def weak_convergence_bias(cfg, M: int, master_seed: int) -> tuple[float, float]:
     drawing its own increments, and the blocks' sums are added in order.
     Returns (bias at dt, bias at dt/2), each a sup over the coarse grid.
     """
-    grid = se.SimGrid(0.0, cfg.t_end, cfg.dt)
-    steps = grid.steps
+    steps = cfg.steps
     cfg_f = cfg.with_(dt=0.5 * cfg.dt)
     children = np.random.SeedSequence(master_seed).spawn(M)
     sum_c, sum_f = np.zeros(steps + 1), np.zeros(2 * steps + 1)
@@ -70,7 +69,7 @@ def weak_convergence_bias(cfg, M: int, master_seed: int) -> tuple[float, float]:
         sum_f += se.run_block(cfg_f, seed_seqs=seqs, noise=noise_f).sum_n
     mean_c = sum_c / M
     mean_f = sum_f[::2] / M
-    oracle = me.analytic_mean_photon_series(cfg, grid.times())
+    oracle = me.analytic_mean_photon_series(cfg, cfg.times())
     bias_c = float(np.abs(mean_c - oracle).max())
     bias_f = float(np.abs(mean_f - oracle).max())
     return bias_c, bias_f

@@ -85,7 +85,7 @@ def test_criterion_4_photocount_ensemble(me_fine, engine):
 def test_criterion_5_oracle_equivalence():
     cfg = SimConfig(t_end=10.0, dt=1e-3, seed=5, engine="generic")
     children = np.random.SeedSequence(cfg.seed).spawn(100)
-    steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
+    steps = cfg.steps
     noise = np.empty((steps, 100))
     for j, child in enumerate(children):
         noise[:, j] = np.random.default_rng(child).standard_normal(steps)

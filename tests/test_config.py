@@ -61,3 +61,25 @@ def test_runs_follow_config_detector(detector):
     for count_times in (block.count_times, me.run_ensemble(cfg).diagnostics.count_times):
         assert count_times.shape == (20,)
         assert (~np.isnan(count_times)).any() == (detector == "photocount")
+
+
+def test_grid_steps_and_times():
+    cfg = SimConfig(t0=0.0, t_end=1.0, dt=0.25)
+    assert cfg.steps == 4
+    np.testing.assert_allclose(cfg.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def test_grid_rejects_non_multiple_t_end():
+    # rejected where the run is configured, not when a block first reads the grid
+    with pytest.raises(ValueError, match="multiple"):
+        SimConfig(t0=0.0, t_end=1.0, dt=0.3)
+
+
+def test_grid_rejects_bad_dt():
+    with pytest.raises(ValueError):
+        SimConfig(dt=0.0)
+
+
+def test_grid_rejects_empty():
+    with pytest.raises(ValueError, match="at least one step"):
+        SimConfig(t0=0.0, t_end=1e-13, dt=1e-3)

@@ -1,7 +1,6 @@
 import re
 import tracemalloc
 from dataclasses import fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,14 +20,14 @@ from photonfilter.master_ensemble import analytic_mean_photon_series, integrate_
 
 def _noise(cfg, m, seed):
     """Wiener increments as the runner draws them, steps x m."""
-    steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
+    steps = cfg.steps
     gens = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(m)]
     return se._chunk_noise(gens, steps, np.sqrt(cfg.dt), np.empty((steps, m)))
 
 
 def _path_states(cfg, f):
     """``master_path``'s states over the whole grid."""
-    x = np.empty((se.SimGrid(0.0, cfg.t_end, cfg.dt).steps + 1, f.initial.size), dtype=complex)
+    x = np.empty((cfg.steps + 1, f.initial.size), dtype=complex)
     for k, states in se.master_path(cfg, f):
         x[k:k + len(states)] = states
     return x
@@ -37,7 +36,7 @@ def _path_states(cfg, f):
 def _path_s(cfg):
     """The probability of no count on the RK4 path: |pi01(a)|^2 + tail."""
     f = fm.compile_filter(SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
-    times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
+    times = cfg.times()
     s = np.empty(times.size)
     for k, states in se.master_path(cfg, f):
         s[k:k + len(states)] = np.abs(states @ f.readout[fm.READOUTS.index("a01")]) ** 2
@@ -48,7 +47,7 @@ def _full_rk4(cfg, poly, x0):
     """Classical RK4 of dx = F(xi(t)) x dt on all 4 D^2 entries, one matrix-vector
     product per stage, for the polynomial ``poly`` of F: x0 is held until t0,
     and the step t0 falls in runs from t0 on, as in ``master_path``."""
-    times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
+    times = cfg.times()
     w = wp.Wavepacket(cfg.gamma, cfg.t0)
     x = np.empty((times.size, x0.size), dtype=complex)
     x[0] = x0
@@ -100,7 +99,7 @@ def _full_euler(cfg, f, noise):
     without its restriction to the entries the vacuum reaches or its
     sub-chunks.  Returns the readouts (steps + 1, rows, m), the record and
     |Im K| of every step."""
-    times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
+    times = cfg.times()
     xis = wp.xi(wp.Wavepacket(cfg.gamma, cfg.t0), times[:-1])
     x = np.repeat(f.initial[:, None], noise.shape[1], axis=1)
     r = np.empty((times.size, len(fm.READOUTS), noise.shape[1]), dtype=complex)
@@ -234,7 +233,7 @@ class TestGenericFilter:
         seqs = np.random.SeedSequence(3).spawn(8)[4:]
         noise = _noise(cfg, 4, seed=3)
         noise[k, 2] = np.nan
-        t = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()[k + 1]
+        t = cfg.times()[k + 1]
         with pytest.raises(FilterDivergenceError,
                            match=rf"at t={re.escape(f'{t:.6g}')} in trajectory 6$"):
             se.run_block(cfg, seed_seqs=seqs, noise=noise)
@@ -251,7 +250,7 @@ class TestGenericFilter:
         noise = _noise(cfg, 5, seed=5)
         _, _, im = _full_euler(cfg, tilted(SLHModel.cavity(3, cfg.kappa, cfg.delta)), noise)
         k, j = divmod(int(np.argmax(im > se._IM_ERR)), im.shape[1])
-        t = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()[k]
+        t = cfg.times()[k]
         noise[k] = np.nan
         with pytest.raises(NonRealInnovationError,
                            match=rf"at t={re.escape(f'{t:.6g}')} in trajectory {3 + j}$"):
@@ -269,7 +268,7 @@ class TestNoCountPath:
                         detector="photocount")
         model = SLHModel.cavity(dim, cfg.kappa, delta)
         f = fm.compile_filter(model)
-        times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
+        times = cfg.times()
         w = wp.Wavepacket(gamma, cfg.t0)
         # the unnormalised no-count state: classical RK4 of dx = (Fd - Fj) x dt
         r = _full_rk4(cfg, f.drift - jump_gain(model), f.initial) @ f.readout.T
@@ -348,13 +347,13 @@ class TestCascade:
     @example(kappa=1.0, gamma=1.0, delta=2.2250738585072014e-308, t0=0.0, coarse=0.0625, seed=0)
     def test_physical(self, kappa, gamma, delta, t0, coarse, seed):
         # n = |beta|^2 / N with N >= |beta|^2 on every grid the validator
-        # accepts; n = |beta|^2 * (1 / N) may pass 1 by rounding only
+        # accepts, and |beta|^2 <= N holds in floating point too
         dt = coarse / max(kappa, gamma)
         steps = int(np.ceil((t0 + 10.0 / min(kappa, gamma)) / dt))
         cfg = SimConfig(kappa=kappa, gamma=gamma, delta=delta, t0=t0, t_end=steps * dt, dt=dt)
         stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(seed).spawn(8),
                              record_series=True)
-        assert stats.series.min() >= 0.0 and stats.series.max() <= 1.0 + 1e-12
+        assert stats.series.min() >= 0.0 and stats.series.max() <= 1.0
         assert stats.n_min == stats.series.min() and stats.n_max == stats.series.max()
 
     def test_divergence_past_underflow_same_at_one_and_two(self):
@@ -362,16 +361,31 @@ class TestCascade:
         # at t = 7587 (dt 0.5); the next step's K dt = 0 / 0.  A block of one
         # steps on Python floats, where that division would raise
         # ZeroDivisionError, and must raise what the array loop of a wider
-        # block raises.  Both fold 1 / N of subnormal N on the way (0 * inf
-        # in the sums), so the numpy warnings are silenced for these calls
+        # block raises.  The guard reads N before n = |beta|^2 / N is
+        # formed; the wider block's 0 / 0 warns in numpy, so the numpy
+        # warnings are silenced for these calls
         cfg = SimConfig(t_end=8503.0, dt=0.5)
-        steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
+        steps = cfg.steps
         for m in (1, 2):
             with np.errstate(all="ignore"), pytest.raises(
                     FilterDivergenceError,
                     match=r"^filter diverged to pi11\(n\) = nan at t=7587\.5 in trajectory 0$"):
                 se.run_block(cfg, seed_seqs=np.random.SeedSequence(0).spawn(m),
                              noise=np.zeros((steps, m)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_zero_noise_through_underflow(self, m):
+        # with no noise c stays 0 and N = alpha^2 + |beta|^2 is subnormal
+        # by t_end = 7503 but not yet 0: n = |beta|^2 / N stays in [0, 1],
+        # the sums finite, and no numpy warning is raised (1 / N overflowed
+        # here, and |beta|^4 (1 / N)^2 was 0 * inf)
+        cfg = SimConfig(t_end=7503.0, dt=0.5)
+        stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(0).spawn(m),
+                             noise=np.zeros((cfg.steps, m)), record_series=True)
+        assert np.isfinite(stats.sum_n).all() and np.isfinite(stats.sumsq_n).all()
+        assert 0.0 <= stats.n_min <= stats.n_max <= 1.0
+        assert 0.0 <= stats.series.min() and stats.series.max() <= 1.0
 
     def test_photocount_without_compiled_filter(self, monkeypatch):
         # photon counting reads s = alpha^2 + |beta|^2 in closed form: it
@@ -419,25 +433,6 @@ class TestAcceptedConfigs:
         counted = stats.count_times[~np.isnan(stats.count_times)]
         assert np.isin(counted, stats.times).all() and (counted > t0).all()
         assert counted.size == 0 or detector == "photocount"
-
-
-class TestSimGrid:
-    def test_basic(self):
-        g = se.SimGrid(0.0, 1.0, 0.25)
-        assert g.steps == 4
-        np.testing.assert_allclose(g.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_rejects_non_multiple_span(self):
-        with pytest.raises(ValueError, match="multiple"):
-            se.SimGrid(0.0, 1.0, 0.3)
-
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            se.SimGrid(0.0, 1.0, 0.0)
-
-    def test_rejects_empty_span(self):
-        with pytest.raises(ValueError):
-            se.SimGrid(1.0, 1.0, 0.1)
 
 
 class TestNoise:
@@ -522,7 +517,7 @@ class TestNoise:
         # at most one count each and n in [0, 1], and without a numpy warning:
         # n and 1 / s are formed on the rows someone waits at only
         cfg = SimConfig(t_end=7503.0, dt=0.5, detector="photocount")
-        times = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()
+        times = cfg.times()
         w = wp.Wavepacket(cfg.gamma, cfg.t0)
         s = analytic_mean_photon_series(cfg, times) + wp.tail_norm(w, times)
         assert wp.tail_norm(w, times[-1]) == 0.0 and s[-1] < np.finfo(float).tiny
@@ -545,8 +540,8 @@ class TestNoise:
         # a grid coarser than the validator allows (s falls by 15% in the
         # step after t0): the closed-form s stays the exact probability of no
         # count, so with none (uniforms of 0) the run finishes with n in [0, 1]
-        cfg = SimpleNamespace(kappa=0.1, gamma=0.1, delta=0.0, t0=2.0, t_end=8.0, dt=2.0,
-                              detector="photocount")
+        cfg = SimConfig(t0=2.0, t_end=8.0, dt=0.5, detector="photocount")
+        object.__setattr__(cfg, "dt", 2.0)  # past the validator
         seqs = np.random.SeedSequence(0).spawn(3)
         stats = se.run_block(cfg, seed_seqs=seqs, noise=np.zeros(3),
                              record_series=True)
@@ -575,7 +570,7 @@ class TestNoiseChunks:
         # one cascade trajectory steps on floats and carries its state
         # across chunks in the block's arrays)
         cfg = SimConfig(t_end=10.03, dt=1e-2, delta=0.7, engine=engine)
-        steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
+        steps = cfg.steps
         assert steps % se._SUB and steps % se._CHUNK and steps > se._CHUNK
         seqs = np.random.SeedSequence(12).spawn(m)
         noise = _noise(cfg, m, seed=12)
@@ -604,7 +599,7 @@ class TestNoiseChunks:
         seqs = np.random.SeedSequence(3).spawn(8)[lo:lo + m]
         noise = _noise(cfg, m, seed=3)
         noise[k, 5 - lo] = np.nan
-        t = se.SimGrid(0.0, cfg.t_end, cfg.dt).times()[k + 1]
+        t = cfg.times()[k + 1]
         with pytest.raises(FilterDivergenceError,
                            match=rf"at t={re.escape(f'{t:.6g}')} in trajectory 5$"):
             se.run_block(cfg, seed_seqs=seqs, noise=noise)
@@ -633,9 +628,13 @@ class TestNoiseChunks:
         # the benchmark's generic-d3 block (1150 steps), at the peak it had
         # when it held all of its increments at once
         ("generic", 200, SimConfig(t_end=23.0, dt=2e-2, fock_dim=3), 2.64),
-    ], ids=["cascade", "generic-d3"])
+        # 20,300 steps of one trajectory: 2.33 MB when the cascade's
+        # coefficients spanned the whole grid, 0.75 MB per chunk
+        ("cascade", 1, SimConfig(t_end=203.0, dt=1e-2), 1.0),
+    ], ids=["cascade", "generic-d3", "cascade-long-m1"])
     def test_peak_memory(self, engine, m, cfg, bound_mb):
-        # a block holds one chunk of increments, not its whole grid
+        # a block holds one chunk of increments and of coefficients, not its
+        # whole grid
         cfg = cfg.with_(engine=engine)
         seqs = np.random.SeedSequence(1).spawn(m)
         se.run_block(cfg, seed_seqs=seqs[:2])  # lazy imports and caches
@@ -666,7 +665,7 @@ class TestTrajectory:
         # with dW = 0 the generic filter's homodyne step is the explicit Euler
         # step of the drift
         cfg = SimConfig(t_end=33.0, dt=1e-2, engine="generic")
-        steps = se.SimGrid(0.0, cfg.t_end, cfg.dt).steps
+        steps = cfg.steps
         stats = se.run_block(cfg, seed_seqs=[np.random.SeedSequence(0)],
                              noise=np.zeros((steps, 1)), record_series=True)
         me = integrate_master(cfg)
@@ -690,7 +689,7 @@ class TestTrajectory:
         cfg = SimConfig(t_end=23.0, dt=1e-2, detector="photocount")
         devs = []
         for c in (cfg, cfg.with_(dt=5e-3)):
-            ones = np.ones((se.SimGrid(0.0, c.t_end, c.dt).steps, 1))
+            ones = np.ones((c.steps, 1))
             b = se.run_block(c, seed_seqs=[np.random.SeedSequence(9)],
                              noise=np.zeros(1), record_series=True)
             devs.append(np.abs(b.series - einsum_block(c, "photocount", ones)[0]).max())

@@ -73,3 +73,15 @@ def test_tail_norm_derivative_is_minus_xi_squared(pulse):
 def test_wavepacket_validation():
     with pytest.raises(ValueError):
         wp.Wavepacket(gamma=0.0)
+
+
+def test_cavity_amplitude_tracks_slower_decay():
+    # kappa > gamma: beta decays as the wavepacket does, and |beta|^2 / tail
+    # tends to kappa gamma / |z|^2 = 0.6.  Written as exp(-c tau) times
+    # expm1(z tau) it read 2.50 at tau = 4,956 and 0 from 4,957 on
+    kappa, gamma, delta = 0.3, 0.1, 0.2
+    w = wp.Wavepacket(gamma)
+    z = complex(0.5 * (kappa - gamma), delta)
+    tau = np.array([4956.0, 6000.0])
+    ratio = np.abs(wp.cavity_amplitude(w, kappa, delta, tau)) ** 2 / wp.tail_norm(w, tau)
+    np.testing.assert_allclose(ratio, kappa * gamma / abs(z) ** 2, rtol=0, atol=1e-12)
