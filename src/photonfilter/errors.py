@@ -6,7 +6,8 @@ class PhotonFilterError(Exception):
 
 
 class NonRealInnovationError(PhotonFilterError):
-    """The homodyne innovation gain K_t acquired a non-negligible imaginary part."""
+    """The homodyne filter's maps do not keep K_t real: raised when the
+    filter is set up, before its first step."""
 
 
 class FilterDivergenceError(PhotonFilterError):

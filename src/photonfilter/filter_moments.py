@@ -17,23 +17,26 @@ so each is compiled once into a packed array of shape (4, ...), and
 product:
 
     drift:      dx = Fd x dt
-    homodyne:   dx += (Fg x - K x) dW,        K  = Re(k . x)
+    homodyne:   dx += (Fg x - K x) dW,        K  = k . x  (real)
 
 Photon counting needs no map of its own: it samples the closed-form
 probability of no count (:func:`photonfilter.sde_engine.run_block`).
 
 Every term is built from S, L and H with the Kronecker identity above.  The
 tests check the compiled maps against an independent einsum filter, which
-lives with them in ``tests/einsum_oracle.py``.
+lives with them in ``tests/einsum_oracle.py``.  :func:`real_filter` gives
+the homodyne filter on real coordinates, which the runner steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import operators as ops
+from .errors import NonRealInnovationError
 from .filter_generic import SLHModel
 
 # Block order of the packed state and the powers of the xi polynomial.
@@ -41,10 +44,10 @@ B11, B10, B01, B00 = range(4)
 ONE, XI, CXI, AXI2 = range(4)
 
 # Rows of the readout matrix: pi^{ij}(X), "a" being the annihilation
-# operator.  The runner reads the first three, in this order: n11 (the
-# photon number) and its residuals Im pi00(n) and pi11(I) - 1.  a01 gives
-# the master equation's no-count probability (verify and the tests).
-READOUTS = ("n11", "n00", "i11", "a01")
+# operator.  The runner reads the first two, which are real (X Hermitian):
+# n11, the photon number, and its residual pi11(I) - 1.  a01 gives the
+# master equation's no-count probability (verify and the tests).
+READOUTS = ("n11", "i11", "a01")
 
 
 @dataclass(frozen=True)
@@ -121,9 +124,68 @@ def compile_filter(model: SLHModel) -> CompiledFilter:
     return CompiledFilter(drift, diffusion, k, readout, initial)
 
 
-def evaluate(poly: np.ndarray, xi) -> np.ndarray:
+def real_filter(f: CompiledFilter, on: np.ndarray) -> CompiledFilter:
+    """The homodyne filter ``f`` on real coordinates of its entries ``on``.
+
+    The adjoint takes entry (block, i, j) to its mirror (block with 10 and 01
+    swapped, j, i), and every state of the filter is its own adjoint: a
+    self-mirrored entry is real and a mirror pair a < b holds (z, conj z).
+    The coordinates are Re x at a self entry, Re x_a at a and Im x_a at b, so
+    x = B u with x_a = u_a + i u_b and x_b = u_a - i u_b.  A map F becomes
+    u -> T F B u by index arithmetic: column a of F B is F[:, a] + F[:, b]
+    and column b is i (F[:, a] - F[:, b]); T keeps the real parts of rows a
+    and of the self rows, and puts Im of row a at b.  The polynomials regroup
+    on (1, Re xi, Im xi, |xi|^2) with G1 = F1 + F2 and G2 = i (F1 - F2)
+    (:func:`evaluate` with ``real``).  Returns the real drift, diffusion, k
+    row, n11 and i11 readouts and initial state.  Raises
+    :class:`NonRealInnovationError` unless the self rows' imaginary parts,
+    the mismatches between mirror rows and the imaginary parts of k and the
+    readouts are exactly 0, so K and the photon number are real throughout.
+    """
+    dim = math.isqrt(f.initial.size // 4)
+    n = dim * dim
+    blk, i, j = on // n, on % n % dim, on % n // dim
+    mirror = np.array([B11, B01, B10, B00])[blk] * n + j + i * dim
+    perm = np.minimum(np.searchsorted(on, mirror), on.size - 1)  # a mirror not in on fails:
+    if (on[perm] != mirror).any():
+        raise NonRealInnovationError("the filter's entries are not closed under the adjoint")
+    a = np.flatnonzero(perm > np.arange(on.size))
+    b = perm[a]
+
+    def checked(w, off, what):  # the real part of w, where off, its error, is 0
+        if off != 0.0:
+            raise NonRealInnovationError(
+                f"the filter's {what} is not real on its real coordinates (residue {off:.3e})")
+        return w.real.copy()
+
+    def columns(w):  # w[..., on] B
+        w = w[..., on].astype(np.complex128)
+        w[..., a], w[..., b] = w[..., a] + w[..., b], 1j * (w[..., a] - w[..., b])
+        return w
+
+    def rows(w, what):  # T w, the state's entries running along axis -2
+        u = checked(w, np.abs(w - w[..., perm, :].conj()).max(), what)
+        u[..., b, :] = w[..., a, :].imag
+        return u
+
+    def regroup(p):  # on (1, Re xi, Im xi, |xi|^2)
+        return np.stack([p[ONE], p[XI] + p[CXI], 1j * (p[XI] - p[CXI]), p[AXI2]])
+
+    drift, diffusion = (rows(columns(regroup(p)[:, on]), what)
+                        for p, what in ((f.drift, "drift"), (f.diffusion, "diffusion")))
+    k, readout = (checked(w, np.abs(w.imag).max(), what)
+                  for w, what in ((columns(regroup(f.k)), "K row"),
+                                  (columns(f.readout[:2]), "readout")))
+    initial = rows(f.initial[on, None], "initial state")[:, 0]
+    return CompiledFilter(drift, diffusion, k, readout, initial)
+
+
+def evaluate(poly: np.ndarray, xi, *, real: bool = False) -> np.ndarray:
     """F0 + xi F1 + xi* F2 + |xi|^2 F3 at every entry of ``xi`` (a scalar or
-    an array): shape xi.shape + poly.shape[1:], from one product."""
+    an array): shape xi.shape + poly.shape[1:], from one product.  With
+    ``real``, the weights are (1, Re xi, Im xi, |xi|^2), those of the
+    polynomials of :func:`real_filter`."""
     z = np.asarray(xi, dtype=np.complex128)
-    weights = np.stack([np.ones_like(z), z, z.conj(), np.abs(z) ** 2], axis=-1)
+    lin = (z.real, z.imag) if real else (z, z.conj())
+    weights = np.stack([np.ones_like(lin[0]), *lin, np.abs(z) ** 2], axis=-1)
     return (weights @ poly.reshape(4, -1)).reshape(z.shape + poly.shape[1:])

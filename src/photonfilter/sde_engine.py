@@ -6,10 +6,11 @@ not depend on scheduling, and a trajectory inside a block matches the same
 trajectory run alone to rounding.  :func:`run_block` runs a block in
 lock-step: homodyne detection by Euler-Maruyama on the cascade's pure state
 (on Python floats when the block holds one trajectory) or on the filter
-compiled by :mod:`photonfilter.filter_moments` (in sub-chunks of steps that
-share one evaluation of the maps, one pass of the guards and one of the
-sums), photon counting by inverting the probability of no count, one
-uniform per trajectory.  Every error names the time and the trajectory.
+compiled by :mod:`photonfilter.filter_moments`, on real coordinates (in
+sub-chunks of steps that share one evaluation of the maps, one pass of the
+guard and one of the sums), photon counting by inverting the probability of
+no count, one uniform per trajectory.  Every error names the time and the
+trajectory.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import filter_moments as fm
 from . import wavepacket as wp
 from .config import SimConfig
-from .errors import FilterDivergenceError, NonRealInnovationError
+from .errors import FilterDivergenceError
 from .filter_generic import SLHModel
 
 # Steps of Wiener increments held at once, in one buffer per homodyne block
@@ -35,9 +36,6 @@ _CHUNK = 512
 # of a homodyne ensemble, which also integrates the master equation.
 _PATH = 64
 _SUB = 8  # steps of the generic filter whose maps are evaluated at once
-# Imaginary residue of K: dropped up to _IM_ERR, a hard error above it
-# (signals an index-ordering bug).
-_IM_ERR = 1e-6
 
 
 @dataclass
@@ -58,8 +56,7 @@ class BlockStats:
     ``sum_n`` and ``sumsq_n`` hold the sums of n and n^2 over the block's
     trajectories at each grid time, ``count_times`` each trajectory's count
     time (NaN where it has none; only photon counting counts).  The generic
-    filter also tracks its residuals: |Im K|, the imaginary parts of
-    pi11(n) and pi00(n), and |pi11(I) - 1|.
+    filter also tracks its residual |pi11(I) - 1|.
     """
 
     m: int
@@ -69,8 +66,6 @@ class BlockStats:
     count_times: np.ndarray
     n_min: float = np.inf
     n_max: float = -np.inf
-    max_im_k: float = 0.0
-    max_im_n: float = 0.0
     max_i11_dev: float = 0.0
     series: np.ndarray | None = None
     record: np.ndarray | None = None
@@ -83,8 +78,8 @@ def _fold(blocks: list[BlockStats]) -> BlockStats:
         out.m += b.m
         out.sum_n += b.sum_n
         out.sumsq_n += b.sumsq_n
-        for name in ("n_max", "max_im_k", "max_im_n", "max_i11_dev"):
-            setattr(out, name, max(getattr(out, name), getattr(b, name)))
+        out.n_max = max(out.n_max, b.n_max)
+        out.max_i11_dev = max(out.max_i11_dev, b.max_i11_dev)
         out.n_min = min(out.n_min, b.n_min)
     out.count_times = np.concatenate([b.count_times for b in blocks])
     return out
@@ -204,11 +199,16 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
     of one; ``generic`` compiles the filter once from the cavity's (S, L, H)
     at ``cfg.fock_dim`` and restricts it to the nine entries its drift and
     diffusion reach from the vacuum (:func:`_support`; the -K x term only
-    rescales), the same at every D.  It steps in sub-chunks of ``_SUB``
-    steps: one product evaluates the stacked map [Fd dt; Fg; k] at every
-    step's xi(t), a step is one (19 x 9) . (9 x m) product, the Euler
-    update and the readout into a buffer, and the guards (:func:`_guard`) and
-    sums (:func:`_accumulate`) then run once over the sub-chunk's rows.
+    rescales), the same at every D.  Every state of the filter is its own
+    adjoint, so these nine complex entries carry nine real coordinates
+    (:func:`filter_moments.real_filter`, which raises
+    ``NonRealInnovationError`` here, before the first step, if the maps do
+    not keep them real).  It steps in sub-chunks of ``_SUB`` steps: one
+    product evaluates the stacked real map [Fd dt; Fg; k] at every step's
+    xi(t), a step is one real (19 x 9) . (9 x m) product, the Euler update
+    and the readout into a buffer, and the finiteness guard
+    (:func:`_guard`) and sums (:func:`_accumulate`) then run once over the
+    sub-chunk's rows.
     Both homodyne engines draw their Wiener increments ``_CHUNK`` steps at a
     time into one buffer per block (:func:`_noise_chunks`), evaluate the
     wavepacket and their coefficients at that chunk's times only, and fold
@@ -236,63 +236,49 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
         _cascade(cfg, stats, seed_seqs, gens, noise)
         return stats
     f = fm.compile_filter(SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
-    on = _support(f, f.drift, f.diffusion)
-    d, sq = on.size, np.ix_(range(4), on, on)
-    # A step's map: rows :d give Fd x dt, rows d:2d Fg x and the last k . x.
-    stack = np.concatenate([f.drift[sq] * cfg.dt, f.diffusion[sq], f.k[:, None, on]], axis=1)
-    # The readouts the runner reads: n11, n00 and i11 (fm.READOUTS).
-    readout, x = f.readout[:3, on], np.repeat(f.initial[on, None], m, axis=1)
+    g = fm.real_filter(f, _support(f, f.drift, f.diffusion))
     del f  # the full maps are not held while stepping
+    d = g.initial.size
+    # A step's map: rows :d give Fd u dt, rows d:2d Fg u and the last K.
+    stack = np.concatenate([g.drift * cfg.dt, g.diffusion, g.k[:, None]], axis=1)
+    readout, u = g.readout, np.repeat(g.initial[:, None], m, axis=1)  # n11 and i11
     w = wp.Wavepacket(cfg.gamma, cfg.t0)
-    y = np.empty((2 * d + 1, m), dtype=np.complex128)
-    fx = np.empty((d, m), dtype=np.complex128)
-    kx = np.empty((_SUB, m), dtype=np.complex128)  # K of each step, before Re
-    r = np.empty((_SUB, len(readout), m), dtype=np.complex128)
-    _readout(readout, x, r[0])
-    _accumulate(stats, 0, r[:1, 0].real)
-    stats.max_im_n = float(np.abs(r[0, :2].imag).max())
-    stats.max_i11_dev = float(np.abs(r[0, 2] - 1.0).max())
+    y, fx = np.empty((2 * d + 1, m)), np.empty((d, m))
+    kx = np.empty((_SUB, m))  # K of each step
+    r = np.empty((_SUB, len(readout), m))
+    np.matmul(readout, u, out=r[0])
+    _accumulate(stats, 0, r[:1, 0])
+    stats.max_i11_dev = float(np.abs(r[0, 1] - 1.0).max())
     for start, nz in _noise_chunks(gens, steps, np.sqrt(cfg.dt), noise):
         xis = wp.xi(w, times[start:start + len(nz)])
         for s0 in range(0, len(nz), _SUB):
             k0, ns = start + s0, min(_SUB, len(nz) - s0)
-            maps = fm.evaluate(stack, xis[s0:s0 + ns])
-            for i in range(ns):  # x += Fd x dt + (Fg x - K x) dW
-                np.matmul(maps[i], x, out=y)
+            maps = fm.evaluate(stack, xis[s0:s0 + ns], real=True)
+            for i in range(ns):  # u += Fd u dt + (Fg u - K u) dW
+                np.matmul(maps[i], u, out=y)
                 kx[i] = y[-1]
-                np.multiply(x, y[-1].real, out=fx)
+                np.multiply(u, y[-1], out=fx)
                 np.subtract(y[d:-1], fx, out=fx)
                 fx *= nz[s0 + i]
-                x += y[:d]
-                x += fx
-                _readout(readout, x, out=r[i])
-            im = np.abs(kx[:ns].imag)
-            _guard(im, r[:ns, 0], times[k0:], seed_seqs)
-            _accumulate(stats, k0 + 1, r[:ns, 0].real)
-            stats.max_im_k = max(stats.max_im_k, float(im.max()))
-            stats.max_im_n = max(stats.max_im_n, float(np.abs(r[:ns, :2].imag).max()))
-            stats.max_i11_dev = max(stats.max_i11_dev, float(np.abs(r[:ns, 2] - 1.0).max()))
+                u += y[:d]
+                u += fx
+                np.matmul(readout, u, out=r[i])
+            _guard(r[:ns, 0], times[k0 + 1:], seed_seqs)
+            _accumulate(stats, k0 + 1, r[:ns, 0])
+            stats.max_i11_dev = max(stats.max_i11_dev, float(np.abs(r[:ns, 1] - 1.0).max()))
             if record_series:
-                stats.record[k0 + 1:k0 + ns + 1] = kx[:ns].real * cfg.dt + nz[s0:s0 + ns]
+                stats.record[k0 + 1:k0 + ns + 1] = kx[:ns] * cfg.dt + nz[s0:s0 + ns]
     return stats
 
 
-def _guard(im: np.ndarray, n: np.ndarray, times, seed_seqs) -> None:
-    """Raise at the first bad step of a generic sub-chunk, in the order the
-    steps meet them: row i holds |Im K| on the state at times[i] and pi11(n)
-    of the state at times[i + 1]."""
-    over, finite = im > _IM_ERR, np.isfinite(n)
-    bad = over.any(axis=1) | ~finite.all(axis=1)
-    if not bad.any():
-        return
-    i = int(np.argmax(bad))
-    if over[i].any():
-        j = int(np.argmax(over[i]))
-        _fail(NonRealInnovationError, f"K_t has imaginary part {im[i, j]:.3e}",
-              times[i], seed_seqs, j)
-    j = int(np.argmin(finite[i]))
-    _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {n[i, j].real}",
-          times[i + 1], seed_seqs, j)
+def _guard(n: np.ndarray, times, seed_seqs) -> None:
+    """Raise at the first non-finite pi11(n) of a generic sub-chunk: row i
+    holds n of the state at times[i]."""
+    finite = np.isfinite(n)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), n.shape[1])
+        _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {n[i, j]}", times[i],
+              seed_seqs, j)
 
 
 def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
@@ -306,10 +292,11 @@ def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
     buffer (:func:`_noise_chunks`, which copies ``noise`` in rather than
     writing to it) evaluates beta, f, the gain and the floor alpha^2 +
     |beta|^2 at its own times.  Each step's N overwrites its spent increment,
-    the guard reads the chunk's N, and n = |beta|^2 / N then replaces N in
-    place and goes through :func:`_accumulate`; n is in [0, 1] exactly, as
-    |beta|^2 <= N holds in floating point.  The last row's N carries to the
-    next chunk.
+    the guard raises at the first N of the chunk that is not finite or is
+    +0 (where |beta|^2 is 0 too and n would be 0 / 0), and n = |beta|^2 / N
+    then replaces N in place and goes through :func:`_accumulate`; n is in
+    [0, 1] exactly, as |beta|^2 <= N holds in floating point.  The last
+    row's N carries to the next chunk.
     A block steps as (2 x m) arrays, except a block of one trajectory (a
     ``trajectory`` run, or an ensemble block that holds one), which steps on
     Python floats (:func:`_cascade_floats`): a step is a few flops, and on
@@ -343,10 +330,11 @@ def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
                 if stats.record is not None:
                     stats.record[start + i + 1] = y
         nrm = nz[-1].copy()
-        if not np.isfinite(nz.max()):  # N >= 0, and max propagates nan
-            i, j = divmod(int(np.argmin(np.isfinite(nz))), stats.m)
-            _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {bb[i + 1] / nz[i, j]}",
-                  t[i + 1], seed_seqs, j)
+        if not (nz.min() > 0.0 and nz.max() < np.inf):  # min and max propagate nan
+            i, j = divmod(int(np.argmin((nz > 0.0) & (nz < np.inf))), stats.m)
+            n = bb[i + 1] / nz[i, j] if nz[i, j] else math.nan  # N = +0: 0 / 0
+            _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {n}", t[i + 1],
+                  seed_seqs, j)
         _accumulate(stats, start + 1, np.divide(bb[1:, None], nz, out=nz))
 
 
@@ -412,12 +400,6 @@ def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) ->
     if stats.series is not None:
         stats.series[:e] = np.where(at > rows[:e, None], n[:, None], 0.0)
         stats.record[:] = rows[:, None] >= at
-
-
-def _readout(readout: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """Readouts of the (N, m) state into ``out``: the real readout matrix acts
-    on the float views."""
-    np.matmul(readout, x.view(np.float64), out=out.view(np.float64))
 
 
 def _accumulate(stats, k, n):

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from photonfilter import sde_engine as se
 from photonfilter import wavepacket as wp
 from photonfilter.errors import FilterDivergenceError, NonRealInnovationError, PhotonFilterError
 from photonfilter.filter_generic import SLHModel
@@ -40,6 +39,9 @@ from photonfilter.filter_generic import SLHModel
 # O(dt) there.
 _NU_EPS = 1e-10
 _NU_ERR = 1e-6
+# Imaginary residue of K_t and nu_t: dropped up to _IM_ERR, a hard error
+# above it (it signals an index-ordering bug).
+_IM_ERR = 1e-6
 
 
 class InvalidJumpError(PhotonFilterError):
@@ -89,12 +91,12 @@ def _tr(rho: np.ndarray, x: np.ndarray):
 
 
 def _real_guard(value, label: str):
-    """Truncate a tiny imaginary residue; flag anything larger."""
+    """Truncate a tiny imaginary residue; flag anything above _IM_ERR."""
     value = np.asarray(value)
     im = np.abs(value.imag)
     worst = float(im.max()) if im.ndim else float(im)
-    if worst > se._IM_ERR:
-        raise NonRealInnovationError(f"{label} has imaginary part {worst:.3e} > {se._IM_ERR:g}")
+    if worst > _IM_ERR:
+        raise NonRealInnovationError(f"{label} has imaginary part {worst:.3e} > {_IM_ERR:g}")
     return value.real
 
 

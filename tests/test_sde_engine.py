@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from dataclasses import fields, replace
@@ -96,26 +97,25 @@ class TestMasterPath:
 def _full_euler(cfg, f, noise):
     """Euler-Maruyama of the homodyne filter on all 4 D^2 entries, one
     trajectory per column of ``noise``, one step at a time: the runner's step
-    without its restriction to the entries the vacuum reaches or its
-    sub-chunks.  Returns the readouts (steps + 1, rows, m), the record and
-    |Im K| of every step."""
+    without its restriction to the entries the vacuum reaches, its real
+    coordinates or its sub-chunks.  Returns the readouts (steps + 1, rows, m)
+    and the record."""
     times = cfg.times()
     xis = wp.xi(wp.Wavepacket(cfg.gamma, cfg.t0), times[:-1])
     x = np.repeat(f.initial[:, None], noise.shape[1], axis=1)
     r = np.empty((times.size, len(fm.READOUTS), noise.shape[1]), dtype=complex)
-    record, im = np.zeros((times.size, noise.shape[1])), np.empty((times.size - 1, noise.shape[1]))
+    record = np.zeros((times.size, noise.shape[1]))
     r[0] = f.readout @ x
     for k, xi in enumerate(xis):
         fd, fgm, kr = (fm.evaluate(p, xi) for p in (f.drift, f.diffusion, f.k))
-        kc = kr @ x
-        kk, im[k] = kc.real, np.abs(kc.imag)
+        kk = (kr @ x).real
         x = x + (fd @ x) * cfg.dt + ((fgm @ x) - kk * x) * noise[k]
         record[k + 1] = kk * cfg.dt + noise[k]
         r[k + 1] = f.readout @ x
-    return r, record, im
+    return r, record
 
 
-def _tilt(monkeypatch, k_im: float, start=None):
+def _tilt(monkeypatch, k_im: float = 0.0, start=None):
     """Make the runner compile filters whose K has imaginary part k_im pi11(n)
     and whose initial state adds ``start``; returns the patched compiler."""
     compile_filter = fm.compile_filter
@@ -128,6 +128,24 @@ def _tilt(monkeypatch, k_im: float, start=None):
 
     monkeypatch.setattr(fm, "compile_filter", tilted)
     return tilted
+
+
+def _basis(f, on):
+    """The complex (B) and inverse (T) bases of ``fm.real_filter``'s
+    coordinates on the entries ``on``: x = B u and u = T x."""
+    dim = math.isqrt(f.initial.size // 4)
+    n = dim * dim
+    blk, i, j = on // n, on % n % dim, on % n // dim
+    perm = np.searchsorted(on, np.array([fm.B11, fm.B01, fm.B10, fm.B00])[blk] * n + j + i * dim)
+    a = np.flatnonzero(perm > np.arange(on.size))
+    b = perm[a]
+    basis = np.diag((perm == np.arange(on.size)).astype(complex))
+    basis[a, a] = basis[b, a] = 1.0
+    basis[a, b], basis[b, b] = 1j, -1j
+    inverse = np.diag((perm == np.arange(on.size)).astype(complex))
+    inverse[a, a] = inverse[a, b] = 0.5
+    inverse[b, a], inverse[b, b] = -0.5j, 0.5j
+    return basis, inverse
 
 
 class TestGenericFilter:
@@ -168,6 +186,33 @@ class TestGenericFilter:
                 assert np.array_equal(restricted[p][np.ix_(perm, perm)], restricted[q].conj())
             assert np.array_equal(f.k[p, on][perm], f.k[q, on].conj())
 
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_real_coordinates_exact(self, dim, delta):
+        # mapped back through the basis, B G T for each real map G, k_real T
+        # and B u0, the real filter is the complex one restricted to the nine
+        # entries with its xi polynomial regrouped on (1, Re xi, Im xi,
+        # |xi|^2), bit for bit: G1 = F1 + F2 and G2 = i (F1 - F2)
+        f = fm.compile_filter(SLHModel.cavity(dim, 1.0, delta))
+        on = se._support(f, f.drift, f.diffusion)
+        g = fm.real_filter(f, on)
+        basis, inverse = _basis(f, on)
+
+        def regroup(p):
+            return np.stack([p[fm.ONE], p[fm.XI] + p[fm.CXI], 1j * (p[fm.XI] - p[fm.CXI]),
+                             p[fm.AXI2]])
+
+        for full, real in ((f.drift, g.drift), (f.diffusion, g.diffusion)):
+            assert real.dtype == np.float64
+            assert np.array_equal(basis @ real @ inverse, regroup(full)[:, on[:, None], on])
+        assert np.array_equal(g.k @ inverse, regroup(f.k)[:, on])
+        assert np.array_equal(g.readout @ inverse, f.readout[:2, on])
+        assert np.array_equal(basis @ g.initial, f.initial[on])
+        # the real weights give the complex polynomial at any xi
+        z = np.array([0.3 - 0.4j, -1.2 + 0.1j])
+        np.testing.assert_allclose(basis @ fm.evaluate(g.drift, z, real=True) @ inverse,
+                                   fm.evaluate(f.drift, z)[:, on[:, None], on], rtol=0, atol=1e-15)
+
     def test_matches_full_state(self):
         # the same Euler-Maruyama steps on all 4 D^2 entries and shared noise
         cfg = SimConfig(t_end=23.0, dt=1e-2, delta=0.7, fock_dim=3, engine="generic")
@@ -175,7 +220,7 @@ class TestGenericFilter:
         noise = _noise(cfg, 4, seed=8)
         stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(8).spawn(4),
                              noise=noise, record_series=True)
-        r, record, _ = _full_euler(cfg, f, noise)
+        r, record = _full_euler(cfg, f, noise)
         np.testing.assert_allclose(stats.series, r[:, 0].real, rtol=0, atol=1e-12)
         np.testing.assert_allclose(stats.record, record, rtol=0, atol=1e-12)
 
@@ -183,7 +228,7 @@ class TestGenericFilter:
         # the nine entries and their maps are the same at every D >= 2
         cfg = SimConfig(t_end=23.0, dt=1e-2, delta=0.7, engine="generic")
         seqs = np.random.SeedSequence(6).spawn(8)
-        names = ("sum_n", "sumsq_n", "n_min", "n_max", "max_im_k", "max_im_n", "max_i11_dev")
+        names = ("sum_n", "sumsq_n", "n_min", "n_max", "max_i11_dev")
         ref = se.run_block(cfg, seed_seqs=seqs)
         for dim in range(3, 6):
             stats = se.run_block(cfg.with_(fock_dim=dim), seed_seqs=seqs)
@@ -195,29 +240,30 @@ class TestGenericFilter:
         # the runner folds its sums and diagnostics once per sub-chunk; on
         # grids shorter than one, of exactly one and ending in a partial one
         # they equal the reductions of the one-step-at-a-time filter.  So
-        # that every residual reads far above rounding, K gets an imaginary
-        # part below the bound and the start is tilted off the physical
-        # states: pi11(n) = 1e-8 i (so pi11(I) = 1 + 1e-8 i) and pi10(I) = 1e-8
+        # that pi11(I) - 1 reads far above rounding, the start is tilted off
+        # the physical states, and stays its own adjoint: pi11(n) = 1e-8 (so
+        # pi11(I) = 1 + 1e-8, which the filter keeps off 1) and, on both
+        # entries of a mirror pair, pi10(I) = conj(pi01(I)) = (1 + 2i) 1e-8
         start = np.zeros(36, dtype=complex)
-        start[4], start[9] = 1e-8j, 1e-8  # |1><1| in block 11, |0><0| in block 10
-        tilted = _tilt(monkeypatch, 1e-7, start)
+        start[4] = 1e-8  # |1><1| in block 11
+        start[9], start[18] = 1e-8 + 2e-8j, 1e-8 - 2e-8j  # |0><0| in blocks 10 and 01
+        tilted = _tilt(monkeypatch, start=start)
         cfg = SimConfig(kappa=1.0, gamma=1.0, delta=0.7, t0=0.0, dt=0.05, t_end=steps * 0.05,
                         fock_dim=3, engine="generic")
         f = tilted(SLHModel.cavity(3, cfg.kappa, cfg.delta))
         noise = _noise(cfg, 5, seed=2)
         stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(2).spawn(5),
                              noise=noise, record_series=True)
-        r, record, im = _full_euler(cfg, f, noise)
+        r, record = _full_euler(cfg, f, noise)
         v = r[:, 0].real
         want = {
             "sum_n": v.sum(axis=1), "sumsq_n": (v * v).sum(axis=1),
-            "n_min": v.min(), "n_max": v.max(), "max_im_k": im.max(),
-            "max_im_n": np.abs(r[:, :2].imag).max(),
+            "n_min": v.min(), "n_max": v.max(),
             "max_i11_dev": np.abs(r[:, fm.READOUTS.index("i11")] - 1.0).max(),
             "series": v, "record": record,
         }
         assert stats.sum_n.size == steps + 1 and 0.0 < stats.n_max
-        assert min(stats.max_im_k, stats.max_im_n, stats.max_i11_dev) > 1e-9
+        assert stats.max_i11_dev > 1e-9
         for name, value in want.items():
             np.testing.assert_allclose(getattr(stats, name), value, rtol=0, atol=1e-12,
                                        err_msg=name)
@@ -238,23 +284,37 @@ class TestGenericFilter:
                            match=rf"at t={re.escape(f'{t:.6g}')} in trajectory 6$"):
             se.run_block(cfg, seed_seqs=seqs, noise=noise)
 
-    def test_non_real_innovation_names_first_step_and_trajectory(self, monkeypatch):
-        # a k row with Im K = 1e-3 pi11(n): |Im K| passes the 1e-6 bound as
-        # the photon enters, first at the step and trajectory where the
-        # one-step-at-a-time filter first passes it.  The K guard reads the
-        # state before the step, so it also wins over NaN increments in that
-        # step, which make the state after it non-finite
-        tilted = _tilt(monkeypatch, 1e-3)
+    def test_non_real_innovation_raises_before_first_step(self, monkeypatch):
+        # a k row with Im K = 1e-3 pi11(n), or a start that is not its own
+        # adjoint (an imaginary |1><1| in block 11, or |0><0| in block 10
+        # without its mirror in block 01): the real coordinates cannot hold
+        # the filter, and the runner raises when it sets up, before it draws
+        # or steps anything
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the runner stepped a filter that is not real")
+
         cfg = SimConfig(t_end=8.0, dt=1e-2, delta=0.7, fock_dim=3, engine="generic")
-        seqs = np.random.SeedSequence(5).spawn(8)[3:]
-        noise = _noise(cfg, 5, seed=5)
-        _, _, im = _full_euler(cfg, tilted(SLHModel.cavity(3, cfg.kappa, cfg.delta)), noise)
-        k, j = divmod(int(np.argmax(im > se._IM_ERR)), im.shape[1])
-        t = cfg.times()[k]
-        noise[k] = np.nan
-        with pytest.raises(NonRealInnovationError,
-                           match=rf"at t={re.escape(f'{t:.6g}')} in trajectory {3 + j}$"):
-            se.run_block(cfg, seed_seqs=seqs, noise=noise)
+        for k_im, tilted, what in ((1e-3, [], "K row"), (0.0, [4], "initial state"),
+                                   (0.0, [9], "initial state")):
+            start = np.zeros(36, dtype=complex)
+            start[tilted] = 1e-8j
+            with monkeypatch.context() as mp:
+                _tilt(mp, k_im, start)
+                mp.setattr(se, "_noise_chunks", forbidden)
+                with pytest.raises(NonRealInnovationError,
+                                   match=f"^the filter's {what} is not real"):
+                    se.run_block(cfg, seed_seqs=np.random.SeedSequence(5).spawn(4))
+
+    def test_trajectory_in_block_matches_alone(self):
+        # a generic trajectory run alone steps (19 x 9) . (9 x 1) products,
+        # in a block of five (9 x 5) ones, which may round differently
+        cfg = SimConfig(t_end=13.0, dt=1e-2, delta=0.7, engine="generic")
+        children = np.random.SeedSequence(11).spawn(5)
+        block = se.run_block(cfg, seed_seqs=children, record_series=True)
+        for j, child in enumerate(children):
+            solo = se.simulate_trajectory(cfg, seed=child)
+            np.testing.assert_allclose(block.series[:, j], solo.n_cond, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(block.record[:, j], solo.record, rtol=0, atol=1e-15)
 
 
 class TestNoCountPath:
@@ -358,20 +418,33 @@ class TestCascade:
 
     def test_divergence_past_underflow_same_at_one_and_two(self):
         # with no noise c stays 0 and N = alpha^2 + |beta|^2 underflows to +0
-        # at t = 7587 (dt 0.5); the next step's K dt = 0 / 0.  A block of one
-        # steps on Python floats, where that division would raise
-        # ZeroDivisionError, and must raise what the array loop of a wider
-        # block raises.  The guard reads N before n = |beta|^2 / N is
-        # formed; the wider block's 0 / 0 warns in numpy, so the numpy
-        # warnings are silenced for these calls
+        # at t = 7587 (dt 0.5), where n = |beta|^2 / N is 0 / 0; the guard
+        # names that row.  The next step's K dt = 0 / 0 too, and both blocks
+        # take it before the chunk's guard runs: a block of one steps on
+        # Python floats, where that division would raise ZeroDivisionError,
+        # and must raise what the array loop of a wider block raises.  The
+        # wider block's 0 / 0 warns in numpy, so the numpy warnings are
+        # silenced for these calls
         cfg = SimConfig(t_end=8503.0, dt=0.5)
         steps = cfg.steps
         for m in (1, 2):
             with np.errstate(all="ignore"), pytest.raises(
                     FilterDivergenceError,
-                    match=r"^filter diverged to pi11\(n\) = nan at t=7587\.5 in trajectory 0$"):
+                    match=r"^filter diverged to pi11\(n\) = nan at t=7587 in trajectory 0$"):
                 se.run_block(cfg, seed_seqs=np.random.SeedSequence(0).spawn(m),
                              noise=np.zeros((steps, m)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_divergence_on_the_last_row(self, m):
+        # N first reaches +0 on the grid's last row, t_end = 7587: no step
+        # follows that would raise, and n = |beta|^2 / N would be 0 / 0.  The
+        # guard raises at that row, before n is formed, with no numpy warning
+        cfg = SimConfig(t_end=7587.0, dt=0.5)
+        with pytest.raises(FilterDivergenceError,
+                           match=r"^filter diverged to pi11\(n\) = nan at t=7587 in trajectory 0$"):
+            se.run_block(cfg, seed_seqs=np.random.SeedSequence(0).spawn(m),
+                         noise=np.zeros((cfg.steps, m)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("m", [1, 2])
