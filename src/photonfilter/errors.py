@@ -6,8 +6,9 @@ class PhotonFilterError(Exception):
 
 
 class NonRealInnovationError(PhotonFilterError):
-    """The homodyne filter's maps do not keep K_t real: raised when the
-    filter is set up, before its first step."""
+    """The homodyne filter's maps do not keep K_t real or do not conserve
+    pi11(I) = 1 exactly: raised when the filter is set up, before its first
+    step."""
 
 
 class FilterDivergenceError(PhotonFilterError):

@@ -6,11 +6,10 @@ not depend on scheduling, and a trajectory inside a block matches the same
 trajectory run alone to rounding.  :func:`run_block` runs a block in
 lock-step: homodyne detection by Euler-Maruyama on the cascade's pure state
 (on Python floats when the block holds one trajectory) or on the filter
-compiled by :mod:`photonfilter.filter_moments`, on real coordinates (in
-sub-chunks of steps that share one evaluation of the maps, one pass of the
-guard and one of the sums), photon counting by inverting the probability of
-no count, one uniform per trajectory.  Every error names the time and the
-trajectory.
+compiled by :mod:`photonfilter.filter_moments`, on real coordinates (each
+chunk of steps guarded and folded once), photon counting by inverting the
+probability of no count, one uniform per trajectory.  Every error names the
+time and the trajectory.
 """
 
 from __future__ import annotations
@@ -28,14 +27,15 @@ from .filter_generic import SLHModel
 
 # Steps of Wiener increments held at once, in one buffer per homodyne block
 # (2 MB at m = 500, so it stays in cache), with the coefficients of those
-# steps.  A multiple of _SUB, so that the generic filter's sub-chunks, and
-# with them its outputs, do not move.
+# steps; both engines guard and fold n once per chunk.
 _CHUNK = 512
 # Steps of the master equation's path held at once.  Its stage maps take
 # about 3 KB a step; at _CHUNK steps they raised the peak resident memory
 # of a homodyne ensemble, which also integrates the master equation.
 _PATH = 64
-_SUB = 8  # steps of the generic filter whose maps are evaluated at once
+# Steps of the generic filter whose maps are evaluated at once (each entry is
+# one product, so any batch gives the same maps; a chunk's would take 700 KB).
+_SUB = 8
 
 
 @dataclass
@@ -55,8 +55,7 @@ class BlockStats:
 
     ``sum_n`` and ``sumsq_n`` hold the sums of n and n^2 over the block's
     trajectories at each grid time, ``count_times`` each trajectory's count
-    time (NaN where it has none; only photon counting counts).  The generic
-    filter also tracks its residual |pi11(I) - 1|.
+    time (NaN where it has none; only photon counting counts).
     """
 
     m: int
@@ -66,7 +65,6 @@ class BlockStats:
     count_times: np.ndarray
     n_min: float = np.inf
     n_max: float = -np.inf
-    max_i11_dev: float = 0.0
     series: np.ndarray | None = None
     record: np.ndarray | None = None
 
@@ -79,7 +77,6 @@ def _fold(blocks: list[BlockStats]) -> BlockStats:
         out.sum_n += b.sum_n
         out.sumsq_n += b.sumsq_n
         out.n_max = max(out.n_max, b.n_max)
-        out.max_i11_dev = max(out.max_i11_dev, b.max_i11_dev)
         out.n_min = min(out.n_min, b.n_min)
     out.count_times = np.concatenate([b.count_times for b in blocks])
     return out
@@ -203,12 +200,12 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
     adjoint, so these nine complex entries carry nine real coordinates
     (:func:`filter_moments.real_filter`, which raises
     ``NonRealInnovationError`` here, before the first step, if the maps do
-    not keep them real).  It steps in sub-chunks of ``_SUB`` steps: one
-    product evaluates the stacked real map [Fd dt; Fg; k] at every step's
-    xi(t), a step is one real (19 x 9) . (9 x m) product, the Euler update
-    and the readout into a buffer, and the finiteness guard
-    (:func:`_guard`) and sums (:func:`_accumulate`) then run once over the
-    sub-chunk's rows.
+    not keep them real or do not conserve pi11(I) = 1 exactly).  One
+    product evaluates the stacked real map [Fd dt; Fg; k] at the xi(t) of
+    ``_SUB`` steps, a step is one real (19 x 9) . (9 x m) product and the
+    Euler update, and its n overwrites its spent increment, as the cascade's
+    N does; the finiteness guard (:func:`_guard`) and the sums
+    (:func:`_accumulate`) then run once over the chunk.
     Both homodyne engines draw their Wiener increments ``_CHUNK`` steps at a
     time into one buffer per block (:func:`_noise_chunks`), evaluate the
     wavepacket and their coefficients at that chunk's times only, and fold
@@ -241,42 +238,34 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
     d = g.initial.size
     # A step's map: rows :d give Fd u dt, rows d:2d Fg u and the last K.
     stack = np.concatenate([g.drift * cfg.dt, g.diffusion, g.k[:, None]], axis=1)
-    readout, u = g.readout, np.repeat(g.initial[:, None], m, axis=1)  # n11 and i11
+    readout, u = g.readout, np.repeat(g.initial[:, None], m, axis=1)  # n11
     w = wp.Wavepacket(cfg.gamma, cfg.t0)
     y, fx = np.empty((2 * d + 1, m)), np.empty((d, m))
-    kx = np.empty((_SUB, m))  # K of each step
-    r = np.empty((_SUB, len(readout), m))
-    np.matmul(readout, u, out=r[0])
-    _accumulate(stats, 0, r[:1, 0])
-    stats.max_i11_dev = float(np.abs(r[0, 1] - 1.0).max())
+    _accumulate(stats, 0, readout @ u)
     for start, nz in _noise_chunks(gens, steps, np.sqrt(cfg.dt), noise):
         xis = wp.xi(w, times[start:start + len(nz)])
         for s0 in range(0, len(nz), _SUB):
-            k0, ns = start + s0, min(_SUB, len(nz) - s0)
-            maps = fm.evaluate(stack, xis[s0:s0 + ns], real=True)
-            for i in range(ns):  # u += Fd u dt + (Fg u - K u) dW
-                np.matmul(maps[i], u, out=y)
-                kx[i] = y[-1]
+            for i, step in enumerate(fm.evaluate(stack, xis[s0:s0 + _SUB]), s0):
+                np.matmul(step, u, out=y)  # u += Fd u dt + (Fg u - K u) dW
                 np.multiply(u, y[-1], out=fx)
                 np.subtract(y[d:-1], fx, out=fx)
-                fx *= nz[s0 + i]
+                fx *= nz[i]
                 u += y[:d]
                 u += fx
-                np.matmul(readout, u, out=r[i])
-            _guard(r[:ns, 0], times[k0 + 1:], seed_seqs)
-            _accumulate(stats, k0 + 1, r[:ns, 0])
-            stats.max_i11_dev = max(stats.max_i11_dev, float(np.abs(r[:ns, 1] - 1.0).max()))
-            if record_series:
-                stats.record[k0 + 1:k0 + ns + 1] = kx[:ns] * cfg.dt + nz[s0:s0 + ns]
+                if record_series:
+                    stats.record[start + i + 1] = y[-1] * cfg.dt + nz[i]  # dY = K dt + dW
+                np.matmul(readout, u, out=nz[i:i + 1])  # n over its spent increment
+        _guard(nz, times[start + 1:], seed_seqs)
+        _accumulate(stats, start + 1, nz)
     return stats
 
 
 def _guard(n: np.ndarray, times, seed_seqs) -> None:
-    """Raise at the first non-finite pi11(n) of a generic sub-chunk: row i
-    holds n of the state at times[i]."""
-    finite = np.isfinite(n)
-    if not finite.all():
-        i, j = divmod(int(np.argmin(finite)), n.shape[1])
+    """Raise at the first non-finite pi11(n) of a generic chunk: row i holds
+    n of the state at times[i].  min and max propagate nan, so a finite chunk
+    passes with no mask."""
+    if not (-np.inf < n.min() and n.max() < np.inf):
+        i, j = divmod(int(np.argmin(np.isfinite(n))), n.shape[1])
         _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {n[i, j]}", times[i],
               seed_seqs, j)
 
@@ -293,7 +282,8 @@ def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
     writing to it) evaluates beta, f, the gain and the floor alpha^2 +
     |beta|^2 at its own times.  Each step's N overwrites its spent increment,
     the guard raises at the first N of the chunk that is not finite or is
-    +0 (where |beta|^2 is 0 too and n would be 0 / 0), and n = |beta|^2 / N
+    +0 (where |beta|^2 is 0 too and n would be 0 / 0; the steps past it
+    divide by it, with numpy's warnings off), and n = |beta|^2 / N
     then replaces N in place and goes through :func:`_accumulate`; n is in
     [0, 1] exactly, as |beta|^2 <= N holds in floating point.  The last
     row's N carries to the next chunk.
@@ -319,16 +309,17 @@ def _cascade(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
             if stats.record is not None:
                 stats.record[start + 1:start + len(nz) + 1, 0] = ys
         else:
-            for i in range(len(nz)):
-                np.dot(gain[i], c, out=y)
-                y /= nrm
-                y += nz[i]  # dY = K dt + dW
-                c += np.multiply(fc[i], y, out=tmp)
-                np.multiply(c, c, out=tmp)
-                nrm = np.add(tmp[0], tmp[1], out=nz[i])
-                nrm += floor[i + 1]
-                if stats.record is not None:
-                    stats.record[start + i + 1] = y
+            with np.errstate(divide="ignore", invalid="ignore"):  # past an N of +0
+                for i in range(len(nz)):
+                    np.dot(gain[i], c, out=y)
+                    y /= nrm
+                    y += nz[i]  # dY = K dt + dW
+                    c += np.multiply(fc[i], y, out=tmp)
+                    np.multiply(c, c, out=tmp)
+                    nrm = np.add(tmp[0], tmp[1], out=nz[i])
+                    nrm += floor[i + 1]
+                    if stats.record is not None:
+                        stats.record[start + i + 1] = y
         nrm = nz[-1].copy()
         if not (nz.min() > 0.0 and nz.max() < np.inf):  # min and max propagate nan
             i, j = divmod(int(np.argmin((nz > 0.0) & (nz < np.inf))), stats.m)
@@ -379,13 +370,12 @@ def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) ->
     """
     times, w = stats.times, wp.Wavepacket(cfg.gamma, cfg.t0)
     v = np.array([g.random() for g in gens]) if noise is None else np.asarray(noise, dtype=float)
-    order, at = np.argsort(v, kind="stable"), np.full(stats.m, times.size)  # at: count rows
     n_me = np.abs(wp.cavity_amplitude(w, cfg.kappa, cfg.delta, times)) ** 2
     s, rows = n_me + wp.tail_norm(w, times), np.arange(times.size)
-    # How many wait at each row (V <= the least s so far); the waiting with
-    # the largest V count first, at the rows where that number drops.
-    live = np.searchsorted(v[order], np.fmin.accumulate(s), side="right")
-    at[order[live[-1]:][::-1]] = np.repeat(rows, -np.diff(live, prepend=stats.m))
+    # V waits while V <= the least s so far, and counts at the first row
+    # where that least falls below V (at = times.size: it never does).
+    at = np.searchsorted(-np.fmin.accumulate(s), -v, side="right")
+    live = stats.m - np.cumsum(np.bincount(at, minlength=times.size))[:times.size]
     e = int(np.count_nonzero(live))  # the rows someone waits at: a prefix
     n, live = n_me[:e] / s[:e], live[:e]
     bad = ~np.isfinite(n)

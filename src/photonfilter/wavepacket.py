@@ -8,7 +8,7 @@ decay rate gamma, switched on at t0:
 
 which has unit L2 norm.  The closed forms below hold for this shape only,
 and photon counting and the cascade filter rest on them.  The amplitude is
-real, but the compiled filter's maps take xi as complex.
+real, as the compiled filter's maps assume (they conserve pi11(I) for it).
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ class Wavepacket:
 def xi(w: Wavepacket, t):
     """Temporal amplitude xi(t); accepts scalars or numpy arrays.
 
-    Zero before t0, sqrt(gamma) * exp(-gamma/2 (t - t0)) after.
+    Zero before t0, sqrt(gamma) * exp(-gamma/2 (t - t0)) after; float64.
     """
     t = np.asarray(t, dtype=float)
     tau = t - w.t0
     amp = np.where(tau >= 0.0, np.sqrt(w.gamma) * np.exp(-0.5 * w.gamma * np.clip(tau, 0.0, None)), 0.0)
-    return amp.astype(np.complex128) if amp.ndim else complex(amp)
+    return amp if amp.ndim else float(amp)
 
 
 def tail_norm(w: Wavepacket, t):

@@ -30,7 +30,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def jump_gain(model):
-    """Packed (4, N, N) jump gain Fj of ``model``, built like the maps of
+    """Packed (3, N, N) jump gain Fj of ``model``, built like the maps of
     :func:`photonfilter.filter_moments.compile_filter`:
 
         counting:   dx += (Fj x / nu - x) dN,     nu = pi11(I) of Fj x  (real)
@@ -39,9 +39,9 @@ def jump_gain(model):
     Sd, Ld = S.conj().T, L.conj().T
     return fm._superop(model.dim, [
         *((fm.ONE, blk, blk, L, Ld) for blk in range(4)),
-        (fm.CXI, fm.B11, fm.B01, L, Sd), (fm.XI, fm.B11, fm.B10, S, Ld),
-        (fm.AXI2, fm.B11, fm.B00, S, Sd),
-        (fm.CXI, fm.B10, fm.B00, L, Sd), (fm.XI, fm.B01, fm.B00, S, Ld),
+        (fm.XI, fm.B11, fm.B01, L, Sd), (fm.XI, fm.B11, fm.B10, S, Ld),
+        (fm.XI2, fm.B11, fm.B00, S, Sd),
+        (fm.XI, fm.B10, fm.B00, L, Sd), (fm.XI, fm.B01, fm.B00, S, Ld),
     ])
 
 

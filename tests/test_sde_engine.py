@@ -98,7 +98,7 @@ def _full_euler(cfg, f, noise):
     """Euler-Maruyama of the homodyne filter on all 4 D^2 entries, one
     trajectory per column of ``noise``, one step at a time: the runner's step
     without its restriction to the entries the vacuum reaches, its real
-    coordinates or its sub-chunks.  Returns the readouts (steps + 1, rows, m)
+    coordinates or its chunks.  Returns the readouts (steps + 1, rows, m)
     and the record."""
     times = cfg.times()
     xis = wp.xi(wp.Wavepacket(cfg.gamma, cfg.t0), times[:-1])
@@ -115,15 +115,15 @@ def _full_euler(cfg, f, noise):
     return r, record
 
 
-def _tilt(monkeypatch, k_im: float = 0.0, start=None):
-    """Make the runner compile filters whose K has imaginary part k_im pi11(n)
+def _tilt(monkeypatch, k_im: float = 0.0, start=None, k_re: float = 0.0):
+    """Make the runner compile filters whose K gains (k_re + i k_im) pi11(n)
     and whose initial state adds ``start``; returns the patched compiler."""
     compile_filter = fm.compile_filter
 
     def tilted(model):
         f = compile_filter(model)
         k = f.k.copy()
-        k[fm.ONE] += 1j * k_im * f.readout[0]
+        k[fm.ONE] += (k_re + 1j * k_im) * f.readout[0]
         return replace(f, k=k, initial=f.initial + (0.0 if start is None else start))
 
     monkeypatch.setattr(fm, "compile_filter", tilted)
@@ -168,11 +168,10 @@ class TestGenericFilter:
     def test_maps_commute_with_adjoint(self, dim, delta):
         # the adjoint takes rho10 to rho01 and transposes every block: on the
         # nine entries it is x -> conj(P x) for the mirror permutation P,
-        # (block, i, j) -> (block with 10 and 01 swapped, j, i).  The maps
-        # commute with it exactly, the conjugate of xi swapping the XI and
-        # CXI terms, so the conjugation pairs pi10(a^dag) = conj(pi01(a)),
-        # pi10(I) = conj(pi01(I)), ... hold to the bit and K is real on
-        # every state the runner reaches
+        # (block, i, j) -> (block with 10 and 01 swapped, j, i).  Each power
+        # of the (real) xi commutes with it exactly, so the conjugation pairs
+        # pi10(a^dag) = conj(pi01(a)), pi10(I) = conj(pi01(I)), ... hold to
+        # the bit and K is real on every state the runner reaches
         f = fm.compile_filter(SLHModel.cavity(dim, 1.0, delta))
         on = se._support(f, f.drift, f.diffusion)
         n = dim * dim
@@ -180,37 +179,38 @@ class TestGenericFilter:
         mirror = np.array([fm.B11, fm.B01, fm.B10, fm.B00])[blk] * n + j + i * dim
         perm = np.searchsorted(on, mirror)
         assert (on[perm] == mirror).all()
-        for p, q in ((fm.ONE, fm.ONE), (fm.XI, fm.CXI), (fm.CXI, fm.XI), (fm.AXI2, fm.AXI2)):
+        for p in (fm.ONE, fm.XI, fm.XI2):
             for full in (f.drift, f.diffusion):
-                restricted = full[:, on[:, None], on]
-                assert np.array_equal(restricted[p][np.ix_(perm, perm)], restricted[q].conj())
-            assert np.array_equal(f.k[p, on][perm], f.k[q, on].conj())
+                restricted = full[p][np.ix_(on, on)]
+                assert np.array_equal(restricted[np.ix_(perm, perm)], restricted.conj())
+            assert np.array_equal(f.k[p, on][perm], f.k[p, on].conj())
 
     @pytest.mark.parametrize("delta", [0.0, 0.7])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_real_coordinates_exact(self, dim, delta):
         # mapped back through the basis, B G T for each real map G, k_real T
         # and B u0, the real filter is the complex one restricted to the nine
-        # entries with its xi polynomial regrouped on (1, Re xi, Im xi,
-        # |xi|^2), bit for bit: G1 = F1 + F2 and G2 = i (F1 - F2)
+        # entries, power by power of xi, bit for bit
         f = fm.compile_filter(SLHModel.cavity(dim, 1.0, delta))
         on = se._support(f, f.drift, f.diffusion)
         g = fm.real_filter(f, on)
         basis, inverse = _basis(f, on)
-
-        def regroup(p):
-            return np.stack([p[fm.ONE], p[fm.XI] + p[fm.CXI], 1j * (p[fm.XI] - p[fm.CXI]),
-                             p[fm.AXI2]])
-
         for full, real in ((f.drift, g.drift), (f.diffusion, g.diffusion)):
             assert real.dtype == np.float64
-            assert np.array_equal(basis @ real @ inverse, regroup(full)[:, on[:, None], on])
-        assert np.array_equal(g.k @ inverse, regroup(f.k)[:, on])
-        assert np.array_equal(g.readout @ inverse, f.readout[:2, on])
+            assert np.array_equal(basis @ real @ inverse, full[:, on[:, None], on])
+        assert np.array_equal(g.k @ inverse, f.k[:, on])
+        assert np.array_equal(g.readout @ inverse, f.readout[:1, on])
         assert np.array_equal(basis @ g.initial, f.initial[on])
-        # the real weights give the complex polynomial at any xi
-        z = np.array([0.3 - 0.4j, -1.2 + 0.1j])
-        np.testing.assert_allclose(basis @ fm.evaluate(g.drift, z, real=True) @ inverse,
+        # and its maps conserve pi11(I) = 1 exactly: i11 . u0 = 1, i11 . G = 0
+        # for every drift power and i11 . D = k for every diffusion power
+        i11 = f.readout[fm.READOUTS.index("i11"), on] @ basis
+        assert not i11.imag.any()
+        assert i11.real @ g.initial == 1.0
+        assert not (i11.real @ g.drift).any()
+        assert np.array_equal(i11.real @ g.diffusion, g.k)
+        # the real maps give the complex polynomial at any real xi
+        z = np.array([0.3, -1.2])
+        np.testing.assert_allclose(basis @ fm.evaluate(g.drift, z) @ inverse,
                                    fm.evaluate(f.drift, z)[:, on[:, None], on], rtol=0, atol=1e-15)
 
     def test_matches_full_state(self):
@@ -228,24 +228,23 @@ class TestGenericFilter:
         # the nine entries and their maps are the same at every D >= 2
         cfg = SimConfig(t_end=23.0, dt=1e-2, delta=0.7, engine="generic")
         seqs = np.random.SeedSequence(6).spawn(8)
-        names = ("sum_n", "sumsq_n", "n_min", "n_max", "max_i11_dev")
+        names = ("sum_n", "sumsq_n", "n_min", "n_max")
         ref = se.run_block(cfg, seed_seqs=seqs)
         for dim in range(3, 6):
             stats = se.run_block(cfg.with_(fock_dim=dim), seed_seqs=seqs)
             for name in names:
                 np.testing.assert_array_equal(getattr(stats, name), getattr(ref, name))
 
-    @pytest.mark.parametrize("steps", [se._SUB - 3, se._SUB, 3 * se._SUB + 5])
+    @pytest.mark.parametrize("steps", [se._SUB - 3, se._SUB, 3 * se._SUB + 5,
+                                       se._CHUNK - 3, se._CHUNK, 2 * se._CHUNK + 5])
     def test_sums_match_per_step_reference(self, steps, monkeypatch):
-        # the runner folds its sums and diagnostics once per sub-chunk; on
-        # grids shorter than one, of exactly one and ending in a partial one
-        # they equal the reductions of the one-step-at-a-time filter.  So
-        # that pi11(I) - 1 reads far above rounding, the start is tilted off
-        # the physical states, and stays its own adjoint: pi11(n) = 1e-8 (so
-        # pi11(I) = 1 + 1e-8, which the filter keeps off 1) and, on both
-        # entries of a mirror pair, pi10(I) = conj(pi01(I)) = (1 + 2i) 1e-8
+        # the runner evaluates its maps once per sub-chunk of _SUB steps and
+        # folds its sums once per chunk; on grids shorter than one, of
+        # exactly one and ending in a partial one, of either, they equal the
+        # reductions of the one-step-at-a-time filter.  The start is tilted
+        # off the physical states and stays its own adjoint, with pi11(I) = 1:
+        # on both entries of a mirror pair, pi10(I) = conj(pi01(I)) = (1 + 2i) 1e-8
         start = np.zeros(36, dtype=complex)
-        start[4] = 1e-8  # |1><1| in block 11
         start[9], start[18] = 1e-8 + 2e-8j, 1e-8 - 2e-8j  # |0><0| in blocks 10 and 01
         tilted = _tilt(monkeypatch, start=start)
         cfg = SimConfig(kappa=1.0, gamma=1.0, delta=0.7, t0=0.0, dt=0.05, t_end=steps * 0.05,
@@ -258,23 +257,23 @@ class TestGenericFilter:
         v = r[:, 0].real
         want = {
             "sum_n": v.sum(axis=1), "sumsq_n": (v * v).sum(axis=1),
-            "n_min": v.min(), "n_max": v.max(),
-            "max_i11_dev": np.abs(r[:, fm.READOUTS.index("i11")] - 1.0).max(),
-            "series": v, "record": record,
+            "n_min": v.min(), "n_max": v.max(), "series": v, "record": record,
         }
         assert stats.sum_n.size == steps + 1 and 0.0 < stats.n_max
-        assert stats.max_i11_dev > 1e-9
         for name, value in want.items():
             np.testing.assert_allclose(getattr(stats, name), value, rtol=0, atol=1e-12,
                                        err_msg=name)
 
-    @pytest.mark.parametrize("k", [3 * se._SUB + se._SUB // 2, 4 * se._SUB - 1, 1299],
-                             ids=["mid-sub-chunk", "sub-chunk-end", "grid-end"])
+    @pytest.mark.parametrize("k", [3 * se._SUB + se._SUB // 2, 4 * se._SUB - 1,
+                                   se._CHUNK + se._CHUNK // 2 + 3, 2 * se._CHUNK - 1, 1299],
+                             ids=["mid-sub-chunk", "sub-chunk-end", "mid-chunk", "chunk-end",
+                                  "grid-end"])
     def test_divergence_names_time_and_trajectory(self, k):
         # trajectories 4..7 of an ensemble; a NaN increment in the third
         # column at step k makes the state non-finite at the next grid time,
-        # wherever step k falls in its sub-chunk (1300 steps: the last is the
-        # end of a partial sub-chunk)
+        # wherever step k falls in its sub-chunk of map evaluations or in its
+        # chunk of the guard (1300 steps: the last is the end of a partial
+        # chunk)
         cfg = SimConfig(t_end=13.0, dt=1e-2, engine="generic")
         seqs = np.random.SeedSequence(3).spawn(8)[4:]
         noise = _noise(cfg, 4, seed=3)
@@ -304,6 +303,20 @@ class TestGenericFilter:
                 with pytest.raises(NonRealInnovationError,
                                    match=f"^the filter's {what} is not real"):
                     se.run_block(cfg, seed_seqs=np.random.SeedSequence(5).spawn(4))
+
+    def test_unconserved_normalisation_raises_before_first_step(self, monkeypatch):
+        # a k row whose real part gains 1e-3 pi11(n): the maps stay real but
+        # no longer conserve pi11(I) = 1 (i11 . D != k), and the runner
+        # raises when it sets up, before it draws or steps anything
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the runner stepped a filter that does not conserve pi11(I)")
+
+        _tilt(monkeypatch, k_re=1e-3)
+        monkeypatch.setattr(se, "_noise_chunks", forbidden)
+        cfg = SimConfig(t_end=8.0, dt=1e-2, delta=0.7, fock_dim=3, engine="generic")
+        with pytest.raises(NonRealInnovationError, match=r"^the filter's maps do not conserve "
+                                                         r"pi11\(I\) \(residue 1\.000e-03\)$"):
+            se.run_block(cfg, seed_seqs=np.random.SeedSequence(5).spawn(4))
 
     def test_trajectory_in_block_matches_alone(self):
         # a generic trajectory run alone steps (19 x 9) . (9 x 1) products,
@@ -416,19 +429,19 @@ class TestCascade:
         assert stats.series.min() >= 0.0 and stats.series.max() <= 1.0
         assert stats.n_min == stats.series.min() and stats.n_max == stats.series.max()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_past_underflow_same_at_one_and_two(self):
         # with no noise c stays 0 and N = alpha^2 + |beta|^2 underflows to +0
         # at t = 7587 (dt 0.5), where n = |beta|^2 / N is 0 / 0; the guard
         # names that row.  The next step's K dt = 0 / 0 too, and both blocks
         # take it before the chunk's guard runs: a block of one steps on
         # Python floats, where that division would raise ZeroDivisionError,
-        # and must raise what the array loop of a wider block raises.  The
-        # wider block's 0 / 0 warns in numpy, so the numpy warnings are
-        # silenced for these calls
+        # and must raise what the array loop of a wider block raises, with no
+        # numpy warning from the wider block's 0 / 0
         cfg = SimConfig(t_end=8503.0, dt=0.5)
         steps = cfg.steps
         for m in (1, 2):
-            with np.errstate(all="ignore"), pytest.raises(
+            with pytest.raises(
                     FilterDivergenceError,
                     match=r"^filter diverged to pi11\(n\) = nan at t=7587 in trajectory 0$"):
                 se.run_block(cfg, seed_seqs=np.random.SeedSequence(0).spawn(m),
