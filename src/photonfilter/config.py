@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -87,6 +87,3 @@ class SimConfig:
 
     def asdict(self) -> dict:
         return asdict(self)
-
-    def with_(self, **kwargs) -> "SimConfig":
-        return replace(self, **kwargs)

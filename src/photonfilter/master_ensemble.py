@@ -6,12 +6,11 @@ increments), which leaves the linear drift of the compiled filter.  From
 the vacuum that drift reaches five entries of the state at every Fock
 truncation, and the classical fixed-step RK4 of
 :func:`photonfilter.sde_engine.master_path` steps only those, so the series
-is the same at every D >= 2.  Homodyne
-ensembles run the filter of ``cfg.engine``; photon-counting ensembles
-sample their count times from the closed form below.
-
-An independent closed-form oracle is provided as well, never computed from
-the RK4 path it cross-checks: with c = i delta + kappa/2,
+is the same at every D >= 2; ``me`` reports it and ``verify`` checks it.
+Homodyne ensembles run the filter of ``cfg.engine``, photon-counting ones
+sample their count times from the closed form below, and ``ensemble`` sets
+both beside that closed form, never computed from the RK4 path it
+cross-checks: with c = i delta + kappa/2,
 
     <n>(t) = kappa * | integral_{t0}^{t} exp(-c (t-s)) xi(s) ds |^2 = |beta(t)|^2
 

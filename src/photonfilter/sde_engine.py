@@ -29,9 +29,8 @@ from .filter_generic import SLHModel
 # (2 MB at m = 500, so it stays in cache), with the coefficients of those
 # steps; both engines guard and fold n once per chunk.
 _CHUNK = 512
-# Steps of the master equation's path held at once.  Its stage maps take
-# about 3 KB a step; at _CHUNK steps they raised the peak resident memory
-# of a homodyne ensemble, which also integrates the master equation.
+# Steps of the master equation's path (``me`` and ``verify``) held at once;
+# its stage maps take about 3 KB a step.
 _PATH = 64
 # Steps of the generic filter whose maps are evaluated at once (each entry is
 # one product, so any batch gives the same maps; a chunk's would take 700 KB).
@@ -196,11 +195,9 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
     of one; ``generic`` compiles the filter once from the cavity's (S, L, H)
     at ``cfg.fock_dim`` and restricts it to the nine entries its drift and
     diffusion reach from the vacuum (:func:`_support`; the -K x term only
-    rescales), the same at every D.  Every state of the filter is its own
-    adjoint, so these nine complex entries carry nine real coordinates
-    (:func:`filter_moments.real_filter`, which raises
-    ``NonRealInnovationError`` here, before the first step, if the maps do
-    not keep them real or do not conserve pi11(I) = 1 exactly).  One
+    rescales), the same at every D, on nine real coordinates
+    (:func:`filter_moments.real_filter`, which raises before the first step
+    if the maps do not keep them real or do not conserve pi11(I)).  One
     product evaluates the stacked real map [Fd dt; Fg; k] at the xi(t) of
     ``_SUB`` steps, a step is one real (19 x 9) . (9 x m) product and the
     Euler update, and its n overwrites its spent increment, as the cascade's
@@ -360,24 +357,25 @@ def _cascade_floats(c, nrm, gain, fc, floor, nz) -> list[float]:
 def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
     """Photon counting by inversion of the probability s = <n> + tail_norm of
     no count (the photon is in the cavity or still to come), with <n> =
-    |beta|^2 in closed form (:func:`wavepacket.cavity_amplitude`) on the whole
-    grid; n = <n> / s.  Each trajectory draws one uniform V and counts at the
-    first row where the running minimum of s falls below V, so P(no count by
-    row k) = min_{i <= k} s_i even where rounding raises s by an ulp; its
-    count time is that row's time (NaN if there is none).  The count takes
-    |e,0> and |g,1> to |g,0>, so n = 0 after it and it adds nothing to the
-    sums; guards read rows where someone waits.
+    |beta|^2 in closed form on the whole grid; n = <n> / s, formed as 1 / (1
+    + tail / <n>) (:func:`wavepacket.photon_and_tail_ratio`) so that it stays
+    in [0, 1] where s underflows to 0.  Each trajectory draws one uniform V
+    and counts at the first row where the running minimum of s falls below V,
+    so P(no count by row k) = min_{i <= k} s_i even where rounding raises s
+    by an ulp; its count time is that row's time (NaN if there is none).  The
+    count takes |e,0> and |g,1> to |g,0>, so n = 0 after it and it adds
+    nothing to the sums; guards read rows where someone waits.
     """
     times, w = stats.times, wp.Wavepacket(cfg.gamma, cfg.t0)
     v = np.array([g.random() for g in gens]) if noise is None else np.asarray(noise, dtype=float)
-    n_me = np.abs(wp.cavity_amplitude(w, cfg.kappa, cfg.delta, times)) ** 2
+    n_me, tail_ratio = wp.photon_and_tail_ratio(w, cfg.kappa, cfg.delta, times)
     s, rows = n_me + wp.tail_norm(w, times), np.arange(times.size)
     # V waits while V <= the least s so far, and counts at the first row
     # where that least falls below V (at = times.size: it never does).
     at = np.searchsorted(-np.fmin.accumulate(s), -v, side="right")
     live = stats.m - np.cumsum(np.bincount(at, minlength=times.size))[:times.size]
     e = int(np.count_nonzero(live))  # the rows someone waits at: a prefix
-    n, live = n_me[:e] / s[:e], live[:e]
+    n, live = 1.0 / (1.0 + tail_ratio[:e]), live[:e]
     bad = ~np.isfinite(n)
     if bad.any():
         i = int(np.argmax(bad))

@@ -65,14 +65,29 @@ def cavity_amplitude(w: Wavepacket, kappa: float, delta: float, t):
     last factor is 1 where |z tau| is 0 or subnormal (1 to double precision
     there, and the complex division overflows).  |beta|^2 is the master
     equation's <n>."""
+    return _amplitude(w, kappa, delta, t)[0]
+
+
+def photon_and_tail_ratio(w: Wavepacket, kappa: float, delta: float, t):
+    """|cavity_amplitude|^2 and tail_norm / |cavity_amplitude|^2 (+inf where
+    beta = 0), from one evaluation of beta; the ratio takes the two
+    exponentials in one exp, so that it is exact where both underflow."""
+    beta, tau, ex, ratio = _amplitude(w, kappa, delta, t)
+    with np.errstate(divide="ignore", over="ignore"):  # |beta|^2 of 0 or subnormal
+        return np.abs(beta) ** 2, np.exp(-w.gamma * tau - 2.0 * ex.real) / (
+            kappa * w.gamma * np.abs(tau * ratio) ** 2)
+
+
+def _amplitude(w: Wavepacket, kappa: float, delta: float, t):
+    """beta = -sqrt(kappa gamma) exp(ex) tau ratio, then tau, ex and ratio."""
     tau = np.clip(np.asarray(t, dtype=float) - w.t0, 0.0, None)
     c = 1j * delta + 0.5 * kappa
     z = c - 0.5 * w.gamma
     if z.real > 0:
-        decay, zt = np.exp(-0.5 * w.gamma * tau), -z * tau
+        ex, zt = -0.5 * w.gamma * tau, -z * tau
     else:
-        decay, zt = np.exp(-c * tau), z * tau
+        ex, zt = -c * tau, z * tau
     normal = np.abs(zt) >= np.finfo(float).tiny
     ratio = np.ones_like(zt)
     ratio[normal] = np.expm1(zt[normal]) / zt[normal]
-    return -np.sqrt(kappa * w.gamma) * decay * tau * ratio
+    return -np.sqrt(kappa * w.gamma) * np.exp(ex) * tau * ratio, tau, ex, ratio

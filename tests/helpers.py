@@ -7,6 +7,8 @@ need: photon counting samples the closed-form probability of no count.
 :func:`weak_convergence_bias` is the harness of the weak-convergence check.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from photonfilter import filter_moments as fm
@@ -56,7 +58,7 @@ def weak_convergence_bias(cfg, M: int, master_seed: int) -> tuple[float, float]:
     Returns (bias at dt, bias at dt/2), each a sup over the coarse grid.
     """
     steps = cfg.steps
-    cfg_f = cfg.with_(dt=0.5 * cfg.dt)
+    cfg_f = replace(cfg, dt=0.5 * cfg.dt)
     children = np.random.SeedSequence(master_seed).spawn(M)
     sum_c, sum_f = np.zeros(steps + 1), np.zeros(2 * steps + 1)
     for lo in range(0, M, me._ENSEMBLE_BLOCK):

@@ -1,6 +1,7 @@
 """End-to-end acceptance checks, one printed pass/fail line per criterion."""
 
 import filecmp
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ def test_criterion_5_oracle_equivalence():
         noise[:, j] = np.random.default_rng(child).standard_normal(steps)
     noise *= np.sqrt(cfg.dt)
     c2 = se.run_block(cfg, seed_seqs=children, noise=noise, record_series=True)
-    c3 = se.run_block(cfg.with_(fock_dim=3), seed_seqs=children, noise=noise,
+    c3 = se.run_block(replace(cfg, fock_dim=3), seed_seqs=children, noise=noise,
                       record_series=True)
     oracle, _, _ = einsum_block(cfg, "homodyne", noise)
     dev_2 = float(np.abs(c2.series - oracle).max())

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from photonfilter import cli
+from photonfilter import cli, master_ensemble
+from photonfilter import sde_engine as se
+from photonfilter.config import SimConfig
+from photonfilter.master_ensemble import analytic_mean_photon_series
 
 FAST = ["--tend", "13", "--dt", "0.01"]
 
@@ -27,7 +30,6 @@ def test_csv_round_trip_bit_exact(tmp_path):
     out = tmp_path / "traj.csv"
     assert cli.main(["trajectory", *FAST, "--seed", "3", "--out", str(out)]) == 0
     data = np.loadtxt(str(out), delimiter=",", skiprows=2)
-    from photonfilter.config import SimConfig
     from photonfilter.sde_engine import simulate_trajectory
 
     traj = simulate_trajectory(SimConfig(t_end=13.0, dt=0.01, seed=3))
@@ -77,8 +79,37 @@ def test_ensemble_runs(tmp_path, capsys):
                    "--out", str(out)])
     assert rc == 0
     assert "M = 20" in capsys.readouterr().out
+    assert out.read_text().splitlines()[1] == "t,mean_n,stderr_n,me_n"
     data = np.loadtxt(str(out), delimiter=",", skiprows=2)
-    assert data.shape == (1301, 5)
+    assert data.shape == (1301, 4)
+
+
+@pytest.mark.parametrize("detector", ["homodyne", "photocount"])
+def test_ensemble_me_column_is_closed_form(tmp_path, detector):
+    # the master equation beside an ensemble is its exact solution |beta|^2,
+    # written at full precision
+    out = tmp_path / "ens.csv"
+    assert cli.main(["ensemble", *FAST, "--ntraj", "5", "--delta", "0.7",
+                     "--detector", detector, "--out", str(out)]) == 0
+    data = np.loadtxt(str(out), delimiter=",", skiprows=2)
+    cfg = SimConfig(t_end=13.0, dt=0.01, delta=0.7)
+    np.testing.assert_array_equal(data[:, 0], cfg.times())
+    np.testing.assert_array_equal(data[:, 3], analytic_mean_photon_series(cfg, cfg.times()))
+
+
+def test_ensemble_runs_no_master_equation_integration(tmp_path, monkeypatch):
+    # the RK4 of the master equation serves me and verify; an ensemble
+    # never steps it
+    def refuse(*args, **kwargs):
+        raise AssertionError("ensemble integrated the master equation")
+
+    for module in (master_ensemble, cli):
+        monkeypatch.setattr(module, "integrate_master", refuse)
+    monkeypatch.setattr(se, "master_path", refuse)
+    for engine in ("cascade", "generic"):
+        assert cli.main(["ensemble", *FAST, "--ntraj", "5", "--engine", engine,
+                         "--out", str(tmp_path / f"{engine}.csv")]) == 0
+    assert cli.main(["ensemble", *FAST, "--ntraj", "5", "--detector", "photocount"]) == 0
 
 
 def test_photocount_trajectory_prints_jumps(capsys):

@@ -91,7 +91,7 @@ class TestMasterPath:
         cfg = SimConfig(delta=delta, t0=t0, t_end=23.0, dt=1e-2)
         n = integrate_master(cfg).values
         for dim in range(3, 6):
-            np.testing.assert_array_equal(integrate_master(cfg.with_(fock_dim=dim)).values, n)
+            np.testing.assert_array_equal(integrate_master(replace(cfg, fock_dim=dim)).values, n)
 
 
 def _full_euler(cfg, f, noise):
@@ -231,7 +231,7 @@ class TestGenericFilter:
         names = ("sum_n", "sumsq_n", "n_min", "n_max")
         ref = se.run_block(cfg, seed_seqs=seqs)
         for dim in range(3, 6):
-            stats = se.run_block(cfg.with_(fock_dim=dim), seed_seqs=seqs)
+            stats = se.run_block(replace(cfg, fock_dim=dim), seed_seqs=seqs)
             for name in names:
                 np.testing.assert_array_equal(getattr(stats, name), getattr(ref, name))
 
@@ -401,8 +401,8 @@ class TestCascade:
         fine = _noise(cfg, 16, seed=1)
         coarse = fine.reshape(-1, 4, 16).sum(axis=1)
         gaps = []
-        for c, noise in ((cfg.with_(dt=4e-3), coarse), (cfg, fine)):
-            a, b = (se.run_block(c.with_(engine=e), seed_seqs=seqs, noise=noise,
+        for c, noise in ((replace(cfg, dt=4e-3), coarse), (cfg, fine)):
+            a, b = (se.run_block(replace(c, engine=e), seed_seqs=seqs, noise=noise,
                                  record_series=True).series for e in ("cascade", "generic"))
             gaps.append(np.sqrt(np.mean((a - b) ** 2)))
         assert gaps[0] <= bounds[0] and gaps[1] <= bounds[1]
@@ -622,6 +622,29 @@ class TestNoise:
             if noise is v:
                 assert stats.count_times.tolist() == [times[np.argmax(s < x)] for x in v]
 
+    @pytest.mark.parametrize("kappa,delta", [(0.1, 0.0), (0.1, 0.7), (0.15, 0.0), (0.05, 0.0)])
+    def test_uniform_zero_waits_to_any_horizon(self, kappa, delta):
+        # a uniform of exactly 0 (drawn with probability 2^-53) never counts.
+        # Past gamma (t - t0) = 745 the tail underflows to 0, and so does <n>
+        # where kappa >= gamma, so <n> / s would be 0 / 0; n = 1 / (1 + tail /
+        # <n>) stays in [0, 1], near its limit kappa gamma tau^2 / (kappa gamma
+        # tau^2 + 1) at kappa = gamma, delta = 0 (tier-1 turns a numpy warning
+        # into an error)
+        cfg = SimConfig(kappa=kappa, delta=delta, t_end=8503.0, dt=0.5, detector="photocount")
+        stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(0).spawn(2),
+                             noise=np.array([0.0, 0.5]), record_series=True)
+        s = analytic_mean_photon_series(cfg, stats.times) + wp.tail_norm(
+            wp.Wavepacket(cfg.gamma, cfg.t0), stats.times)
+        assert (s[-1] == 0.0) == (kappa >= cfg.gamma)
+        assert np.isnan(stats.count_times[0]) and not np.isnan(stats.count_times[1])
+        n = stats.series[:, 0]
+        assert np.isfinite(n).all() and 0.0 <= n.min() and n.max() <= 1.0
+        assert np.isfinite(stats.sum_n).all() and np.isfinite(stats.sumsq_n).all()
+        assert 0.0 <= stats.n_min <= stats.n_max <= 1.0
+        if kappa == 0.1 and delta == 0.0:
+            q = kappa * cfg.gamma * (stats.times[-1] - cfg.t0) ** 2
+            assert n[-1] == pytest.approx(q / (q + 1.0), rel=1e-12)
+
     def test_jump_draw_guards(self):
         # a grid coarser than the validator allows (s falls by 15% in the
         # step after t0): the closed-form s stays the exact probability of no
@@ -721,7 +744,7 @@ class TestNoiseChunks:
     def test_peak_memory(self, engine, m, cfg, bound_mb):
         # a block holds one chunk of increments and of coefficients, not its
         # whole grid
-        cfg = cfg.with_(engine=engine)
+        cfg = replace(cfg, engine=engine)
         seqs = np.random.SeedSequence(1).spawn(m)
         se.run_block(cfg, seed_seqs=seqs[:2])  # lazy imports and caches
         tracemalloc.start()
@@ -774,7 +797,7 @@ class TestTrajectory:
         # first order in dt (the law of the count times is checked in TestNoise)
         cfg = SimConfig(t_end=23.0, dt=1e-2, detector="photocount")
         devs = []
-        for c in (cfg, cfg.with_(dt=5e-3)):
+        for c in (cfg, replace(cfg, dt=5e-3)):
             ones = np.ones((c.steps, 1))
             b = se.run_block(c, seed_seqs=[np.random.SeedSequence(9)],
                              noise=np.zeros(1), record_series=True)

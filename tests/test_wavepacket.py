@@ -85,3 +85,19 @@ def test_cavity_amplitude_tracks_slower_decay():
     tau = np.array([4956.0, 6000.0])
     ratio = np.abs(wp.cavity_amplitude(w, kappa, delta, tau)) ** 2 / wp.tail_norm(w, tau)
     np.testing.assert_allclose(ratio, kappa * gamma / abs(z) ** 2, rtol=0, atol=1e-12)
+    # where both underflow, tail / |beta|^2 keeps its limit |z|^2 / (kappa gamma)
+    tau = np.array([1e4, 1e5])
+    assert (wp.tail_norm(w, tau) == 0.0).all()
+    np.testing.assert_allclose(wp.photon_and_tail_ratio(w, kappa, delta, tau)[1],
+                               abs(z) ** 2 / (kappa * gamma), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kappa,delta", [(0.1, 0.0), (0.3, 0.2), (0.05, 0.7)])
+def test_photon_and_tail_ratio(pulse, kappa, delta):
+    # |beta|^2 to the bit, and the ratio: +inf up to t0, where beta is 0,
+    # tail_norm / |beta|^2 where neither underflows
+    ts = np.array([0.0, 3.0, 3.001, 13.0, 103.0, 503.0])
+    bb, got = wp.photon_and_tail_ratio(pulse, kappa, delta, ts)
+    np.testing.assert_array_equal(bb, np.abs(wp.cavity_amplitude(pulse, kappa, delta, ts)) ** 2)
+    assert np.isposinf(got[:2]).all()
+    np.testing.assert_allclose(got[2:], wp.tail_norm(pulse, ts[2:]) / bb[2:], rtol=1e-12, atol=0)
