@@ -47,7 +47,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1, help="master seed")
     p.add_argument("--engine", choices=ENGINES, default="cascade",
                    help="homodyne filter: the cascade's pure state (no Fock "
-                        "truncation) or the filter compiled from (S, L, H) at --dim; "
+                        "truncation) or the filter compiled from (L, H) at --dim; "
                         "photon counting samples the exact closed form (cascade only)")
     p.add_argument("--detector", choices=DETECTORS, default="homodyne")
     p.add_argument("--out", default=None, help="output file path")

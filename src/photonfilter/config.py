@@ -20,7 +20,7 @@ class SimConfig:
     The time grid runs from 0 to ``t_end`` in ``steps`` steps of ``dt``.
     ``engine`` selects the homodyne filter: the pure state of the source
     feeding the cavity (``cascade``, no Fock truncation) or the filter
-    compiled from (S, L, H) at ``fock_dim`` (``generic``).  Photon counting
+    compiled from (L, H) at ``fock_dim`` (``generic``).  Photon counting
     samples the exact closed form of the cascade, so it takes ``cascade``.
     """
 

@@ -1,4 +1,4 @@
-"""Single-photon filter compiled from (S, L, H) into packed superoperators.
+"""Single-photon filter compiled from (L, H) into packed superoperators.
 
 The filter state is the four coefficient matrices rho^{ij} of the
 conditional moments pi^{ij}(X) = tr(rho^{ij} X), ij in {11, 10, 01, 00},
@@ -7,13 +7,14 @@ column-major order, so that
 
     vec(A rho B) = (B^T (x) A) vec(rho)    and    tr(rho X) = X.ravel() . vec(rho).
 
-Every map of the hierarchy is linear in the state and a polynomial in the
-real wavepacket amplitude xi,
+Every map of the hierarchy is linear in the state and affine in the real
+wavepacket amplitude xi, as the model has no scattering (S = I, so the
+drift's xi^2 term S rho00 S^dag - rho00 is 0),
 
-    F(xi) = F0 + xi F1 + xi^2 F2,
+    F(xi) = F0 + xi F1,
 
-so each is compiled once into a packed array of shape (3, ...), and
-:func:`evaluate` gives it at a run of xi values in one (n, 3) . (3, r c)
+so each is compiled once into a packed array of shape (2, ...), and
+:func:`evaluate` gives it at a run of xi values in one (n, 2) . (2, r c)
 product (the hierarchy's xi and xi* terms share F1: their nonzero patterns
 are disjoint, so the sum is exact):
 
@@ -23,7 +24,7 @@ are disjoint, so the sum is exact):
 Photon counting needs no map of its own: it samples the closed-form
 probability of no count (:func:`photonfilter.sde_engine.run_block`).
 
-Every term is built from S, L and H with the Kronecker identity above.  The
+Every term is built from L and H with the Kronecker identity above.  The
 tests check the compiled maps against an independent einsum filter, which
 lives with them in ``tests/einsum_oracle.py``.  :func:`real_filter` gives
 the homodyne filter on real coordinates, which the runner steps.
@@ -40,9 +41,9 @@ from . import operators as ops
 from .errors import NonRealInnovationError
 from .filter_generic import SLHModel
 
-# Block order of the packed state and the powers of the xi polynomial.
+# Block order of the packed state and the powers of xi.
 B11, B10, B01, B00 = range(4)
-ONE, XI, XI2 = range(3)
+ONE, XI = range(2)
 
 # Rows of the readout matrix: pi^{ij}(X), "a" being the annihilation
 # operator.  n11, the photon number the runner reads, and i11, which the
@@ -53,11 +54,11 @@ READOUTS = ("n11", "i11", "a01")
 
 @dataclass(frozen=True)
 class CompiledFilter:
-    """Packed maps of one (S, L, H) model on N state entries (4 D^2 as compiled)."""
+    """Packed maps of one (L, H) model on N state entries (4 D^2 as compiled)."""
 
-    drift: np.ndarray      # (3, N, N)
-    diffusion: np.ndarray  # (3, N, N), without the -K x term
-    k: np.ndarray          # (3, N)
+    drift: np.ndarray      # (2, N, N)
+    diffusion: np.ndarray  # (2, N, N), without the -K x term
+    k: np.ndarray          # (2, N)
     readout: np.ndarray    # (len(READOUTS), N), real
     initial: np.ndarray    # (N,) vacuum cavity: rho11 = rho00 = |0><0|
 
@@ -65,7 +66,7 @@ class CompiledFilter:
 def _superop(dim: int, terms) -> np.ndarray:
     """Sum of ``w_p * A rho_src B`` into block ``dst`` for (p, dst, src, A, B)."""
     n = dim * dim
-    out = np.zeros((3, 4 * n, 4 * n), dtype=np.complex128)
+    out = np.zeros((2, 4 * n, 4 * n), dtype=np.complex128)
     for p, dst, src, a, b in terms:
         out[p, dst * n:(dst + 1) * n, src * n:(src + 1) * n] += np.kron(b.T, a)
     return out
@@ -74,7 +75,7 @@ def _superop(dim: int, terms) -> np.ndarray:
 def _row(dim: int, terms) -> np.ndarray:
     """Sum of ``w_p * tr(rho_src X)`` for (p, src, X)."""
     n = dim * dim
-    out = np.zeros((3, 4 * n), dtype=np.complex128)
+    out = np.zeros((2, 4 * n), dtype=np.complex128)
     for p, src, x in terms:
         out[p, src * n:(src + 1) * n] += x.ravel()
     return out
@@ -83,8 +84,8 @@ def _row(dim: int, terms) -> np.ndarray:
 def compile_filter(model: SLHModel) -> CompiledFilter:
     """Compile the drift, diffusion and K maps of ``model``."""
     dim = model.dim
-    S, L, H = (np.asarray(v, dtype=np.complex128) for v in (model.S, model.L, model.H))
-    Sd, Ld = S.conj().T, L.conj().T
+    L, H = (np.asarray(v, dtype=np.complex128) for v in (model.L, model.H))
+    Ld = L.conj().T
     ldl = Ld @ L
     eye = np.eye(dim, dtype=np.complex128)
 
@@ -97,18 +98,17 @@ def compile_filter(model: SLHModel) -> CompiledFilter:
 
     drift = _superop(dim, [
         *(t for blk in range(4) for t in lindblad(blk)),
-        (XI, B11, B01, L, Sd), (XI, B11, B01, -eye, Sd @ L),
-        (XI, B11, B10, S, Ld), (XI, B11, B10, -Ld @ S, eye),
-        (XI2, B11, B00, S, Sd), (XI2, B11, B00, -eye, eye),
-        (XI, B10, B00, L, Sd), (XI, B10, B00, -eye, Sd @ L),
-        (XI, B01, B00, S, Ld), (XI, B01, B00, -Ld @ S, eye),
+        (XI, B11, B01, L, eye), (XI, B11, B01, -eye, L),
+        (XI, B11, B10, eye, Ld), (XI, B11, B10, -Ld, eye),
+        (XI, B10, B00, L, eye), (XI, B10, B00, -eye, L),
+        (XI, B01, B00, eye, Ld), (XI, B01, B00, -Ld, eye),
     ])
     diffusion = _superop(dim, [
         *(t for blk in range(4) for t in ((ONE, blk, blk, L, eye), (ONE, blk, blk, eye, Ld))),
-        (XI, B11, B01, eye, Sd), (XI, B11, B10, S, eye),
-        (XI, B10, B00, eye, Sd), (XI, B01, B00, S, eye),
+        (XI, B11, B01, eye, eye), (XI, B11, B10, eye, eye),
+        (XI, B10, B00, eye, eye), (XI, B01, B00, eye, eye),
     ])
-    k = _row(dim, [(ONE, B11, L + Ld), (XI, B10, Sd), (XI, B01, S)])
+    k = _row(dim, [(ONE, B11, L + Ld), (XI, B10, eye), (XI, B01, eye)])
 
     x_of = {"n": ops.number_op(dim), "i": eye, "a": ops.annihilation(dim)}
     blk_of = {"11": B11, "10": B10, "01": B01, "00": B00}
@@ -192,9 +192,9 @@ def real_filter(f: CompiledFilter, on: np.ndarray) -> CompiledFilter:
 
 
 def evaluate(poly: np.ndarray, xi) -> np.ndarray:
-    """F0 + xi F1 + xi^2 F2 at every entry of ``xi`` (a scalar or an array,
-    real): shape xi.shape + poly.shape[1:], from one product with weights
-    (1, xi, xi^2) in the dtype of ``poly``."""
+    """F0 + xi F1 at every entry of ``xi`` (a scalar or an array, real):
+    shape xi.shape + poly.shape[1:], from one product with weights (1, xi)
+    in the dtype of ``poly``."""
     z = np.asarray(xi, dtype=poly.dtype)
-    weights = np.stack([np.ones_like(z), z, z * z], axis=-1)
-    return (weights @ poly.reshape(3, -1)).reshape(z.shape + poly.shape[1:])
+    weights = np.stack([np.ones_like(z), z], axis=-1)
+    return (weights @ poly.reshape(2, -1)).reshape(z.shape + poly.shape[1:])

@@ -1,7 +1,9 @@
-"""Truncated Fock-space operator algebra.
+"""The cavity's operators in a truncated Fock space.
 
-Dense complex matrices on the levels |0>, ..., |D-1>.  All experiments in
-this package use very small truncations (D = 2 by default, D <= 5 in the
+The annihilation and number operators as dense complex matrices on the
+levels |0>, ..., |D-1>, all that the cavity's (L, H) and the filter's
+readouts need (the identity is ``np.eye``).  All experiments in this
+package use very small truncations (D = 2 by default, D <= 5 in the
 robustness tests), so everything is plain dense numpy.
 
 Note the truncation artifact: [a, a^dag] equals the identity on the first
@@ -32,10 +34,4 @@ def number_op(dim: int) -> np.ndarray:
     if dim < 1:
         raise ValueError(f"Fock dimension must be >= 1, got {dim}")
     return np.diag(np.arange(dim, dtype=np.complex128))
-
-
-def identity(dim: int) -> np.ndarray:
-    if dim < 1:
-        raise ValueError(f"Fock dimension must be >= 1, got {dim}")
-    return np.eye(dim, dtype=np.complex128)
 

@@ -192,7 +192,7 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
     of no count falls below it (:func:`_first_passage`).
     ``cfg.engine`` selects the homodyne filter: ``cascade`` steps one complex
     amplitude per trajectory (:func:`_cascade`), on Python floats in a block
-    of one; ``generic`` compiles the filter once from the cavity's (S, L, H)
+    of one; ``generic`` compiles the filter once from the cavity's (L, H)
     at ``cfg.fock_dim`` and restricts it to the nine entries its drift and
     diffusion reach from the vacuum (:func:`_support`; the -K x term only
     rescales), the same at every D, on nine real coordinates
@@ -202,7 +202,8 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
     ``_SUB`` steps, a step is one real (19 x 9) . (9 x m) product and the
     Euler update, and its n overwrites its spent increment, as the cascade's
     N does; the finiteness guard (:func:`_guard`) and the sums
-    (:func:`_accumulate`) then run once over the chunk.
+    (:func:`_accumulate`) then run once over the chunk; the steps run with
+    numpy's overflow warnings off, so that the guard names a divergence.
     Both homodyne engines draw their Wiener increments ``_CHUNK`` steps at a
     time into one buffer per block (:func:`_noise_chunks`), evaluate the
     wavepacket and their coefficients at that chunk's times only, and fold
@@ -241,17 +242,18 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
     _accumulate(stats, 0, readout @ u)
     for start, nz in _noise_chunks(gens, steps, np.sqrt(cfg.dt), noise):
         xis = wp.xi(w, times[start:start + len(nz)])
-        for s0 in range(0, len(nz), _SUB):
-            for i, step in enumerate(fm.evaluate(stack, xis[s0:s0 + _SUB]), s0):
-                np.matmul(step, u, out=y)  # u += Fd u dt + (Fg u - K u) dW
-                np.multiply(u, y[-1], out=fx)
-                np.subtract(y[d:-1], fx, out=fx)
-                fx *= nz[i]
-                u += y[:d]
-                u += fx
-                if record_series:
-                    stats.record[start + i + 1] = y[-1] * cfg.dt + nz[i]  # dY = K dt + dW
-                np.matmul(readout, u, out=nz[i:i + 1])  # n over its spent increment
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging state; _guard names it
+            for s0 in range(0, len(nz), _SUB):
+                for i, step in enumerate(fm.evaluate(stack, xis[s0:s0 + _SUB]), s0):
+                    np.matmul(step, u, out=y)  # u += Fd u dt + (Fg u - K u) dW
+                    np.multiply(u, y[-1], out=fx)
+                    np.subtract(y[d:-1], fx, out=fx)
+                    fx *= nz[i]
+                    u += y[:d]
+                    u += fx
+                    if record_series:
+                        stats.record[start + i + 1] = y[-1] * cfg.dt + nz[i]  # dY = K dt + dW
+                    np.matmul(readout, u, out=nz[i:i + 1])  # n over its spent increment
         _guard(nz, times[start + 1:], seed_seqs)
         _accumulate(stats, start + 1, nz)
     return stats

@@ -64,7 +64,7 @@ def cavity_amplitude(w: Wavepacket, kappa: float, delta: float, t):
     beta is written exp(-gamma tau / 2) tau expm1(-z tau) / (-z tau).  The
     last factor is 1 where |z tau| is 0 or subnormal (1 to double precision
     there, and the complex division overflows).  |beta|^2 is the master
-    equation's <n>."""
+    equation's <n>; t may be a scalar or an array."""
     return _amplitude(w, kappa, delta, t)[0]
 
 
@@ -87,7 +87,6 @@ def _amplitude(w: Wavepacket, kappa: float, delta: float, t):
         ex, zt = -0.5 * w.gamma * tau, -z * tau
     else:
         ex, zt = -c * tau, z * tau
-    normal = np.abs(zt) >= np.finfo(float).tiny
-    ratio = np.ones_like(zt)
-    ratio[normal] = np.expm1(zt[normal]) / zt[normal]
+    ratio = np.divide(np.expm1(zt), zt, out=np.ones_like(zt),
+                      where=np.abs(zt) >= np.finfo(float).tiny)
     return -np.sqrt(kappa * w.gamma) * np.exp(ex) * tau * ratio, tau, ex, ratio

@@ -1,5 +1,6 @@
-"""Operator-basis single-photon filter for an arbitrary (S, L, H) system,
-stepped by einsum: the independent oracle the compiled filter is tested against.
+"""Operator-basis single-photon filter for an arbitrary (L, H) system with no
+scattering (S = I), stepped by einsum: the independent oracle the compiled
+filter is tested against.
 
 The filter state carries four DxD coefficient matrices rho^{ij} such that
 the conditional expectation of any operator X is
@@ -13,7 +14,7 @@ usual Lindblad superoperator.  That adjoint form is what is implemented
 below; it is exact, not an approximation.
 
 The oracle and :mod:`photonfilter.filter_moments` are kept deliberately
-independent: the compiled maps are built from (S, L, H) by Kronecker
+independent: the compiled maps are built from (L, H) by Kronecker
 products, never by probing the step functions here.  The two share only the
 model type, the grid, the wavepacket and the bound on the imaginary part of K.
 
@@ -101,11 +102,12 @@ def _real_guard(value, label: str):
 
 
 def k_t(state: GenericFilterState, m: SLHModel, xi: complex):
-    """Homodyne innovation gain K_t = pi11(L + L^dag) + pi10(S^dag) xi* + pi01(S) xi."""
+    """Homodyne innovation gain K_t = pi11(L + L^dag) + pi10(I) xi* + pi01(I) xi."""
+    eye = np.eye(m.dim)
     val = (
         _tr(state.rho11, m.L + _adj(m.L))
-        + _tr(state.rho10, _adj(m.S)) * np.conj(xi)
-        + _tr(state.rho01, m.S) * xi
+        + _tr(state.rho10, eye) * np.conj(xi)
+        + _tr(state.rho01, eye) * xi
     )
     return _real_guard(val, "K_t")
 
@@ -117,11 +119,10 @@ def nu_t(state: GenericFilterState, m: SLHModel, xi: complex, dt: float | None =
     expected Euler undershoot near the interference zero of the intensity.
     """
     ld = _adj(m.L)
-    sd = _adj(m.S)
     val = (
         _tr(state.rho11, ld @ m.L)
-        + _tr(state.rho01, sd @ m.L) * np.conj(xi)
-        + _tr(state.rho10, ld @ m.S) * xi
+        + _tr(state.rho01, m.L) * np.conj(xi)
+        + _tr(state.rho10, ld) * xi
         + _tr(state.rho00, np.eye(m.dim)) * (abs(xi) ** 2)
     )
     nu = np.asarray(_real_guard(val, "nu_t"))
@@ -143,20 +144,19 @@ def _lindblad(rho: np.ndarray, m: SLHModel) -> np.ndarray:
 
 
 def _drifts(state: GenericFilterState, m: SLHModel, xi: complex):
-    """dt-coefficients of the hierarchy (shared by both detection schemes)."""
-    S, L = m.S, m.L
+    """dt-coefficients of the hierarchy (shared by both detection schemes).
+
+    With S = I the |xi|^2 term of a11, S rho00 S^dag - rho00, is 0."""
+    L = m.L
     ld = _adj(L)
-    sd = _adj(S)
     cxi = np.conj(xi)
-    ax2 = abs(xi) ** 2
     a11 = (
         _lindblad(state.rho11, m)
-        + (L @ state.rho01 @ sd - state.rho01 @ sd @ L) * cxi
-        + (S @ state.rho10 @ ld - ld @ S @ state.rho10) * xi
-        + (S @ state.rho00 @ sd - state.rho00) * ax2
+        + (L @ state.rho01 - state.rho01 @ L) * cxi
+        + (state.rho10 @ ld - ld @ state.rho10) * xi
     )
-    a10 = _lindblad(state.rho10, m) + (L @ state.rho00 @ sd - state.rho00 @ sd @ L) * cxi
-    a01 = _lindblad(state.rho01, m) + (S @ state.rho00 @ ld - ld @ S @ state.rho00) * xi
+    a10 = _lindblad(state.rho10, m) + (L @ state.rho00 - state.rho00 @ L) * cxi
+    a01 = _lindblad(state.rho01, m) + (state.rho00 @ ld - ld @ state.rho00) * xi
     a00 = _lindblad(state.rho00, m)
     return a11, a10, a01, a00
 
@@ -176,17 +176,16 @@ def homodyne_step(
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    S, L = m.S, m.L
+    L = m.L
     ld = _adj(L)
-    sd = _adj(S)
     cxi = np.conj(xi)
     k = k_t(state, m, xi)
     kb = np.asarray(k)[..., None, None]
     dwb = np.asarray(dW)[..., None, None]
     a11, a10, a01, a00 = _drifts(state, m, xi)
-    g11 = L @ state.rho11 + state.rho11 @ ld + state.rho01 @ sd * cxi + S @ state.rho10 * xi - state.rho11 * kb
-    g10 = L @ state.rho10 + state.rho10 @ ld + state.rho00 @ sd * cxi - state.rho10 * kb
-    g01 = L @ state.rho01 + state.rho01 @ ld + S @ state.rho00 * xi - state.rho01 * kb
+    g11 = L @ state.rho11 + state.rho11 @ ld + state.rho01 * cxi + state.rho10 * xi - state.rho11 * kb
+    g10 = L @ state.rho10 + state.rho10 @ ld + state.rho00 * cxi - state.rho10 * kb
+    g01 = L @ state.rho01 + state.rho01 @ ld + state.rho00 * xi - state.rho01 * kb
     g00 = L @ state.rho00 + state.rho00 @ ld - state.rho00 * kb
     new = GenericFilterState(
         state.rho11 + a11 * dt + g11 * dwb,
@@ -200,19 +199,18 @@ def homodyne_step(
 
 def _jump_gains(state: GenericFilterState, m: SLHModel, xi: complex):
     """Un-normalized dN-coefficients (the nu^-1 factor is applied by the caller)."""
-    S, L = m.S, m.L
+    L = m.L
     ld = _adj(L)
-    sd = _adj(S)
     cxi = np.conj(xi)
     ax2 = abs(xi) ** 2
     g11 = (
         L @ state.rho11 @ ld
-        + L @ state.rho01 @ sd * cxi
-        + S @ state.rho10 @ ld * xi
-        + S @ state.rho00 @ sd * ax2
+        + L @ state.rho01 * cxi
+        + state.rho10 @ ld * xi
+        + state.rho00 * ax2
     )
-    g10 = L @ state.rho10 @ ld + L @ state.rho00 @ sd * cxi
-    g01 = L @ state.rho01 @ ld + S @ state.rho00 @ ld * xi
+    g10 = L @ state.rho10 @ ld + L @ state.rho00 * cxi
+    g01 = L @ state.rho01 @ ld + state.rho00 @ ld * xi
     g00 = L @ state.rho00 @ ld
     return g11, g10, g01, g00
 

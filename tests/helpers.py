@@ -3,7 +3,9 @@
 :func:`creation` and :func:`commutator` complete the operator algebra of
 :mod:`photonfilter.operators`, which the runs do not need.
 :func:`jump_gain` is the compiled counting map Fj, which the runner does not
-need: photon counting samples the closed-form probability of no count.
+need: photon counting samples the closed-form probability of no count.  It
+is quadratic in xi, where the compiled maps are affine, and
+:func:`evaluate_powers` gives it at any xi.
 :func:`weak_convergence_bias` is the harness of the weak-convergence check.
 """
 
@@ -32,19 +34,33 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def jump_gain(model):
-    """Packed (3, N, N) jump gain Fj of ``model``, built like the maps of
-    :func:`photonfilter.filter_moments.compile_filter`:
+    """Packed (3, N, N) jump gain Fj of ``model`` on the powers (1, xi, xi^2),
+    built like the maps of :func:`photonfilter.filter_moments.compile_filter`:
 
         counting:   dx += (Fj x / nu - x) dN,     nu = pi11(I) of Fj x  (real)
-    """
-    S, L = (np.asarray(v, dtype=np.complex128) for v in (model.S, model.L))
-    Sd, Ld = S.conj().T, L.conj().T
-    return fm._superop(model.dim, [
+
+    At S = I a count still feeds xi^2 rho00 into block 11, so Fj has a third
+    power, the identity from block 00 to block 11."""
+    dim, n = model.dim, model.dim ** 2
+    L = np.asarray(model.L, dtype=np.complex128)
+    Ld, eye = L.conj().T, np.eye(dim)
+    affine = fm._superop(dim, [
         *((fm.ONE, blk, blk, L, Ld) for blk in range(4)),
-        (fm.XI, fm.B11, fm.B01, L, Sd), (fm.XI, fm.B11, fm.B10, S, Ld),
-        (fm.XI2, fm.B11, fm.B00, S, Sd),
-        (fm.XI, fm.B10, fm.B00, L, Sd), (fm.XI, fm.B01, fm.B00, S, Ld),
+        (fm.XI, fm.B11, fm.B01, L, eye), (fm.XI, fm.B11, fm.B10, eye, Ld),
+        (fm.XI, fm.B10, fm.B00, L, eye), (fm.XI, fm.B01, fm.B00, eye, Ld),
     ])
+    xi2 = np.zeros_like(affine[:1])
+    xi2[0, fm.B11 * n:(fm.B11 + 1) * n, fm.B00 * n:(fm.B00 + 1) * n] = np.eye(n)
+    return np.concatenate([affine, xi2])
+
+
+def evaluate_powers(poly, xi):
+    """sum_p xi^p poly[p] at every entry of ``xi`` (a scalar or an array,
+    real), for maps packed on any number of powers of xi: the compiled maps'
+    two or the jump gain's three.  Shape xi.shape + poly.shape[1:]."""
+    z = np.asarray(xi, dtype=poly.dtype)
+    weights = np.stack([z ** p for p in range(len(poly))], axis=-1)
+    return (weights @ poly.reshape(len(poly), -1)).reshape(z.shape + poly.shape[1:])
 
 
 def weak_convergence_bias(cfg, M: int, master_seed: int) -> tuple[float, float]:

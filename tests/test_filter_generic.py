@@ -1,4 +1,4 @@
-"""The einsum oracle of ``einsum_oracle`` and the (S, L, H) model it steps."""
+"""The einsum oracle of ``einsum_oracle`` and the (L, H) model it steps."""
 
 import numpy as np
 import pytest
@@ -28,18 +28,13 @@ def vacuum_state(dim=2):
 
 class TestSLHModel:
     def test_cavity_construction(self, cavity):
-        np.testing.assert_array_equal(cavity.S, np.eye(2))
         np.testing.assert_allclose(cavity.L, np.sqrt(KAPPA) * ops.annihilation(2))
         assert cavity.dim == 2
-
-    def test_rejects_nonunitary_s(self):
-        with pytest.raises(ValueError, match="unitary"):
-            SLHModel(S=2.0 * np.eye(2), L=np.zeros((2, 2)), H=np.zeros((2, 2)))
 
     def test_rejects_nonhermitian_h(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
-            SLHModel(S=np.eye(2), L=np.zeros((2, 2)), H=h)
+            SLHModel(L=np.zeros((2, 2)), H=h)
 
     def test_rejects_negative_kappa(self):
         with pytest.raises(ValueError):
@@ -49,7 +44,7 @@ class TestSLHModel:
 class TestInitFilter:
     def test_vacuum_expectations(self):
         st = vacuum_state()
-        assert st.pi("11", ops.identity(2)) == pytest.approx(1.0)
+        assert st.pi("11", np.eye(2)) == pytest.approx(1.0)
         assert st.pi("11", ops.number_op(2)) == pytest.approx(0.0)
         np.testing.assert_array_equal(st.rho10, np.zeros((2, 2)))
 
@@ -184,9 +179,9 @@ class TestPhotocountStep:
         assert eo.nu_t(st, cavity, xi(Wavepacket(GAMMA, 0.0), 2.0)) > 1e-4
         post = eo.photocount_step(st, cavity, xi(Wavepacket(GAMMA, 0.0), 2.0), 1e-3, True)
         # photon observed: the 00 reference empties and the cavity collapses
-        assert abs(post.pi("00", ops.identity(2))) <= 1e-12
+        assert abs(post.pi("00", np.eye(2))) <= 1e-12
         assert abs(post.pi("11", ops.number_op(2))) <= 1e-12
-        assert post.pi("11", ops.identity(2)).real == pytest.approx(1.0, abs=1e-9)
+        assert post.pi("11", np.eye(2)).real == pytest.approx(1.0, abs=1e-9)
 
     def test_jump_rejected_at_zero_intensity(self, cavity):
         with pytest.raises(InvalidJumpError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import einsum_oracle as eo
-from helpers import creation, jump_gain
+from helpers import creation, evaluate_powers, jump_gain
 from photonfilter import filter_moments as fm
 from photonfilter import operators as ops
 from photonfilter import sde_engine as se
@@ -25,14 +25,14 @@ def read(f, x, name):
     """pi^{ij}(X) of a packed state of ``f``, named like ``fm.READOUTS``: X is
     n, i (the identity) or d (a^dag) by the first letter, ij the rest."""
     dim = math.isqrt(f.initial.size // 4)
-    x_op = {"n": ops.number_op, "i": ops.identity, "d": creation}[name[0]](dim)
+    x_op = {"n": ops.number_op, "i": np.eye, "d": creation}[name[0]](dim)
     blk = {"11": fm.B11, "10": fm.B10, "01": fm.B01, "00": fm.B00}[name[1:]]
     return fm._row(dim, [(fm.ONE, blk, x_op)])[fm.ONE] @ x
 
 
 def nu(f, fj, z, x):
     """The jump intensity: pi11(I) of the jump gain ``fj``."""
-    return read(f, fm.evaluate(fj, z) @ x, "i11")
+    return read(f, evaluate_powers(fj, z) @ x, "i11")
 
 
 def pack(state):
@@ -104,10 +104,10 @@ def test_jump_consumes_photon():
             x = f.initial
             for k in range(2000):
                 z = xi(w, k * dt)
-                comp = fm.evaluate(fj, z) @ x - nu(f, fj, z, x).real * x
+                comp = evaluate_powers(fj, z) @ x - nu(f, fj, z, x).real * x
                 x = x + (fm.evaluate(f.drift, z) @ x - comp) * dt
             z = xi(w, 2.0)
-            post = fm.evaluate(fj, z) @ x / nu(f, fj, z, x).real
+            post = evaluate_powers(fj, z) @ x / nu(f, fj, z, x).real
             assert abs(read(f, post, "i00")) <= 1e-12
             assert abs(read(f, post, "n11")) <= 1e-12
             assert read(f, post, "i11").real == pytest.approx(1.0, abs=1e-9)
@@ -129,16 +129,21 @@ def test_jump_rejected_at_zero_intensity():
 @pytest.mark.parametrize("name", ["drift", "diffusion", "jump_gain", "k"])
 def test_evaluate_batch_matches_single(name):
     # one product over a run of real xi gives each map as the polynomial
-    # does, and as evaluated at that xi alone
+    # does, and as evaluated at that xi alone: the compiled maps are affine
+    # in xi (fm.evaluate), the jump gain quadratic (evaluate_powers)
     model = SLHModel.cavity(2, KAPPA, 0.05)
-    poly = jump_gain(model) if name == "jump_gain" else getattr(fm.compile_filter(model), name)
+    if name == "jump_gain":
+        poly, evaluate = jump_gain(model), evaluate_powers
+    else:
+        poly, evaluate = getattr(fm.compile_filter(model), name), fm.evaluate
+    assert len(poly) == (3 if name == "jump_gain" else 2)
     xis = np.random.default_rng(0).standard_normal((2, 3))
-    batch = fm.evaluate(poly, xis)
+    batch = evaluate(poly, xis)
     assert batch.shape == xis.shape + poly.shape[1:]
     for z, got in zip(xis.ravel(), batch.reshape(-1, *poly.shape[1:])):
-        want = poly[fm.ONE] + z * poly[fm.XI] + z ** 2 * poly[fm.XI2]
+        want = sum(z ** p * f for p, f in enumerate(poly))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(fm.evaluate(poly, float(z)), want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(evaluate(poly, float(z)), want, rtol=0, atol=1e-14)
 
 
 def test_scalar_steps_match_generic_filter():
@@ -162,11 +167,18 @@ def test_scalar_steps_match_generic_filter():
 
 
 def _random_model(rng, dim):
-    """A random (S, L, H): unitary S, any L, Hermitian H."""
-    z = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
-    q, r = np.linalg.qr(z[0])
-    s = q * (np.diag(r) / np.abs(np.diag(r)))
-    return SLHModel(S=s, L=0.3 * z[1], H=0.2 * (z[2] + z[2].conj().T))
+    """A random (L, H): any L, Hermitian H."""
+    z = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+    return SLHModel(L=0.3 * z[0], H=0.2 * (z[1] + z[1].conj().T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_any_model_conserves_trace(dim, seed):
+    # with no scattering the maps of any (L, H) keep pi11(I) = 1 at any
+    # real xi: i11 . x0 = 1, i11 . Fd = 0 and i11 . Fg = k, power by power
+    f = fm.compile_filter(_random_model(np.random.default_rng(seed), dim))
+    assert fm.i11_residue(f) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,7 +204,7 @@ def test_compiled_maps_match_einsum(kappa, delta, z, dim, general, seed):
     x = rng.normal(size=(4 * dim * dim, batch)) + 1j * rng.normal(size=(4 * dim * dim, batch))
     state = unpack(x, dim)
     close(fm.evaluate(f.drift, z) @ x, pack(eo.GenericFilterState(*eo._drifts(state, model, z))))
-    close(fm.evaluate(fj, z) @ x, pack(eo.GenericFilterState(*eo._jump_gains(state, model, z))))
+    close(evaluate_powers(fj, z) @ x, pack(eo.GenericFilterState(*eo._jump_gains(state, model, z))))
 
     # K, nu and the diffusion on a state for which K and nu are real and
     # nu >= 0: rho^{ij} = |psi_j><psi_i| for random kets psi_1, psi_0

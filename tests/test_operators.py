@@ -55,7 +55,7 @@ def test_commutator_truncation_artifact():
 
 def test_commutator_identity_vanishes():
     x = ops.annihilation(3) + 2.0 * ops.number_op(3)
-    np.testing.assert_array_equal(commutator(ops.identity(3), x), np.zeros((3, 3)))
+    np.testing.assert_array_equal(commutator(np.eye(3), x), np.zeros((3, 3)))
 
 
 def test_commutator_n_with_a():

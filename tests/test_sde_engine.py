@@ -9,14 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from einsum_oracle import einsum_block
-from helpers import jump_gain
+from helpers import evaluate_powers, jump_gain
 from photonfilter import filter_moments as fm
 from photonfilter import sde_engine as se
 from photonfilter import wavepacket as wp
 from photonfilter.config import SimConfig
 from photonfilter.errors import FilterDivergenceError, NonRealInnovationError
 from photonfilter.filter_generic import SLHModel
-from photonfilter.master_ensemble import analytic_mean_photon_series, integrate_master
+from photonfilter.master_ensemble import (analytic_mean_photon_series, integrate_master,
+                                          run_ensemble)
 
 
 def _noise(cfg, m, seed):
@@ -46,8 +47,9 @@ def _path_s(cfg):
 
 def _full_rk4(cfg, poly, x0):
     """Classical RK4 of dx = F(xi(t)) x dt on all 4 D^2 entries, one matrix-vector
-    product per stage, for the polynomial ``poly`` of F: x0 is held until t0,
-    and the step t0 falls in runs from t0 on, as in ``master_path``."""
+    product per stage, for the polynomial ``poly`` of F (on any number of
+    powers of xi): x0 is held until t0, and the step t0 falls in runs from
+    t0 on, as in ``master_path``."""
     times = cfg.times()
     w = wp.Wavepacket(cfg.gamma, cfg.t0)
     x = np.empty((times.size, x0.size), dtype=complex)
@@ -58,7 +60,7 @@ def _full_rk4(cfg, poly, x0):
             continue
         start = max(times[k], cfg.t0)
         h = times[k + 1] - start
-        fa, fb, fc = (fm.evaluate(poly, wp.xi(w, u))
+        fa, fb, fc = (evaluate_powers(poly, wp.xi(w, u))
                       for u in (start, times[k + 1] - 0.5 * h, times[k + 1]))
         k1 = fa @ x[k]
         k2 = fb @ (x[k] + 0.5 * h * k1)
@@ -179,7 +181,7 @@ class TestGenericFilter:
         mirror = np.array([fm.B11, fm.B01, fm.B10, fm.B00])[blk] * n + j + i * dim
         perm = np.searchsorted(on, mirror)
         assert (on[perm] == mirror).all()
-        for p in (fm.ONE, fm.XI, fm.XI2):
+        for p in (fm.ONE, fm.XI):
             for full in (f.drift, f.diffusion):
                 restricted = full[p][np.ix_(on, on)]
                 assert np.array_equal(restricted[np.ix_(perm, perm)], restricted.conj())
@@ -283,6 +285,15 @@ class TestGenericFilter:
                            match=rf"at t={re.escape(f'{t:.6g}')} in trajectory 6$"):
             se.run_block(cfg, seed_seqs=seqs, noise=noise)
 
+    def test_overflow_named_not_warned(self):
+        # a detuned ensemble on a grid so coarse that the filter diverges:
+        # its state overflows within a chunk, and the chunk's guard names
+        # the time and the trajectory instead of numpy warning on the way
+        cfg = SimConfig(delta=0.7, dt=0.25, t_end=53.0, ntraj=500, seed=3, engine="generic")
+        with pytest.raises(FilterDivergenceError,
+                           match=r"^filter diverged to pi11\(n\) = nan at t=35 in trajectory 2$"):
+            run_ensemble(cfg)
+
     def test_non_real_innovation_raises_before_first_step(self, monkeypatch):
         # a k row with Im K = 1e-3 pi11(n), or a start that is not its own
         # adjoint (an imaginary |1><1| in block 11, or |0><0| in block 10
@@ -343,8 +354,11 @@ class TestNoCountPath:
         f = fm.compile_filter(model)
         times = cfg.times()
         w = wp.Wavepacket(gamma, cfg.t0)
-        # the unnormalised no-count state: classical RK4 of dx = (Fd - Fj) x dt
-        r = _full_rk4(cfg, f.drift - jump_gain(model), f.initial) @ f.readout.T
+        # the unnormalised no-count state: classical RK4 of dx = (Fd - Fj) x dt,
+        # Fd affine in xi and Fj quadratic
+        no_count = -jump_gain(model)
+        no_count[:2] += f.drift
+        r = _full_rk4(cfg, no_count, f.initial) @ f.readout.T
         n = analytic_mean_photon_series(cfg, times)
         s = n + wp.tail_norm(w, times)
         np.testing.assert_allclose(r[:, fm.READOUTS.index("i11")], s, rtol=0, atol=1e-10)

@@ -101,3 +101,11 @@ def test_photon_and_tail_ratio(pulse, kappa, delta):
     np.testing.assert_array_equal(bb, np.abs(wp.cavity_amplitude(pulse, kappa, delta, ts)) ** 2)
     assert np.isposinf(got[:2]).all()
     np.testing.assert_allclose(got[2:], wp.tail_norm(pulse, ts[2:]) / bb[2:], rtol=1e-12, atol=0)
+    # a scalar t gives scalars, as in xi and tail_norm, equal to the arrays' entries
+    beta = wp.cavity_amplitude(pulse, kappa, delta, ts)
+    for t, *want in zip(ts, beta, bb, got):
+        scalars = (wp.cavity_amplitude(pulse, kappa, delta, float(t)),
+                   *wp.photon_and_tail_ratio(pulse, kappa, delta, float(t)))
+        assert [type(v) for v in scalars] == [np.complex128, np.float64, np.float64]
+        assert scalars == tuple(want)
+
