@@ -68,6 +68,10 @@ class SimConfig:
             raise ValueError(f"fock_dim must be >= 2, got {self.fock_dim}")
         if self.ntraj < 1:
             raise ValueError(f"ntraj must be >= 1, got {self.ntraj}")
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.detector not in DETECTORS:

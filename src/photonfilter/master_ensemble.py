@@ -25,6 +25,7 @@ import numpy as np
 
 from . import filter_moments as fm
 from . import sde_engine as se
+from . import seeding
 from . import wavepacket as wp
 from .config import SimConfig
 from .filter_generic import SLHModel
@@ -81,14 +82,16 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     """Run ``cfg.ntraj`` independent trajectories and return pointwise mean and stderr.
 
     Trajectory i draws its noise from child i of SeedSequence(cfg.seed),
-    so the result is independent of how the work is scheduled.  Blocks of
+    so the result is independent of how the work is scheduled.  The
+    children come from one vectorised hash equal to ``SeedSequence.spawn``
+    under NEP 19 (:func:`photonfilter.seeding.children`).  Blocks of
     fixed size are folded in index order, making the reduction deterministic
     for any worker count.  At most one worker process starts per block.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     m_total = cfg.ntraj
-    children = np.random.SeedSequence(cfg.seed).spawn(m_total)
+    children = seeding.children(cfg.seed, m_total)
     tasks = [(cfg, children[lo:lo + _ENSEMBLE_BLOCK]) for lo in range(0, m_total, _ENSEMBLE_BLOCK)]
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor

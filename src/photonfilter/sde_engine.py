@@ -1,15 +1,17 @@
 """Reproducible noise and the trajectory driver.
 
-Every trajectory draws from its own ``numpy.random.SeedSequence`` (an
-ensemble spawns child i of the master seed for trajectory i), so results do
-not depend on scheduling, and a trajectory inside a block matches the same
-trajectory run alone to rounding.  :func:`run_block` runs a block in
-lock-step: homodyne detection by Euler-Maruyama on the cascade's pure state
-(on Python floats when the block holds one trajectory) or on the filter
-compiled by :mod:`photonfilter.filter_moments`, on real coordinates (each
-chunk of steps guarded and folded once), photon counting by inverting the
-probability of no count, one uniform per trajectory.  Every error names the
-time and the trajectory.
+Every trajectory draws from ``default_rng`` of its own SeedSequence (child
+i of the master seed's for trajectory i of an ensemble), built for a whole
+block in one vectorised hash equal to numpy's under NEP 19
+(:mod:`photonfilter.seeding`), so results do not depend on scheduling, and
+a trajectory inside a block matches the same trajectory run alone to
+rounding.  :func:`run_block` runs a block in lock-step: homodyne detection
+by Euler-Maruyama on the cascade's pure state (on Python floats when the
+block holds one trajectory) or on the filter compiled by
+:mod:`photonfilter.filter_moments`, on real coordinates (each chunk of steps
+guarded and folded once), photon counting by inverting the probability of
+no count, one uniform per trajectory.  Every error names the time and the
+trajectory.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import filter_moments as fm
+from . import seeding
 from . import wavepacket as wp
 from .config import SimConfig
 from .errors import FilterDivergenceError
@@ -220,7 +223,7 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
         if np.shape(noise) != want:
             raise ValueError(f"noise for {cfg.detector} detection must have shape {want}, "
                              f"got {np.shape(noise)}")
-    gens = [np.random.default_rng(ss) for ss in seed_seqs]
+    gens = seeding.generators(seed_seqs)
     stats = BlockStats(m, times, np.zeros(steps + 1), np.zeros(steps + 1), np.full(m, np.nan))
     if record_series:
         stats.series, stats.record = np.zeros((steps + 1, m)), np.zeros((steps + 1, m))

@@ -136,6 +136,11 @@ def test_non_finite_float_exits_one(flag, field, value, capsys):
     assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
 
 
+def test_negative_seed_exits_one_naming_it(capsys):
+    assert cli.main(["ensemble", *FAST, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_no_workers_exits_one(capsys):
     assert cli.main(["ensemble", *FAST, "--workers", "0"]) == 1
     assert "workers must be >= 1" in capsys.readouterr().err

@@ -20,6 +20,24 @@ def test_rejects_empty_cavity():
     assert SimConfig(fock_dim=2).fock_dim == 2
 
 
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("3", "seed must be an integer, got '3'"),
+])
+def test_rejects_seed_that_is_not_a_nonnegative_int(seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimConfig(seed=seed)
+    assert SimConfig(seed=2**130 + 7).seed == 2**130 + 7
+
+
+def test_ensemble_rejects_more_children_than_index_words():
+    # child i's index is one 32-bit word of its entropy; an ensemble that
+    # needs two raises before it allocates anything of its size
+    with pytest.raises(ValueError, match=r"at most 2\*\*32 children take one index word each"):
+        me.run_ensemble(SimConfig(ntraj=2**32 + 1))
+
+
 def test_photon_counting_samples_closed_form():
     # --engine selects the homodyne filter; photon counting has one sampler
     with pytest.raises(ValueError, match="photon counting samples the exact closed form"):

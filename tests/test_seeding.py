@@ -1,0 +1,79 @@
+"""The ensemble's seeding against numpy's own SeedSequence and default_rng.
+
+``seeding`` recomputes SeedSequence's hashes for all children at once; these
+tests fail if a numpy release changes the algorithm (which NEP 19 rules out)
+or if one of the module's constants or steps differs from numpy's.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from photonfilter import master_ensemble as me
+from photonfilter import seeding
+from photonfilter.config import SimConfig
+
+SEEDS = (0, 1, 101, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7, np.uint64(2**64 - 1))
+
+
+def _assert_same_as_numpy(seed, m):
+    ours = seeding.children(seed, m)
+    ref = np.random.SeedSequence(seed).spawn(m)
+    assert [c.spawn_key for c in ours] == [r.spawn_key for r in ref]
+    for c, r in zip(ours, ref):
+        assert c.pool.dtype == r.pool.dtype
+        np.testing.assert_array_equal(c.pool, r.pool)
+    for g, r in zip(seeding.generators(ours), ref):
+        rng = np.random.default_rng(r)
+        assert g.random() == rng.random()
+        np.testing.assert_array_equal(g.standard_normal(700), rng.standard_normal(700))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_children_and_generators_are_numpys(seed):
+    _assert_same_as_numpy(seed, 300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**160 - 1), m=st.integers(1, 40))
+def test_any_seed_is_numpys(seed, m):
+    _assert_same_as_numpy(seed, m)
+
+
+def test_generators_take_seed_sequences():
+    # run_block's entries may be numpy's own SeedSequences: a trajectory run
+    # passes one, and so do tests that build blocks by hand
+    seqs = [np.random.SeedSequence(9), *np.random.SeedSequence(4).spawn(3)]
+    for g, s in zip(seeding.generators(seqs), seqs):
+        np.testing.assert_array_equal(g.standard_normal(50),
+                                      np.random.default_rng(s).standard_normal(50))
+
+
+def test_children_reject_a_negative_seed():
+    # a negative seed has no 32-bit words: splitting it would never end
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        seeding.children(-1, 3)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("run", [
+    dict(detector="photocount"),
+    dict(engine="cascade"),
+    dict(engine="generic", delta=0.7),
+])
+def test_ensemble_is_byte_identical_to_numpys_seeding(run, workers, monkeypatch):
+    # two blocks, so that workers=2 runs them in two processes; the
+    # reference runs in this process, with numpy's own spawn and default_rng
+    cfg = SimConfig(t_end=23.0, dt=1e-2, ntraj=600, seed=7, **run)
+    ours = me.run_ensemble(cfg, workers=workers)
+    monkeypatch.setattr(seeding, "children",
+                        lambda seed, m: np.random.SeedSequence(seed).spawn(m))
+    monkeypatch.setattr(seeding, "generators",
+                        lambda seqs: [np.random.default_rng(s) for s in seqs])
+    ref = me.run_ensemble(cfg, workers=1)
+    assert ours.mean.tobytes() == ref.mean.tobytes()
+    assert ours.stderr.tobytes() == ref.stderr.tobytes()
+    assert ours.diagnostics.count_times.tobytes() == ref.diagnostics.count_times.tobytes()
+    if cfg.detector == "photocount":
+        assert np.isfinite(ours.diagnostics.count_times).sum() > 100
