@@ -10,8 +10,10 @@ by Euler-Maruyama on the cascade's pure state (on Python floats when the
 block holds one trajectory) or on the filter compiled by
 :mod:`photonfilter.filter_moments`, on real coordinates (each chunk of steps
 guarded and folded once), photon counting by inverting the probability of
-no count, one uniform per trajectory.  Every error names the time and the
-trajectory.
+no count, one uniform per trajectory: its generator's first ``random()``,
+computed from the seed words (:func:`photonfilter.seeding.uniforms`)
+without building the generator or loading ``numpy.random``.  Every error
+names the time and the trajectory.
 """
 
 from __future__ import annotations
@@ -111,11 +113,16 @@ def _noise_chunks(gens, steps: int, sqrt_dt: float, noise: np.ndarray | None):
             yield start, buf[:n]
 
 
-def _fail(exc, what: str, t: float, seed_seqs, j: int):
-    """Raise ``exc`` naming t and trajectory j: its index in the ensemble (the
-    last entry of its seed sequence's spawn key), or else its block column."""
+def _name(seed_seqs, j: int) -> int:
+    """Trajectory j's index in the ensemble (the last entry of its seed
+    sequence's spawn key), or else its block column."""
     key = getattr(seed_seqs[j], "spawn_key", ())
-    raise exc(f"{what} at t={t:.6g} in trajectory {key[-1] if key else j}")
+    return key[-1] if key else j
+
+
+def _fail(exc, what: str, t: float, seed_seqs, j: int):
+    """Raise ``exc`` naming t and trajectory j (:func:`_name`)."""
+    raise exc(f"{what} at t={t:.6g} in trajectory {_name(seed_seqs, j)}")
 
 
 def _support(f, *maps) -> np.ndarray:
@@ -190,9 +197,11 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
               record_series: bool = False) -> BlockStats:
     """Advance a block of trajectories (one per seed sequence) in lock-step.
 
-    ``cfg.detector`` selects the detection scheme.  Photon counting draws
-    one uniform per trajectory and counts where the closed-form probability
-    of no count falls below it (:func:`_first_passage`).
+    ``cfg.detector`` selects the detection scheme.  Photon counting takes
+    one uniform per trajectory, its generator's first ``random()`` computed
+    from the seed words (:func:`photonfilter.seeding.uniforms`; no generator
+    is built), and counts where the closed-form probability of no count
+    falls below it (:func:`_first_passage`).
     ``cfg.engine`` selects the homodyne filter: ``cascade`` steps one complex
     amplitude per trajectory (:func:`_cascade`), on Python floats in a block
     of one; ``generic`` compiles the filter once from the cavity's (L, H)
@@ -213,8 +222,9 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
     n through the one :func:`_accumulate`, so that a block holds nothing the
     length of its grid but its times, its two sums and a recorded series and
     record.  ``noise`` replaces the trajectories' own draws: Wiener
-    increments (steps x m) for homodyne detection, uniforms (m,) for photon
-    counting; any other shape raises ``ValueError``.
+    increments (steps x m) for homodyne detection, uniforms (m,) in [0, 1]
+    for photon counting; any other shape, or a uniform outside [0, 1] (nan
+    included), raises ``ValueError`` naming the trajectory.
     """
     steps, times = cfg.steps, cfg.times()
     m = len(seed_seqs)
@@ -223,12 +233,24 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
         if np.shape(noise) != want:
             raise ValueError(f"noise for {cfg.detector} detection must have shape {want}, "
                              f"got {np.shape(noise)}")
-    gens = seeding.generators(seed_seqs)
+        if cfg.detector != "homodyne":
+            noise = np.asarray(noise, dtype=float)
+            # 1 counts as soon as s falls below 1; above 1 every trajectory
+            # would count at t = 0, below 0 or at nan none ever would
+            ok = (0.0 <= noise) & (noise <= 1.0)
+            if not ok.all():
+                j = int(np.argmin(ok))
+                raise ValueError(f"photon-counting noise must be uniforms in [0, 1], got "
+                                 f"{noise[j]} in trajectory {_name(seed_seqs, j)}")
+    if cfg.detector == "homodyne":
+        gens = seeding.generators(seed_seqs)
+    elif noise is None:
+        noise = seeding.uniforms(seed_seqs)
     stats = BlockStats(m, times, np.zeros(steps + 1), np.zeros(steps + 1), np.full(m, np.nan))
     if record_series:
         stats.series, stats.record = np.zeros((steps + 1, m)), np.zeros((steps + 1, m))
     if cfg.detector != "homodyne":
-        _first_passage(cfg, stats, seed_seqs, gens, noise)
+        _first_passage(cfg, stats, seed_seqs, noise)
         return stats
     if cfg.engine == "cascade":
         _cascade(cfg, stats, seed_seqs, gens, noise)
@@ -359,20 +381,22 @@ def _cascade_floats(c, nrm, gain, fc, floor, nz) -> list[float]:
     return ys
 
 
-def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, gens, noise) -> None:
+def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, noise) -> None:
     """Photon counting by inversion of the probability s = <n> + tail_norm of
     no count (the photon is in the cavity or still to come), with <n> =
     |beta|^2 in closed form on the whole grid; n = <n> / s, formed as 1 / (1
     + tail / <n>) (:func:`wavepacket.photon_and_tail_ratio`) so that it stays
-    in [0, 1] where s underflows to 0.  Each trajectory draws one uniform V
-    and counts at the first row where the running minimum of s falls below V,
-    so P(no count by row k) = min_{i <= k} s_i even where rounding raises s
-    by an ulp; its count time is that row's time (NaN if there is none).  The
-    count takes |e,0> and |g,1> to |g,0>, so n = 0 after it and it adds
-    nothing to the sums; guards read rows where someone waits.
+    in [0, 1] where s underflows to 0.  Each trajectory takes one uniform V
+    in [0, 1] from ``noise`` (its generator's first ``random()``, or the
+    caller's) and counts at the first row where the running minimum of s
+    falls below V, so P(no count by row k) = min_{i <= k} s_i even where
+    rounding raises s by an ulp; its count time is that row's time (NaN if
+    there is none).  The count takes |e,0> and |g,1> to |g,0>, so n = 0
+    after it and it adds nothing to the sums; guards read rows where someone
+    waits.
     """
     times, w = stats.times, wp.Wavepacket(cfg.gamma, cfg.t0)
-    v = np.array([g.random() for g in gens]) if noise is None else np.asarray(noise, dtype=float)
+    v = np.asarray(noise, dtype=float)
     n_me, tail_ratio = wp.photon_and_tail_ratio(w, cfg.kappa, cfg.delta, times)
     s, rows = n_me + wp.tail_norm(w, times), np.arange(times.size)
     # V waits while V <= the least s so far, and counts at the first row

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,3 +159,17 @@ def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["spectra"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("detector,loads", [("photocount", False), ("homodyne", True)])
+def test_ensemble_loads_numpy_random_only_to_build_generators(detector, loads, tmp_path):
+    # photon counting computes its uniforms from the seed words; only the
+    # homodyne generators need numpy.random.  A fresh process, since this
+    # one has loaded it
+    code = ("import sys, photonfilter.cli as c; "
+            "sys.exit(c.main(sys.argv[1:]) or 10 + ('numpy.random' in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code, "ensemble", "--detector", detector,
+                          "--ntraj", "20", *FAST, "--out", str(tmp_path / "e.csv")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 10 + loads, run.stderr

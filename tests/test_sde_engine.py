@@ -12,6 +12,7 @@ from einsum_oracle import einsum_block
 from helpers import evaluate_powers, jump_gain
 from photonfilter import filter_moments as fm
 from photonfilter import sde_engine as se
+from photonfilter import seeding
 from photonfilter import wavepacket as wp
 from photonfilter.config import SimConfig
 from photonfilter.errors import FilterDivergenceError, NonRealInnovationError
@@ -534,6 +535,43 @@ class TestAcceptedConfigs:
         assert np.isin(counted, stats.times).all() and (counted > t0).all()
         assert counted.size == 0 or detector == "photocount"
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kappa=st.floats(0.05, 1.0),
+        gamma=st.floats(0.05, 1.0),
+        delta=st.floats(-1.0, 1.0),
+        t0=st.floats(0.0, 5.0),
+        coarse=st.floats(0.09, 0.0999),
+        lifetimes=st.floats(50.0, 800.0),
+        m=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # past about 745 lifetimes s underflows to 0 on either side of kappa = gamma
+    @example(kappa=0.3, gamma=0.05, delta=0.0, t0=1.0, coarse=0.09, lifetimes=800.0, m=2,
+             seed=0)
+    @example(kappa=0.05, gamma=1.0, delta=0.7, t0=5.0, coarse=0.0999, lifetimes=800.0, m=1,
+             seed=1)
+    def test_photocount_physical_where_it_underflows(self, kappa, gamma, delta, t0, coarse,
+                                                     lifetimes, m, seed):
+        # photon counting out to 800 lifetimes of the slower rate, where
+        # |beta|^2 and the tail underflow to 0 (from about 745): one
+        # closed-form evaluation per example, so the cascade stays at 50.
+        # Trajectory 0 draws a uniform of 0 and waits to the end, so n is
+        # formed on every row; the others keep their own draws
+        dt = coarse / max(kappa, gamma)
+        steps = int(np.ceil((t0 + lifetimes / min(kappa, gamma)) / dt))
+        cfg = SimConfig(kappa=kappa, gamma=gamma, delta=delta, t0=t0, t_end=steps * dt,
+                        dt=dt, detector="photocount")
+        seqs = np.random.SeedSequence(seed).spawn(m)
+        v = np.array([0.0, *seeding.uniforms(seqs)[1:]])
+        stats = se.run_block(cfg, seed_seqs=seqs, noise=v, record_series=True)
+        assert np.isnan(stats.count_times[0])
+        assert np.isfinite(stats.sum_n).all() and np.isfinite(stats.sumsq_n).all()
+        assert -1e-9 <= stats.n_min and stats.n_max <= 1.0 + 1e-9
+        assert -1e-9 <= stats.series.min() and stats.series.max() <= 1.0 + 1e-9
+        counted = stats.count_times[~np.isnan(stats.count_times)]
+        assert np.isin(counted, stats.times).all() and (counted > t0).all()
+
 
 class TestNoise:
     def test_wiener_increment_mean(self):
@@ -744,6 +782,17 @@ class TestNoiseChunks:
             with pytest.raises(ValueError, match=re.escape(f"shape {want}, got {shape}")):
                 se.run_block(cfg, seed_seqs=seqs, noise=np.full(shape, 0.5))
         se.run_block(cfg, seed_seqs=seqs, noise=np.full(want, 0.5))
+
+    @pytest.mark.parametrize("bad", [1.5, -0.2, np.nan, np.inf])
+    def test_photocount_noise_range_checked(self, bad):
+        # above 1 every trajectory counted at t = 0 and the block then failed
+        # on an empty minimum; below 0 or at nan the trajectory never counted
+        cfg = SimConfig(t_end=23.0, dt=1e-2, detector="photocount")
+        seqs = np.random.SeedSequence(1).spawn(3)
+        with pytest.raises(ValueError, match=re.escape(f"[0, 1], got {bad} in trajectory 1")):
+            se.run_block(cfg, seed_seqs=seqs, noise=np.array([0.5, bad, 0.25]))
+        with pytest.raises(ValueError, match=f"got {bad} in trajectory 0"):
+            se.run_block(cfg, seed_seqs=[np.random.SeedSequence(1)], noise=np.array([bad]))
 
     @pytest.mark.parametrize("engine,m,cfg,bound_mb", [
         # 4600 steps: a block that held 4096 steps of increments peaked at 19.4 MB

@@ -1,6 +1,7 @@
 """The ensemble's seeding against numpy's own SeedSequence and default_rng.
 
-``seeding`` recomputes SeedSequence's hashes for all children at once; these
+``seeding`` recomputes SeedSequence's hashes for all children at once, and
+PCG64's seeding, step and output for photon counting's uniforms; these
 tests fail if a numpy release changes the algorithm (which NEP 19 rules out)
 or if one of the module's constants or steps differs from numpy's.
 """
@@ -28,6 +29,7 @@ def _assert_same_as_numpy(seed, m):
         rng = np.random.default_rng(r)
         assert g.random() == rng.random()
         np.testing.assert_array_equal(g.standard_normal(700), rng.standard_normal(700))
+    assert seeding.uniforms(ours) == [np.random.default_rng(r).random() for r in ref]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -48,6 +50,42 @@ def test_generators_take_seed_sequences():
     for g, s in zip(seeding.generators(seqs), seqs):
         np.testing.assert_array_equal(g.standard_normal(50),
                                       np.random.default_rng(s).standard_normal(50))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_uniforms_take_seed_sequences(seed):
+    # photon counting's uniforms from numpy's own root and spawned
+    # SeedSequences, as a trajectory run and hand-built blocks pass them
+    seqs = [np.random.SeedSequence(seed), *np.random.SeedSequence(seed).spawn(20)]
+    assert seeding.uniforms(seqs) == [np.random.default_rng(s).random() for s in seqs]
+
+
+# Targets for the PCG64 state after random()'s step: the output xors the
+# state's halves and rotates right by its top six bits, and random() keeps
+# the output's top 53 bits.
+_HI = 0x0123456789ABCDEF  # top six bits 0
+_LO = 0xFEDCBA9876543210
+
+
+@pytest.mark.parametrize("target,rot,zero", [
+    (_HI << 64 | _LO, 0, False),
+    ((63 << 58 | _HI) << 64 | _LO, 63, False),
+    # halves that differ in 0x7FF << 5, rotated right by 5: output 0x7FF
+    ((5 << 58 | _HI) << 64 | (5 << 58 | _HI) ^ 0x7FF << 5, 5, True),
+])
+def test_pcg_output_at_rotation_edges(target, rot, zero):
+    # each pre-step state comes from its target through the multiplier's
+    # inverse, and numpy's PCG64 set to it draws the same random(); an
+    # output below 2**11 draws 0.0
+    inc = 0xDA3E39CB94B95BDB0DB9CE9B4AC6CA5F
+    assert target >> 122 == rot
+    state = (target - inc) * pow(seeding._MULT, -1, 2**128) % 2**128
+    g = np.random.Generator(np.random.PCG64())
+    g.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+    expect = g.random()
+    assert seeding._pcg_random(state, inc) == expect
+    assert (expect == 0.0) == zero
 
 
 def test_children_reject_a_negative_seed():
@@ -71,6 +109,8 @@ def test_ensemble_is_byte_identical_to_numpys_seeding(run, workers, monkeypatch)
                         lambda seed, m: np.random.SeedSequence(seed).spawn(m))
     monkeypatch.setattr(seeding, "generators",
                         lambda seqs: [np.random.default_rng(s) for s in seqs])
+    monkeypatch.setattr(seeding, "uniforms",
+                        lambda seqs: [np.random.default_rng(s).random() for s in seqs])
     ref = me.run_ensemble(cfg, workers=1)
     assert ours.mean.tobytes() == ref.mean.tobytes()
     assert ours.stderr.tobytes() == ref.stderr.tobytes()
