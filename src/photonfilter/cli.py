@@ -82,21 +82,20 @@ def _config_from_args(args) -> SimConfig:
     )
 
 
-def write_series(path, columns, rows, fmt="csv", config=None, seed=None) -> None:
-    """Write a table of series to ``path`` at full double precision."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != len(columns):
-        raise ValueError(
-            f"row width {rows.shape} does not match {len(columns)} columns"
-        )
+def write_series(path, columns, series, fmt="csv", config=None, seed=None) -> None:
+    """Write ``series``, one sequence of values per name in ``columns`` (the
+    first being the times), to ``path`` at full double precision.  The CSV
+    rows are formatted ``_WRITE_ROWS`` at a time from the columns, without
+    stacking the whole table."""
+    series = [np.asarray(col, dtype=float) for col in series]
+    if len(series) != len(columns) or any(c.ndim != 1 or c.shape != series[0].shape
+                                          for c in series):
+        raise ValueError(f"series of shapes {[c.shape for c in series]} do not match "
+                         f"{len(columns)} columns of equal length")
     if fmt == "json":
         payload = {
-            "times": [float(v) for v in rows[:, 0]],
-            "series": {
-                name: [float(v) for v in rows[:, j]]
-                for j, name in enumerate(columns)
-                if j > 0
-            },
+            "times": series[0].tolist(),
+            "series": {name: col.tolist() for name, col in zip(columns[1:], series[1:])},
             "config": config or {},
             "seed": seed,
         }
@@ -109,16 +108,20 @@ def write_series(path, columns, rows, fmt="csv", config=None, seed=None) -> None
             fh.write("# config: " + json.dumps(config) + "\n")
         fh.write(",".join(columns) + "\n")
         line = ",".join(["%.17g"] * len(columns)) + "\n"
-        for lo in range(0, len(rows), _WRITE_ROWS):
-            block = rows[lo:lo + _WRITE_ROWS]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        n = len(series[0])
+        block = np.empty((min(_WRITE_ROWS, n), len(columns)))
+        for lo in range(0, n, _WRITE_ROWS):
+            rows = block[:min(_WRITE_ROWS, n - lo)]
+            for j, col in enumerate(series):
+                rows[:, j] = col[lo:lo + len(rows)]
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _write(cfg: SimConfig, args, columns, *series) -> None:
     """Write ``series`` as ``columns`` to ``--out``, if given, with the run's config."""
     if args.out:
-        write_series(args.out, columns, np.column_stack(series), fmt=args.format,
-                     config=cfg.asdict(), seed=cfg.seed)
+        write_series(args.out, columns, series, fmt=args.format, config=cfg.asdict(),
+                     seed=cfg.seed)
 
 
 def _cmd_me(cfg: SimConfig, args) -> int:

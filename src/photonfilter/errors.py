@@ -13,3 +13,9 @@ class NonRealInnovationError(PhotonFilterError):
 
 class FilterDivergenceError(PhotonFilterError):
     """A filter state, or the photon number read from it, became NaN/inf."""
+
+
+class UnstableStepError(PhotonFilterError):
+    """The step of a deterministic integration lies outside its method's
+    stability region for a mode of the drift: raised when the integration is
+    set up, before its first step."""

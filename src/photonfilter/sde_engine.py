@@ -34,9 +34,6 @@ from .filter_generic import SLHModel
 # (2 MB at m = 500, so it stays in cache), with the coefficients of those
 # steps; both engines guard and fold n once per chunk.
 _CHUNK = 512
-# Steps of the master equation's path (``me`` and ``verify``) held at once;
-# its stage maps take about 3 KB a step.
-_PATH = 64
 # Steps of the generic filter whose maps are evaluated at once (each entry is
 # one product, so any batch gives the same maps; a chunk's would take 700 KB).
 _SUB = 8
@@ -141,56 +138,6 @@ def _support(f, *maps) -> np.ndarray:
         if (grown == on).all():
             return np.flatnonzero(on)
         on = grown
-
-
-def master_path(cfg: SimConfig, f):
-    """Classical RK4 of the master equation dx = Fd(xi(t)) x dt from the vacuum.
-
-    Yields (k0, states) for chunks of at most ``_PATH`` steps: the full
-    states at steps k0, k0 + 1, ... of the grid of ``cfg``, in a buffer that
-    the next chunk overwrites.  The state is held until the wavepacket
-    arrives at t0, and the step t0 falls in is integrated from t0 on, so the
-    right-hand side is smooth within every step.
-
-    Only the entries in :func:`_support` are stepped, whatever the Fock
-    truncation; the rest of every state is exactly 0.  Per chunk, the drift
-    restricted to them is evaluated at the three sample times of every step
-    in one product, and RK4's stages compose into one increment map per
-    step, E = (h/6)(K1 + 2 K2 + 2 K3 + K4) with K1 = A, K2 = B(I + h/2 K1),
-    K3 = B(I + h/2 K2), K4 = C(I + h K3) for the drift A, B, C at t, t + h/2
-    and t + h; the step is then y + E y.
-    """
-    dt, t0, steps = cfg.dt, cfg.t0, cfg.steps
-    w = wp.Wavepacket(cfg.gamma, t0)
-    on = _support(f)
-    poly = f.drift[:, on[:, None], on]
-    eye = np.eye(on.size)
-    buf = np.zeros((_PATH + 1, f.initial.size), dtype=np.complex128)
-    y = np.empty((_PATH + 1, on.size), dtype=np.complex128)
-    dy = np.empty(on.size, dtype=np.complex128)
-    y[0] = f.initial[on]
-    for k0 in range(0, steps, _PATH):
-        n = min(_PATH, steps - k0)
-        t = dt * np.arange(k0, k0 + n + 1)  # bit for bit the grid's times
-        h, ta, tb = np.full(n, dt), t[:-1].copy(), t[:-1] + 0.5 * dt
-        cut = (t[:-1] < t0) & (t[1:] > t0)
-        h[cut] = t[1:][cut] - t0
-        ta[cut], tb[cut] = t0, t[1:][cut] - 0.5 * h[cut]
-        z = wp.xi(w, np.concatenate([ta, tb, t[1:]]))
-        a, b, c = fm.evaluate(poly, z).reshape(3, n, on.size, on.size)
-        h = h[:, None, None]
-        k2 = b @ (0.5 * h * a + eye)
-        k3 = b @ (0.5 * h * k2 + eye)
-        e = c @ (h * k3 + eye)  # K4
-        e += 2.0 * (k2 + k3) + a
-        e *= h / 6.0
-        e[t[1:] <= t0] = 0.0  # held until the wavepacket arrives
-        for ei, yi, yn in zip(e, y, y[1:]):
-            np.dot(ei, yi, out=dy)
-            np.add(yi, dy, out=yn)
-        buf[:n + 1, on] = y[:n + 1]
-        yield k0, buf[:n + 1]
-        y[0] = y[n]
 
 
 def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,

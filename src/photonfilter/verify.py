@@ -7,11 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import filter_moments as fm
-from . import sde_engine as se
 from . import wavepacket as wp
 from .config import SimConfig
 from .filter_generic import SLHModel
-from .master_ensemble import analytic_mean_photon_series, run_ensemble
+from .master_ensemble import analytic_mean_photon_series, master_path, run_ensemble
 
 
 @dataclass
@@ -42,7 +41,7 @@ def run_checks(seed: int = 2024) -> list[CheckResult]:
     # must give the same s (its |pi01(a)|^2 against |beta|^2, the tail being
     # common to both) and a real pi11(n).
     s_dev = im_n = 0.0
-    for k, x in se.master_path(cfg_pc, f):
+    for k, x in master_path(cfg_pc, f):
         r = x @ f.readout[[0, fm.READOUTS.index("a01")]].T
         n_closed = analytic_mean_photon_series(cfg_pc, cfg_pc.dt * np.arange(k, k + len(x)))
         s_dev = max(s_dev, float(np.abs(np.abs(r[:, 1]) ** 2 - n_closed).max()))

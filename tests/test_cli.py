@@ -68,13 +68,13 @@ def test_json_format_carries_seed(tmp_path):
 
 def test_write_series_line_count(tmp_path):
     out = tmp_path / "t.csv"
-    cli.write_series(out, ["a", "b"], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    cli.write_series(out, ["a", "b"], [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
     assert len(out.read_text().splitlines()) == 4
 
 
 def test_write_series_rejects_width_mismatch(tmp_path):
     with pytest.raises(ValueError):
-        cli.write_series(tmp_path / "t.csv", ["a", "b", "c"], [[1.0, 2.0]])
+        cli.write_series(tmp_path / "t.csv", ["a", "b", "c"], [[1.0], [2.0]])
 
 
 def test_ensemble_runs(tmp_path, capsys):
@@ -109,7 +109,7 @@ def test_ensemble_runs_no_master_equation_integration(tmp_path, monkeypatch):
 
     for module in (master_ensemble, cli):
         monkeypatch.setattr(module, "integrate_master", refuse)
-    monkeypatch.setattr(se, "master_path", refuse)
+    monkeypatch.setattr(master_ensemble, "master_path", refuse)
     for engine in ("cascade", "generic"):
         assert cli.main(["ensemble", *FAST, "--ntraj", "5", "--engine", engine,
                          "--out", str(tmp_path / f"{engine}.csv")]) == 0
@@ -121,6 +121,30 @@ def test_photocount_trajectory_prints_jumps(capsys):
                    "--detector", "photocount", "--seed", "12"])
     assert rc == 0
     assert "jumps at" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("grid", [["--delta", "57", "--dt", "0.05", "--tend", "53"],
+                                  ["--delta", "2900", "--tend", "13"]])
+def test_unstable_me_exits_one_naming_dt(tmp_path, capsys, grid):
+    # RK4 cannot step these grids: the run stops at setup, writing nothing
+    out = tmp_path / "me.csv"
+    assert cli.main(["me", *grid, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: RK4 ") and "dt=" in err and "is stable" in err
+    assert not out.exists()
+
+
+def test_me_divergence_exits_one(monkeypatch, capsys):
+    # a master path that stops being finite is an error naming its time,
+    # not a traceback
+    def diverging(cfg, f):
+        states = np.zeros((3, f.initial.size), dtype=complex)
+        states[2] = np.nan
+        yield 0, states
+
+    monkeypatch.setattr(master_ensemble, "master_path", diverging)
+    assert cli.main(["me", *FAST]) == 1
+    assert "error: master-equation integration diverged at t=0.02" in capsys.readouterr().err
 
 
 def test_invalid_config_exits_one(capsys):

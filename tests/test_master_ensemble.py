@@ -1,11 +1,18 @@
 import concurrent.futures
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import weak_convergence_bias
+from photonfilter import filter_moments as fm
 from photonfilter import master_ensemble as me
+from photonfilter import sde_engine as se
 from photonfilter.config import SimConfig
+from photonfilter.errors import UnstableStepError
+from photonfilter.filter_generic import SLHModel
 from photonfilter.sde_engine import simulate_trajectory
 from photonfilter.wavepacket import Wavepacket, xi
 
@@ -164,3 +171,103 @@ def test_weak_convergence_bias_blocks(monkeypatch):
     monkeypatch.setattr(me, "_ENSEMBLE_BLOCK", 7)
     np.testing.assert_allclose(weak_convergence_bias(cfg, M=20, master_seed=3), whole,
                                rtol=0, atol=1e-15)
+
+
+def _restricted_drift(cfg):
+    """The compiled drift on the entries the master path steps."""
+    f = fm.compile_filter(SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
+    on = se._support(f)
+    return f, f.drift[:, on[:, None], on]
+
+
+class TestRK4Maps:
+    @pytest.mark.parametrize("delta", [0.0, 0.7, 57.0])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_drift_triangular_on_support(self, dim, delta):
+        # F0 upper triangular, so I + M0's eigenvalues are its diagonal; xi
+        # only feeds block 00 into 10 and 01 and those into 11, so F1 is
+        # strictly upper triangular and no product holds three F1 factors
+        _, drift = _restricted_drift(SimConfig(delta=delta, fock_dim=dim))
+        assert drift.shape == (2, 5, 5)
+        assert not np.tril(drift[0], -1).any() and not np.tril(drift[1]).any()
+        f1 = drift[1] != 0
+        assert not (f1.astype(int) @ f1 @ f1).any()
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 7.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.7, 57.0])
+    def test_step_map_quadratic_in_xi(self, delta, gamma):
+        # a full step's map at xi(t) is M0 + xi M1 + xi^2 M2, fitted at xi =
+        # 0, 1 and -1, to rounding, at any xi the wavepacket takes
+        dt = 1e-3
+        _, drift = _restricted_drift(SimConfig(delta=delta, gamma=gamma, dt=dt))
+        mid, end = math.exp(-0.25 * gamma * dt), math.exp(-0.5 * gamma * dt)
+
+        def step_map(x):
+            return me._rk4_map(drift, dt, [x, x * mid, x * end])
+
+        e0, ep, em = step_map(0.0), step_map(1.0), step_map(-1.0)
+        for x in np.linspace(0.0, math.sqrt(gamma), 9):
+            quad = e0 + x * 0.5 * (ep - em) + x * x * (0.5 * (ep + em) - e0)
+            np.testing.assert_allclose(quad, step_map(x), rtol=0, atol=1e-17)
+
+
+class TestRK4Stability:
+    @pytest.mark.parametrize("delta, dt, t_end", [(57.0, 0.05, 53.0), (2900.0, 1e-3, 13.0)])
+    def test_unstable_grid_raises_before_first_step(self, delta, dt, t_end):
+        # RK4's multiplier of the coherences, -kappa/2 +- i delta, leaves the
+        # unit disc (max |R| = 1.0508 at delta 57, dt 0.05)
+        cfg = SimConfig(delta=delta, dt=dt, t_end=t_end)
+        f, _ = _restricted_drift(cfg)
+        path = me.master_path(cfg, f)
+        with pytest.raises(UnstableStepError, match=rf"dt={dt:g} for delta={delta:g}"):
+            next(path)
+        with pytest.raises(UnstableStepError):
+            me.integrate_master(cfg)
+
+    def test_named_dt_is_the_largest_stable(self):
+        # the dt the error names runs, and stays bounded; a step 0.2% longer
+        # does not run.  At this edge of RK4's region the coherences are
+        # barely damped and n dips to -8.3e-7 (delta dt = 2.8300); the check
+        # bounds growth, not accuracy
+        cfg = SimConfig(delta=57.0, dt=0.05, t_end=53.0)
+        with pytest.raises(UnstableStepError) as info:
+            me.integrate_master(cfg)
+        named = float(str(info.value).split("dt <= ")[1].split()[0])
+        n = me.integrate_master(SimConfig(delta=57.0, dt=named, t_end=1000 * named)).values
+        assert np.abs(n).max() <= 1e-4
+        with pytest.raises(UnstableStepError):
+            me.integrate_master(SimConfig(delta=57.0, dt=1.002 * named, t_end=1000 * named * 1.002))
+
+    def test_stable_just_inside(self):
+        # delta 56 at dt 0.05: max |R| is 1 to rounding, and the path tracks
+        # the closed form
+        cfg = SimConfig(delta=56.0, dt=0.05, t_end=53.0)
+        series = me.integrate_master(cfg)
+        oracle = me.analytic_mean_photon_series(cfg, series.times)
+        assert np.abs(series.values - oracle).max() <= 1e-5
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kappa=st.floats(0.05, 1.0),
+        gamma=st.floats(0.05, 1.0),
+        delta=st.floats(-100.0, 100.0),
+        t0=st.floats(0.0, 2.0),
+        coarse=st.floats(0.005, 0.0999),
+        after=st.integers(1, 1500),
+    )
+    @example(kappa=0.1, gamma=0.1, delta=57.0, t0=3.0, coarse=0.005, after=1000)
+    @example(kappa=0.1, gamma=0.1, delta=56.0, t0=3.0, coarse=0.005, after=1000)
+    def test_accepted_grid_raises_at_setup_or_is_physical(self, kappa, gamma, delta, t0,
+                                                          coarse, after):
+        # on any grid the validator accepts, the master equation either
+        # refuses before its first step or keeps n in [0, 1]
+        dt = coarse / max(kappa, gamma)
+        steps = math.floor(t0 / dt) + after
+        cfg = SimConfig(kappa=kappa, gamma=gamma, delta=delta, t0=t0, t_end=steps * dt, dt=dt)
+        try:
+            n = me.integrate_master(cfg).values
+        except UnstableStepError:
+            _, drift = _restricted_drift(cfg)
+            assert me._rk4_gain(drift[0].diagonal().tolist(), dt) > 1.0 + 1e-12
+            return
+        assert -1e-9 <= n.min() and n.max() <= 1.0 + 1e-9

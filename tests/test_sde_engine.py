@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from einsum_oracle import einsum_block
 from helpers import evaluate_powers, jump_gain
 from photonfilter import filter_moments as fm
+from photonfilter import master_ensemble
 from photonfilter import sde_engine as se
 from photonfilter import seeding
 from photonfilter import wavepacket as wp
@@ -18,7 +19,7 @@ from photonfilter.config import SimConfig
 from photonfilter.errors import FilterDivergenceError, NonRealInnovationError
 from photonfilter.filter_generic import SLHModel
 from photonfilter.master_ensemble import (analytic_mean_photon_series, integrate_master,
-                                          run_ensemble)
+                                          master_path, run_ensemble)
 
 
 def _noise(cfg, m, seed):
@@ -31,7 +32,7 @@ def _noise(cfg, m, seed):
 def _path_states(cfg, f):
     """``master_path``'s states over the whole grid."""
     x = np.empty((cfg.steps + 1, f.initial.size), dtype=complex)
-    for k, states in se.master_path(cfg, f):
+    for k, states in master_path(cfg, f):
         x[k:k + len(states)] = states
     return x
 
@@ -41,7 +42,7 @@ def _path_s(cfg):
     f = fm.compile_filter(SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
     times = cfg.times()
     s = np.empty(times.size)
-    for k, states in se.master_path(cfg, f):
+    for k, states in master_path(cfg, f):
         s[k:k + len(states)] = np.abs(states @ f.readout[fm.READOUTS.index("a01")]) ** 2
     return s + wp.tail_norm(wp.Wavepacket(cfg.gamma, cfg.t0), times)
 
@@ -74,11 +75,12 @@ def _full_rk4(cfg, poly, x0):
 class TestMasterPath:
     # the RK4 path steps only the five entries the vacuum reaches
 
-    @pytest.mark.parametrize("t0", [3.0, 3.004])
+    @pytest.mark.parametrize("t0", [3.0, 3.004, 3.0001])
     @pytest.mark.parametrize("delta", [0.0, 0.7])
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_matches_full_state(self, dim, delta, t0):
-        # the same RK4 on all 4 D^2 entries; t0 = 3.004 falls inside a step
+        # the same RK4 on all 4 D^2 entries; t0 = 3.004 falls inside a step,
+        # 3.0001 just after a grid point
         cfg = SimConfig(delta=delta, t0=t0, fock_dim=dim, t_end=23.0, dt=1e-2)
         f = fm.compile_filter(SLHModel.cavity(dim, cfg.kappa, delta))
         states = _path_states(cfg, f)
@@ -87,7 +89,7 @@ class TestMasterPath:
         off = np.setdiff1d(np.arange(f.initial.size), se._support(f))
         assert se._support(f).size == 5 and not states[:, off].any()
 
-    @pytest.mark.parametrize("t0", [3.0, 3.004])
+    @pytest.mark.parametrize("t0", [3.0, 3.004, 3.0001])
     @pytest.mark.parametrize("delta", [0.0, 0.7])
     def test_same_at_every_truncation(self, delta, t0):
         # the five entries and their drift are the same at every D >= 2
@@ -367,7 +369,7 @@ class TestNoCountPath:
         # on the master equation's path the cavity's <n> is |pi01(a)|^2, the
         # numerator the runner divides by s; RK4 keeps this quadratic identity
         # to its O(dt^4) truncation (1.8e-12 at delta = 0.7, 1.1e-13 at dt / 2)
-        for _, states in se.master_path(cfg, f):
+        for _, states in master_path(cfg, f):
             me = states @ f.readout.T
             np.testing.assert_allclose(np.abs(me[:, fm.READOUTS.index("a01")]) ** 2,
                                        me[:, 0].real, rtol=0, atol=1e-11)
@@ -494,7 +496,7 @@ class TestCascade:
         def forbidden(*args, **kwargs):
             raise AssertionError("photon counting called the compiled filter")
 
-        monkeypatch.setattr(se, "master_path", forbidden)
+        monkeypatch.setattr(master_ensemble, "master_path", forbidden)
         monkeypatch.setattr(fm, "compile_filter", forbidden)
         cfg = SimConfig(t_end=53.0, dt=1e-2, detector="photocount")
         stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(4).spawn(50),
