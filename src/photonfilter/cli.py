@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if name == "ensemble":
             p.add_argument("--workers", type=int, default=1,
-                           help="parallel worker processes")
+                           help="processes for homodyne blocks; photon counting is one pass")
     return parser
 
 

@@ -22,7 +22,7 @@ are disjoint, so the sum is exact):
     homodyne:   dx += (Fg x - K x) dW,        K  = k . x  (real)
 
 Photon counting needs no map of its own: it samples the closed-form
-probability of no count (:func:`photonfilter.sde_engine.run_block`).
+probability of no count (:func:`photonfilter.sde_engine.count_photons`).
 
 Every term is built from L and H with the Kronecker identity above.  The
 tests check the compiled maps against an independent einsum filter, which

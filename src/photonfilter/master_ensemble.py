@@ -10,10 +10,10 @@ xi built once per run, so the series is the same at every D >= 2; ``me``
 reports it and ``verify`` checks it.  A step outside RK4's stability region
 for a mode of the drift raises :class:`~photonfilter.errors.UnstableStepError`
 before the first step.  Homodyne ensembles run the filter of
-``cfg.engine``, photon-counting ones sample their count times from the
-closed form below, and ``ensemble`` sets both beside that closed form,
-never computed from the RK4 path it cross-checks: with c = i delta +
-kappa/2,
+``cfg.engine`` in blocks, photon-counting ones sample all their count times
+from the closed form below in one pass, and ``ensemble`` sets both beside
+that closed form (evaluated a chunk of rows at a time), never computed from
+the RK4 path it cross-checks: with c = i delta + kappa/2,
 
     <n>(t) = kappa * | integral_{t0}^{t} exp(-c (t-s)) xi(s) ds |^2 = |beta(t)|^2
 
@@ -35,7 +35,6 @@ from .config import SimConfig
 from .errors import FilterDivergenceError, UnstableStepError
 from .filter_generic import SLHModel
 
-_ENSEMBLE_BLOCK = 500
 # Steps of the master equation's path held at once; their increment maps
 # take 400 bytes a step.
 _PATH = 64
@@ -180,9 +179,12 @@ def integrate_master(cfg: SimConfig) -> SeriesND:
 
 def analytic_mean_photon_series(cfg: SimConfig, times: np.ndarray) -> np.ndarray:
     """Closed-form master-equation photon number |beta|^2 at each of ``times``
-    (:func:`photonfilter.wavepacket.cavity_amplitude`)."""
-    w = wp.Wavepacket(cfg.gamma, cfg.t0)
-    return np.abs(wp.cavity_amplitude(w, cfg.kappa, cfg.delta, times)) ** 2
+    (:func:`photonfilter.wavepacket.cavity_amplitude`), ``wp.ROWS`` at a time."""
+    w, out = wp.Wavepacket(cfg.gamma, cfg.t0), np.empty(np.shape(times))
+    for lo in range(0, len(out), wp.ROWS):
+        r = slice(lo, lo + wp.ROWS)
+        out[r] = np.abs(wp.cavity_amplitude(w, cfg.kappa, cfg.delta, times[r])) ** 2
+    return out
 
 
 def _ensemble_block(args):
@@ -194,31 +196,33 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     """Run ``cfg.ntraj`` independent trajectories and return pointwise mean and stderr.
 
     Trajectory i draws its noise from child i of SeedSequence(cfg.seed),
-    so the result is independent of how the work is scheduled.  The
-    children come from one vectorised hash equal to ``SeedSequence.spawn``
-    under NEP 19 (:func:`photonfilter.seeding.children`).  Blocks of
-    fixed size are folded in index order, making the reduction deterministic
-    for any worker count.  At most one worker process starts per block.
+    computed for all of them at once (:mod:`photonfilter.seeding`), so the
+    result is independent of how the work is scheduled.  Photon counting runs
+    in one pass (:func:`photonfilter.sde_engine.count_photons`); ``workers``
+    splits homodyne ensembles only, at most one process per block of 500,
+    and the blocks' sums fold in block order for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     m_total = cfg.ntraj
-    if cfg.detector == "homodyne":
+    if cfg.detector != "homodyne":
+        stats = se.count_photons(cfg)
+    else:
         # numpy.random, which the homodyne generators need, loads before the
         # children are allocated, as it did under numpy's own spawn: loaded
         # after them, it left the homodyne benchmark's peak RSS 0.16 MB higher.
-        # Photon counting computes its uniforms without it.
         seeding.load_random()
-    children = seeding.children(cfg.seed, m_total)
-    tasks = [(cfg, children[lo:lo + _ENSEMBLE_BLOCK]) for lo in range(0, m_total, _ENSEMBLE_BLOCK)]
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        children = seeding.children(cfg.seed, m_total)
+        tasks = [(cfg, children[lo:lo + se._ENSEMBLE_BLOCK])
+                 for lo in range(0, m_total, se._ENSEMBLE_BLOCK)]
+        if workers > 1 and len(tasks) > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            blocks = list(pool.map(_ensemble_block, tasks))
-    else:
-        blocks = [_ensemble_block(t) for t in tasks]
-    stats = se._fold(blocks)
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+                blocks = list(pool.map(_ensemble_block, tasks))
+        else:
+            blocks = [_ensemble_block(t) for t in tasks]
+        stats = se._fold(blocks)
     mean = stats.sum_n / m_total
     if m_total > 1:
         var = np.clip(stats.sumsq_n - stats.sum_n**2 / m_total, 0.0, None) / (m_total - 1)

@@ -1,19 +1,17 @@
 """Reproducible noise and the trajectory driver.
 
 Every trajectory draws from ``default_rng`` of its own SeedSequence (child
-i of the master seed's for trajectory i of an ensemble), built for a whole
-block in one vectorised hash equal to numpy's under NEP 19
+i of the master seed's for trajectory i of an ensemble), computed for all of
+them at once by a hash equal to numpy's under NEP 19
 (:mod:`photonfilter.seeding`), so results do not depend on scheduling, and
-a trajectory inside a block matches the same trajectory run alone to
-rounding.  :func:`run_block` runs a block in lock-step: homodyne detection
-by Euler-Maruyama on the cascade's pure state (on Python floats when the
-block holds one trajectory) or on the filter compiled by
-:mod:`photonfilter.filter_moments`, on real coordinates (each chunk of steps
-guarded and folded once), photon counting by inverting the probability of
-no count, one uniform per trajectory: its generator's first ``random()``,
-computed from the seed words (:func:`photonfilter.seeding.uniforms`)
-without building the generator or loading ``numpy.random``.  Every error
-names the time and the trajectory.
+a trajectory in a block matches itself run alone to rounding.
+:func:`run_block` runs homodyne trajectories in lock-step, by
+Euler-Maruyama on the cascade's pure state or on the filter compiled by
+:mod:`photonfilter.filter_moments`.  Photon counting steps nothing:
+:func:`count_photons` inverts the closed-form probability of no count for a
+whole run at once, one uniform per trajectory, its generator's first
+``random()``, computed from the seed words without building a generator or
+loading ``numpy.random``.  Every error names the time and the trajectory.
 """
 
 from __future__ import annotations
@@ -30,6 +28,8 @@ from .config import SimConfig
 from .errors import FilterDivergenceError
 from .filter_generic import SLHModel
 
+# Trajectories per ensemble block, whose sums fold in block order.
+_ENSEMBLE_BLOCK = 500
 # Steps of Wiener increments held at once, in one buffer per homodyne block
 # (2 MB at m = 500, so it stays in cache), with the coefficients of those
 # steps; both engines guard and fold n once per chunk.
@@ -142,63 +142,38 @@ def _support(f, *maps) -> np.ndarray:
 
 def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
               record_series: bool = False) -> BlockStats:
-    """Advance a block of trajectories (one per seed sequence) in lock-step.
+    """Advance a block of homodyne trajectories (one per seed sequence) in
+    lock-step; photon counting steps nothing (:func:`count_photons`).
 
-    ``cfg.detector`` selects the detection scheme.  Photon counting takes
-    one uniform per trajectory, its generator's first ``random()`` computed
-    from the seed words (:func:`photonfilter.seeding.uniforms`; no generator
-    is built), and counts where the closed-form probability of no count
-    falls below it (:func:`_first_passage`).
-    ``cfg.engine`` selects the homodyne filter: ``cascade`` steps one complex
-    amplitude per trajectory (:func:`_cascade`), on Python floats in a block
-    of one; ``generic`` compiles the filter once from the cavity's (L, H)
-    at ``cfg.fock_dim`` and restricts it to the nine entries its drift and
-    diffusion reach from the vacuum (:func:`_support`; the -K x term only
-    rescales), the same at every D, on nine real coordinates
-    (:func:`filter_moments.real_filter`, which raises before the first step
-    if the maps do not keep them real or do not conserve pi11(I)).  One
+    ``cfg.engine`` selects the filter: ``cascade`` steps one complex
+    amplitude per trajectory (:func:`_cascade`); ``generic`` compiles it from
+    the cavity's (L, H), restricted to the nine entries its drift and
+    diffusion reach from the vacuum at every D (:func:`_support`), on real
+    coordinates (:func:`filter_moments.real_filter` raises before the first
+    step if the maps do not keep them real or do not conserve pi11(I)).  One
     product evaluates the stacked real map [Fd dt; Fg; k] at the xi(t) of
-    ``_SUB`` steps, a step is one real (19 x 9) . (9 x m) product and the
-    Euler update, and its n overwrites its spent increment, as the cascade's
-    N does; the finiteness guard (:func:`_guard`) and the sums
-    (:func:`_accumulate`) then run once over the chunk; the steps run with
-    numpy's overflow warnings off, so that the guard names a divergence.
-    Both homodyne engines draw their Wiener increments ``_CHUNK`` steps at a
-    time into one buffer per block (:func:`_noise_chunks`), evaluate the
-    wavepacket and their coefficients at that chunk's times only, and fold
-    n through the one :func:`_accumulate`, so that a block holds nothing the
-    length of its grid but its times, its two sums and a recorded series and
-    record.  ``noise`` replaces the trajectories' own draws: Wiener
-    increments (steps x m) for homodyne detection, uniforms (m,) in [0, 1]
-    for photon counting; any other shape, or a uniform outside [0, 1] (nan
-    included), raises ``ValueError`` naming the trajectory.
+    ``_SUB`` steps; a step is one real (19 x 9) . (9 x m) product and the
+    Euler update, its n overwriting its spent increment, with numpy's
+    overflow warnings off, so that the guard (:func:`_guard`) names a
+    divergence.  Both engines draw their Wiener
+    increments ``_CHUNK`` steps at a time into one buffer per block
+    (:func:`_noise_chunks`), evaluate their coefficients at that chunk's
+    times only, and guard and fold n (:func:`_accumulate`) once per chunk,
+    so that a block holds nothing the length of its grid but its times, its
+    two sums and a recorded series and record.  ``noise`` (steps x m)
+    replaces the Wiener increments; any other shape raises ``ValueError``.
     """
+    if cfg.detector != "homodyne":
+        raise ValueError(f"run_block steps homodyne detection, not {cfg.detector}")
     steps, times = cfg.steps, cfg.times()
     m = len(seed_seqs)
-    if noise is not None:
-        want = (steps, m) if cfg.detector == "homodyne" else (m,)
-        if np.shape(noise) != want:
-            raise ValueError(f"noise for {cfg.detector} detection must have shape {want}, "
-                             f"got {np.shape(noise)}")
-        if cfg.detector != "homodyne":
-            noise = np.asarray(noise, dtype=float)
-            # 1 counts as soon as s falls below 1; above 1 every trajectory
-            # would count at t = 0, below 0 or at nan none ever would
-            ok = (0.0 <= noise) & (noise <= 1.0)
-            if not ok.all():
-                j = int(np.argmin(ok))
-                raise ValueError(f"photon-counting noise must be uniforms in [0, 1], got "
-                                 f"{noise[j]} in trajectory {_name(seed_seqs, j)}")
-    if cfg.detector == "homodyne":
-        gens = seeding.generators(seed_seqs)
-    elif noise is None:
-        noise = seeding.uniforms(seed_seqs)
+    if noise is not None and np.shape(noise) != (steps, m):
+        raise ValueError(f"noise for homodyne detection must have shape {(steps, m)}, "
+                         f"got {np.shape(noise)}")
+    gens = seeding.generators(seed_seqs)
     stats = BlockStats(m, times, np.zeros(steps + 1), np.zeros(steps + 1), np.full(m, np.nan))
     if record_series:
         stats.series, stats.record = np.zeros((steps + 1, m)), np.zeros((steps + 1, m))
-    if cfg.detector != "homodyne":
-        _first_passage(cfg, stats, seed_seqs, noise)
-        return stats
     if cfg.engine == "cascade":
         _cascade(cfg, stats, seed_seqs, gens, noise)
         return stats
@@ -328,42 +303,57 @@ def _cascade_floats(c, nrm, gain, fc, floor, nz) -> list[float]:
     return ys
 
 
-def _first_passage(cfg: SimConfig, stats: BlockStats, seed_seqs, noise) -> None:
-    """Photon counting by inversion of the probability s = <n> + tail_norm of
-    no count (the photon is in the cavity or still to come), with <n> =
-    |beta|^2 in closed form on the whole grid; n = <n> / s, formed as 1 / (1
-    + tail / <n>) (:func:`wavepacket.photon_and_tail_ratio`) so that it stays
-    in [0, 1] where s underflows to 0.  Each trajectory takes one uniform V
-    in [0, 1] from ``noise`` (its generator's first ``random()``, or the
-    caller's) and counts at the first row where the running minimum of s
-    falls below V, so P(no count by row k) = min_{i <= k} s_i even where
-    rounding raises s by an ulp; its count time is that row's time (NaN if
-    there is none).  The count takes |e,0> and |g,1> to |g,0>, so n = 0
-    after it and it adds nothing to the sums; guards read rows where someone
-    waits.
-    """
-    times, w = stats.times, wp.Wavepacket(cfg.gamma, cfg.t0)
-    v = np.asarray(noise, dtype=float)
-    n_me, tail_ratio = wp.photon_and_tail_ratio(w, cfg.kappa, cfg.delta, times)
-    s, rows = n_me + wp.tail_norm(w, times), np.arange(times.size)
-    # V waits while V <= the least s so far, and counts at the first row
-    # where that least falls below V (at = times.size: it never does).
-    at = np.searchsorted(-np.fmin.accumulate(s), -v, side="right")
-    live = stats.m - np.cumsum(np.bincount(at, minlength=times.size))[:times.size]
-    e = int(np.count_nonzero(live))  # the rows someone waits at: a prefix
-    n, live = 1.0 / (1.0 + tail_ratio[:e]), live[:e]
-    bad = ~np.isfinite(n)
-    if bad.any():
-        i = int(np.argmax(bad))
-        _fail(FilterDivergenceError, f"filter diverged to pi11(n) = {n[i]}", times[i],
-              seed_seqs, np.argmax(at > i))
-    stats.n_min, stats.n_max = float(n.min()), float(n.max())
-    stats.sum_n[:e], stats.sumsq_n[:e] = n * live, n * n * live
+def count_photons(cfg: SimConfig, *, noise=None, record_series: bool = False) -> BlockStats:
+    """Photon counting for a whole run in one pass, by inversion of the
+    probability s = <n> + tail_norm of no count, with <n> = |beta|^2 and n =
+    <n> / s as 1 / (1 + tail / <n>), in [0, 1] where s underflows
+    (:func:`wavepacket.photon_and_tail_ratio`), each evaluated once,
+    ``wp.ROWS`` rows at a time.  Trajectory i takes the first ``random()`` of
+    child i of SeedSequence(cfg.seed), all ``cfg.ntraj`` from the seed words
+    at once (:func:`seeding.uniforms`), or entry i of ``noise`` (shape (m,),
+    in [0, 1]), and counts (leaving |g,0>, so n = 0) at the first row where
+    the running minimum of s falls below it, one ``searchsorted`` for all:
+    P(no count by row k) = min_{i <= k} s_i even where rounding raises s by
+    an ulp.  Sums fold over blocks of ``_ENSEMBLE_BLOCK`` in block order."""
+    v = np.asarray(seeding.uniforms(cfg.seed, cfg.ntraj) if noise is None else noise,
+                   dtype=float)
+    if v.ndim != 1 or not v.size:
+        raise ValueError(f"noise for photon counting must have shape (m,), got {v.shape}")
+    # 1 counts as soon as s falls below 1; above 1 every trajectory would
+    # count at t = 0, below 0 or at nan none ever would
+    ok = (0.0 <= v) & (v <= 1.0)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise ValueError(f"photon-counting noise must be uniforms in [0, 1], got {v[j]} "
+                         f"in trajectory {j}")
+    times, w = cfg.times(), wp.Wavepacket(cfg.gamma, cfg.t0)
+    s, q = np.empty(times.size), np.empty(times.size)  # q: tail / <n>, then n
+    for lo in range(0, times.size, wp.ROWS):
+        r = slice(lo, lo + wp.ROWS)
+        n_me, q[r] = wp.photon_and_tail_ratio(w, cfg.kappa, cfg.delta, times[r])
+        s[r] = n_me + wp.tail_norm(w, times[r])
+    # V waits while V <= the least s so far (at = times.size: always); the
+    # rows someone waits at are those before the last count
+    at = np.searchsorted(np.negative(np.fmin.accumulate(s, out=s), out=s), -v, side="right")
+    e = int(at.max())
+    n = np.divide(1.0, np.add(1.0, q[:e], out=q[:e]), out=q[:e])
+    if not np.isfinite(n).all():
+        i = int(np.argmin(np.isfinite(n)))
+        raise FilterDivergenceError(f"filter diverged to pi11(n) = {n[i]} at t={times[i]:.6g} "
+                                    f"in trajectory {int(np.argmax(at > i))}")
+    stats = BlockStats(v.size, times, np.zeros(times.size), np.zeros(times.size),
+                       np.full(v.size, np.nan), float(n.min()), float(n.max()))
+    for lo in range(0, v.size, _ENSEMBLE_BLOCK):
+        blk = at[lo:lo + _ENSEMBLE_BLOCK]
+        live = blk.size - np.cumsum(np.bincount(blk, minlength=e + 1)[:e])
+        stats.sum_n[:e] += n * live
+        stats.sumsq_n[:e] += n * n * live
     counted = at < times.size
     stats.count_times[counted] = times[at[counted]]
-    if stats.series is not None:
-        stats.series[:e] = np.where(at > rows[:e, None], n[:, None], 0.0)
-        stats.record[:] = rows[:, None] >= at
+    if record_series:  # q holds n on the rows someone waits at, rows < e
+        rows = np.arange(times.size)[:, None]
+        stats.series, stats.record = np.where(at > rows, q[:, None], 0.0), (rows >= at) * 1.0
+    return stats
 
 
 def _accumulate(stats, k, n):
@@ -384,12 +374,16 @@ def simulate_trajectory(cfg: SimConfig, seed=None) -> Trajectory:
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; by default the
     config's seed is used.  The record holds dY increments for homodyne
     detection and cumulative counts for photon counting, and ``jumps`` the
-    count time, if any.  It runs a block of one, so the cascade steps on
-    Python floats (:func:`_cascade`).
+    count time, if any.  Homodyne detection runs a block of one (the cascade
+    steps it on Python floats); photon counting takes its uniform from the
+    seed's pool, without loading ``numpy.random``.
     """
     seed = cfg.seed if seed is None else seed
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    stats = run_block(cfg, seed_seqs=[ss], record_series=True)
+    if cfg.detector != "homodyne":
+        stats = count_photons(cfg, noise=seeding.uniforms(seed), record_series=True)
+    else:
+        ss = seed if hasattr(seed, "generate_state") else np.random.SeedSequence(seed)
+        stats = run_block(cfg, seed_seqs=[ss], record_series=True)
     t = float(stats.count_times[0])
     return Trajectory(stats.times, stats.series[:, 0].copy(), stats.record[:, 0].copy(),
                       [] if math.isnan(t) else [t], seed)

@@ -1,15 +1,13 @@
 """Every trajectory's generator, numpy's ``default_rng`` of child i of
-``SeedSequence(seed)``, for a whole ensemble at once, or only its first
-``random()``, the one uniform that photon counting draws.
+``SeedSequence(seed)``, or only its first ``random()`` (photon counting's
+one uniform), for a whole ensemble at once.
 
-SeedSequence's hashes (frozen by numpy's policy NEP 19) run over all the
-children together, each child's 32-bit word in a 64-bit lane of one Python
-int: a lane times a 32-bit constant stays inside its lane, so each hash step
-is a few int operations over every lane.  (numpy's uint32 ufuncs would map
-64-128 KB of numpy's code that no run touches otherwise.)  The uniforms
-follow PCG64's seeding, its step and its XSL-RR output on Python ints (the
-same algorithm, also frozen by NEP 19), so only :func:`generators` loads
-``numpy.random``, at its first call.
+SeedSequence's hashes and PCG64's seeding and step (all frozen by numpy's
+policy NEP 19) run over every child together, in lanes of one Python int:
+a 32-bit word in a 64-bit lane, a 128-bit state in a 256-bit lane, so a
+product stays in its lane.  (numpy's uint32 ufuncs would map 64-128 KB of
+numpy's code that no run touches otherwise.)  Only :func:`generators` loads
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -26,42 +24,30 @@ _M64, _M128 = 2**64 - 1, 2**128 - 1
 
 
 class Child(NamedTuple):
-    """Child ``spawn_key[0]`` of a seed's SeedSequence, with its entropy pool."""
+    """Child ``spawn_key[0]`` of a seed's SeedSequence, holding the words its
+    ``generate_state(4, uint64)`` gives: an ISeedSequence for PCG64."""
 
-    pool: np.ndarray
+    words: np.ndarray
     spawn_key: tuple[int]
-
-
-class _Words:
-    """An ISeedSequence that hands a PCG64 the state words computed for it."""
-
-    words = None
 
     def generate_state(self, n_words, dtype=None):
         return self.words
 
 
 def load_random():
-    """numpy.random's Generator and PCG64, loaded at the first call, with the
-    holder registered as its ISeedSequence."""
+    """numpy.random's Generator and PCG64, loaded at the first call, with
+    :class:`Child` registered as an ISeedSequence."""
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
-    if not issubclass(_Words, ISeedSequence):
-        ISeedSequence.register(_Words)
+    if not issubclass(Child, ISeedSequence):
+        ISeedSequence.register(Child)
     return Generator, PCG64
 
 
-def _lanes(words) -> int:
-    """The 32-bit ``words`` as the 64-bit lanes of one int, the first lowest."""
-    z = np.zeros((len(words), 2), "<u4")
-    z[:, 0] = words
-    return int.from_bytes(z.tobytes(), "little")
-
-
-def _ones(m: int) -> int:
-    """1 in each of m lanes."""
-    return int.from_bytes(b"\1\0\0\0\0\0\0\0" * m, "little")
+def _ones(m: int, width: int = 8) -> int:
+    """1 in each of m lanes of ``width`` bytes."""
+    return int.from_bytes((b"\1" + b"\0" * (width - 1)) * m, "little")
 
 
 def _hasher(const: int, mult: int):
@@ -83,15 +69,15 @@ def _mix(x, y, ones=1):
     return x ^ x >> 16 & mask
 
 
-def children(seed: int, m: int) -> list[Child]:
-    """``SeedSequence(seed).spawn(m)``'s pools, from ``mix_entropy`` over every
-    child's entropy: the seed's 32-bit words, zero-padded to 4, then its
-    index.  The pool is one for all children until the index mixes in.
-    ``numpy.random`` does not load here: only :func:`generators` needs it."""
+def _pools(seed: int, m: int | None) -> tuple[list[int], int]:
+    """``SeedSequence(seed).spawn(m)``'s four pool words, child i's in lane i
+    of four ints, and :func:`_ones` of m; with m None, ``SeedSequence(seed)
+    .pool`` and 1.  ``mix_entropy`` hashes the seed's 32-bit words, zero-padded
+    to 4 (as the root's missing words hash), then each child's index."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if m > 2**32:
+    if m is not None and m > 2**32:
         raise ValueError(f"at most 2**32 children take one index word each, got {m}")
     words = [seed >> s & _M for s in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (4 - len(words))
@@ -103,52 +89,64 @@ def children(seed: int, m: int) -> list[Child]:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
     for w in words[4:]:
         pool = [_mix(p, hashmix(w)) for p in pool]
-    ones, index = _ones(m), _lanes(np.arange(m))
-    pool = [_mix(p * ones, hashmix(index, ones), ones).to_bytes(8 * m, "little") for p in pool]
-    pools = np.stack([np.frombuffer(p, "<u4")[::2] for p in pool], axis=1)
-    return [Child(p, (i,)) for i, p in enumerate(pools)]
+    if m is None:
+        return pool, 1
+    ones, index = _ones(m), int.from_bytes(np.arange(m, dtype="<u8").tobytes(), "little")
+    return [_mix(p * ones, hashmix(index, ones), ones) for p in pool], ones
 
 
-def _state_words(seed_seqs) -> np.ndarray:
-    """Each entry's ``generate_state(4, uint64)`` (entries with a ``.pool``),
-    one row each, hashed over all of them at once."""
-    m = len(seed_seqs)
-    pools = np.concatenate([s.pool for s in seed_seqs]).reshape(m, -1)
-    lanes, ones = [_lanes(col) for col in pools.T], _ones(m)
+def _state(seed: int, m: int | None) -> list[int]:
+    """``generate_state(4, uint64)`` of :func:`_pools`' pools, in their lanes:
+    eight 32-bit words hashed from the pool's, two to a word, lower first."""
+    lanes, ones = _pools(seed, m)
     hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
-    w = [hashmix(lanes[i % len(lanes)], ones) for i in range(8)]
-    return np.stack([np.frombuffer((w[i] | w[i + 1] << 32).to_bytes(8 * m, "little"), "<u8")
-                     for i in range(0, 8, 2)], axis=1)
+    w = [hashmix(lanes[i % 4], ones) for i in range(8)]
+    return [w[i] | w[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def children(seed: int, m: int) -> list[Child]:
+    """``SeedSequence(seed).spawn(m)``, each with its state words (:func:`_state`);
+    ``numpy.random`` does not load here, only in :func:`generators`."""
+    words = np.stack([np.frombuffer(w.to_bytes(8 * m, "little"), "<u8") for w in _state(seed, m)],
+                     axis=1).astype(np.uint64, copy=False)
+    return [Child(w, (i,)) for i, w in enumerate(words)]
 
 
 def generators(seed_seqs) -> list:
-    """``[default_rng(s) for s in seed_seqs]`` for entries with a ``.pool``:
-    their state words (:func:`_state_words`), then one reused holder."""
+    """``[default_rng(s) for s in seed_seqs]``, of :class:`Child` or SeedSequences."""
     Generator, PCG64 = load_random()
-    hold, gens = _Words(), []
-    for hold.words in _state_words(seed_seqs).astype(np.uint64, copy=False):
-        gens.append(Generator(PCG64(hold)))
-    hold.words = None
-    return gens
+    return [Generator(PCG64(s)) for s in seed_seqs]
 
 
-def _pcg_random(state: int, inc: int) -> float:
-    """``random()`` of a PCG64 at ``state`` with increment ``inc``: one LCG
-    step, the XSL-RR output of the new state (its halves xor-ed, rotated
-    right by its top six bits), and that output's top 53 bits over 2**53."""
-    state = (state * _MULT + inc) & _M128
-    x, rot = (state >> 64 ^ state) & _M64, state >> 122
-    return (((x >> rot | x << 64 - rot) & _M64) >> 11) * 2.0**-53
+def _wide(lo: int, hi: int, m: int) -> int:
+    """lo + 2**64 hi in m 256-bit lanes, from the 64-bit lanes of lo and hi."""
+    z = np.zeros((m, 4), "<u8")
+    z[:, 0], z[:, 1] = (np.frombuffer(v.to_bytes(8 * m, "little"), "<u8") for v in (lo, hi))
+    return int.from_bytes(z.tobytes(), "little")
 
 
-def uniforms(seed_seqs) -> list[float]:
-    """``[default_rng(s).random() for s in seed_seqs]`` for entries with a
-    ``.pool``, without numpy.random: PCG64 takes state words s0..s3 as
-    initstate s0:s1 and initseq s2:s3, sets inc = 2 initseq + 1, and from
-    state 0 steps (to inc), adds initstate and steps again; random() then
-    takes one more step (:func:`_pcg_random`)."""
-    out = []
-    for s0, s1, q0, q1 in _state_words(seed_seqs).tolist():
-        inc = (q0 << 65 | q1 << 1 | 1) & _M128
-        out.append(_pcg_random(((inc + (s0 << 64 | s1)) * _MULT + inc) & _M128, inc))
-    return out
+def _randoms(state: int, inc: int, m: int) -> list[float]:
+    """``random()`` of m PCG64s, their states and increments in 256-bit lanes:
+    one LCG step and XSL-RR's xor of the halves and rotation count (the top
+    six bits) in every lane; per generator the rotation and the top 53 bits."""
+    ones = _ones(m, 32)
+    state = (state * _MULT + inc) & _M128 * ones
+    out = ((state >> 64 ^ state) & _M64 * ones) | (state >> 122 & 63 * ones) << 64
+    xr = np.frombuffer(out.to_bytes(32 * m, "little"), "<u8").reshape(m, 4)[:, :2].tolist()
+    return [((x >> r | x << 64 - r & _M64) >> 11) * 2.0**-53 for x, r in xr]
+
+
+def uniforms(seed, m: int | None = None) -> list[float]:
+    """``[default_rng(c).random() for c in SeedSequence(seed).spawn(m)]``, or
+    with m None ``[default_rng(seed).random()]`` (``seed`` an int or an
+    ISeedSequence), without numpy.random.  PCG64 takes the state words s0..s3
+    (:func:`_state`) as initstate s0:s1 and initseq s2:s3, sets inc = 2
+    initseq + 1, steps from 0, adds initstate and steps (:func:`_randoms`)."""
+    if m is None and hasattr(seed, "generate_state"):
+        s = [int(w) for w in seed.generate_state(4, np.uint64)]
+    else:
+        s = _state(seed, m)
+    n = 1 if m is None else m
+    ones = _ones(n, 32)
+    inc = (_wide(s[3], s[2], n) << 1 | ones) & _M128 * ones
+    return _randoms(((inc + _wide(s[1], s[0], n)) * _MULT + inc) & _M128 * ones, inc, n)

@@ -17,6 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Grid rows whose closed forms are evaluated at once (about 60 bytes a row of
+# complex temporaries); only their float results span the grid.
+ROWS = 4096
+
 
 @dataclass(frozen=True)
 class Wavepacket:

@@ -7,6 +7,8 @@ need: photon counting samples the closed-form probability of no count.  It
 is quadratic in xi, where the compiled maps are affine, and
 :func:`evaluate_powers` gives it at any xi.
 :func:`weak_convergence_bias` is the harness of the weak-convergence check.
+:func:`count_photons_by_blocks` is photon counting as it once ran, block by
+block from numpy's own generators, the reference of the one-pass runner.
 """
 
 from dataclasses import replace
@@ -17,6 +19,7 @@ from photonfilter import filter_moments as fm
 from photonfilter import master_ensemble as me
 from photonfilter import operators as ops
 from photonfilter import sde_engine as se
+from photonfilter import wavepacket as wp
 
 
 def creation(dim: int) -> np.ndarray:
@@ -77,8 +80,8 @@ def weak_convergence_bias(cfg, M: int, master_seed: int) -> tuple[float, float]:
     cfg_f = replace(cfg, dt=0.5 * cfg.dt)
     children = np.random.SeedSequence(master_seed).spawn(M)
     sum_c, sum_f = np.zeros(steps + 1), np.zeros(2 * steps + 1)
-    for lo in range(0, M, me._ENSEMBLE_BLOCK):
-        seqs = children[lo:lo + me._ENSEMBLE_BLOCK]
+    for lo in range(0, M, se._ENSEMBLE_BLOCK):
+        seqs = children[lo:lo + se._ENSEMBLE_BLOCK]
         gens = [np.random.default_rng(ss) for ss in seqs]
         noise_f = se._chunk_noise(gens, 2 * steps, np.sqrt(0.5 * cfg.dt),
                                   np.empty((2 * steps, len(gens))))
@@ -91,3 +94,30 @@ def weak_convergence_bias(cfg, M: int, master_seed: int) -> tuple[float, float]:
     bias_c = float(np.abs(mean_c - oracle).max())
     bias_f = float(np.abs(mean_f - oracle).max())
     return bias_c, bias_f
+
+
+def count_photons_by_blocks(cfg) -> se.BlockStats:
+    """Photon counting of ``cfg.ntraj`` trajectories block by block: each
+    block of ``_ENSEMBLE_BLOCK`` draws its uniforms from numpy's
+    ``default_rng`` of its SeedSequence children, evaluates the closed form
+    over the whole grid at once, places its count times and forms its own
+    sums, and the blocks fold in order (``se._fold``)."""
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.ntraj)
+    times, w = cfg.times(), wp.Wavepacket(cfg.gamma, cfg.t0)
+    n_me, tail_ratio = wp.photon_and_tail_ratio(w, cfg.kappa, cfg.delta, times)
+    s = n_me + wp.tail_norm(w, times)
+    blocks = []
+    for lo in range(0, cfg.ntraj, se._ENSEMBLE_BLOCK):
+        v = np.array([np.random.default_rng(c).random()
+                      for c in children[lo:lo + se._ENSEMBLE_BLOCK]])
+        at = np.searchsorted(-np.fmin.accumulate(s), -v, side="right")
+        live = v.size - np.cumsum(np.bincount(at, minlength=times.size))[:times.size]
+        e = int(np.count_nonzero(live))
+        n, live = 1.0 / (1.0 + tail_ratio[:e]), live[:e]
+        b = se.BlockStats(v.size, times, np.zeros(times.size), np.zeros(times.size),
+                          np.full(v.size, np.nan), float(n.min()), float(n.max()))
+        b.sum_n[:e], b.sumsq_n[:e] = n * live, n * n * live
+        counted = at < times.size
+        b.count_times[counted] = times[at[counted]]
+        blocks.append(b)
+    return se._fold(blocks)

@@ -197,3 +197,16 @@ def test_ensemble_loads_numpy_random_only_to_build_generators(detector, loads, t
                           "--ntraj", "20", *FAST, "--out", str(tmp_path / "e.csv")],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 10 + loads, run.stderr
+
+
+def test_photocount_trajectory_leaves_numpy_random_unloaded(tmp_path):
+    # a trajectory run takes its one uniform from the seed's own pool,
+    # computed from the seed words; a fresh process, since this one has
+    # loaded numpy.random
+    code = ("import sys, photonfilter.cli as c; "
+            "sys.exit(c.main(sys.argv[1:]) or 10 + ('numpy.random' in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code, "trajectory", "--detector", "photocount",
+                          "--seed", str(2**64 + 5), *FAST, "--out", str(tmp_path / "t.csv")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 10, run.stderr

@@ -121,8 +121,7 @@ def test_jump_rejected_at_zero_intensity():
     # below 1, yet nothing counts before the photon arrives: every
     # trajectory counts at the first row after t0
     cfg = SimConfig(t0=1.0, t_end=2.0, dt=1e-2, detector="photocount")
-    seqs = np.random.SeedSequence(0).spawn(3)
-    stats = se.run_block(cfg, seed_seqs=seqs, noise=np.ones(3))
+    stats = se.count_photons(cfg, noise=np.ones(3))
     assert stats.count_times.tolist() == [pytest.approx(1.01)] * 3
 
 

@@ -156,6 +156,18 @@ def test_workers_capped_at_blocks(monkeypatch):
     assert sizes == [2, 2, 2]
 
 
+def test_photocount_starts_no_workers(monkeypatch):
+    # photon counting runs in one pass: --workers has nothing to share out,
+    # starts no process and leaves every byte as it is
+    def forbidden(*args, **kwargs):
+        raise AssertionError("photon counting started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
+    cfg = SimConfig(t_end=13.0, dt=1e-2, ntraj=1200, seed=7, detector="photocount")
+    a, b = me.run_ensemble(cfg, workers=2), me.run_ensemble(cfg)
+    assert a.mean.tobytes() == b.mean.tobytes() and a.stderr.tobytes() == b.stderr.tobytes()
+
+
 def test_weak_convergence_bias_smoke():
     cfg = SimConfig(t_end=13.0, dt=0.25, engine="generic")
     bc, bf = weak_convergence_bias(cfg, M=50, master_seed=0)
@@ -168,7 +180,7 @@ def test_weak_convergence_bias_blocks(monkeypatch):
     # block, to the rounding of the summation order
     cfg = SimConfig(t_end=13.0, dt=0.25, engine="generic")
     whole = weak_convergence_bias(cfg, M=20, master_seed=3)
-    monkeypatch.setattr(me, "_ENSEMBLE_BLOCK", 7)
+    monkeypatch.setattr(se, "_ENSEMBLE_BLOCK", 7)
     np.testing.assert_allclose(weak_convergence_bias(cfg, M=20, master_seed=3), whole,
                                rtol=0, atol=1e-15)
 

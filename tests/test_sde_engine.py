@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from einsum_oracle import einsum_block
-from helpers import evaluate_powers, jump_gain
+from helpers import count_photons_by_blocks, evaluate_powers, jump_gain
 from photonfilter import filter_moments as fm
 from photonfilter import master_ensemble
 from photonfilter import sde_engine as se
@@ -374,8 +375,7 @@ class TestNoCountPath:
             np.testing.assert_allclose(np.abs(me[:, fm.READOUTS.index("a01")]) ** 2,
                                        me[:, 0].real, rtol=0, atol=1e-11)
         # the runner's conditional photon number: n_cond = <n> / s
-        stats = se.run_block(cfg, seed_seqs=[np.random.SeedSequence(0)],
-                             noise=np.zeros(1), record_series=True)
+        stats = se.count_photons(cfg, noise=np.zeros(1), record_series=True)
         np.testing.assert_allclose(stats.series[:, 0], n / s, rtol=0, atol=1e-10)
 
     @settings(max_examples=20, deadline=None)
@@ -399,8 +399,7 @@ class TestNoCountPath:
         steps = int(np.ceil((t0 + 20.0 / min(kappa, gamma)) / dt))
         cfg = SimConfig(kappa=kappa, gamma=gamma, delta=delta, t0=t0, t_end=steps * dt,
                         dt=dt, fock_dim=dim, detector="photocount")
-        stats = se.run_block(cfg, seed_seqs=[np.random.SeedSequence(0)],
-                             noise=np.zeros(1), record_series=True)
+        stats = se.count_photons(cfg, noise=np.zeros(1), record_series=True)
         assert np.isnan(stats.count_times).all()
         assert stats.series.min() >= 0.0 and stats.series.max() <= 1.0 + 1e-9
         assert (np.diff(_path_s(cfg)) <= 0.0).all()
@@ -498,9 +497,8 @@ class TestCascade:
 
         monkeypatch.setattr(master_ensemble, "master_path", forbidden)
         monkeypatch.setattr(fm, "compile_filter", forbidden)
-        cfg = SimConfig(t_end=53.0, dt=1e-2, detector="photocount")
-        stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(4).spawn(50),
-                             record_series=True)
+        cfg = SimConfig(t_end=53.0, dt=1e-2, ntraj=50, seed=4, detector="photocount")
+        stats = se.count_photons(cfg, record_series=True)
         assert not np.isnan(stats.count_times).all()
         assert 0.0 <= stats.n_min <= stats.n_max <= 1.0
 
@@ -527,9 +525,12 @@ class TestAcceptedConfigs:
         dt = coarse / max(kappa, gamma)
         steps = int(np.ceil((t0 + lifetimes / min(kappa, gamma)) / dt))
         cfg = SimConfig(kappa=kappa, gamma=gamma, delta=delta, t0=t0, t_end=steps * dt,
-                        dt=dt, detector=detector)
-        stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(seed).spawn(m),
-                             record_series=True)
+                        dt=dt, ntraj=m, seed=seed, detector=detector)
+        if detector == "homodyne":
+            stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(seed).spawn(m),
+                                 record_series=True)
+        else:
+            stats = se.count_photons(cfg, record_series=True)
         assert np.isfinite(stats.sum_n).all() and np.isfinite(stats.sumsq_n).all()
         assert -1e-9 <= stats.n_min and stats.n_max <= 1.0 + 1e-9
         assert -1e-9 <= stats.series.min() and stats.series.max() <= 1.0 + 1e-9
@@ -564,9 +565,8 @@ class TestAcceptedConfigs:
         steps = int(np.ceil((t0 + lifetimes / min(kappa, gamma)) / dt))
         cfg = SimConfig(kappa=kappa, gamma=gamma, delta=delta, t0=t0, t_end=steps * dt,
                         dt=dt, detector="photocount")
-        seqs = np.random.SeedSequence(seed).spawn(m)
-        v = np.array([0.0, *seeding.uniforms(seqs)[1:]])
-        stats = se.run_block(cfg, seed_seqs=seqs, noise=v, record_series=True)
+        v = np.array([0.0, *seeding.uniforms(seed, m)[1:]])
+        stats = se.count_photons(cfg, noise=v, record_series=True)
         assert np.isnan(stats.count_times[0])
         assert np.isfinite(stats.sum_n).all() and np.isfinite(stats.sumsq_n).all()
         assert -1e-9 <= stats.n_min and stats.n_max <= 1.0 + 1e-9
@@ -591,9 +591,7 @@ class TestNoise:
         # before t0 the probability s of no count is exactly 1: even
         # uniforms of 1, which count as soon as s falls below 1, draw no count
         cfg = SimConfig(t0=5.0, t_end=6.0, dt=1e-2, detector="photocount")
-        seqs = np.random.SeedSequence(0).spawn(4)
-        stats = se.run_block(cfg, seed_seqs=seqs, noise=np.ones(4),
-                             record_series=True)
+        stats = se.count_photons(cfg, noise=np.ones(4), record_series=True)
         assert stats.count_times.tolist() == [pytest.approx(5.01)] * 4
         # every trajectory has counted: the runner stops, and the rest of
         # the series reads the vacuum and the record one count
@@ -606,11 +604,10 @@ class TestNoise:
         # The photon is counted by t, left in the cavity or not yet emitted:
         # P(count by t) = 1 - <n>(t) - tail(t) = 1 - 5 e^-2 at t = t0 + 20.
         # With M = 2000 the counted fraction has sd 0.0105; the bound is 4 sd.
-        cfg = SimConfig(t_end=23.0, dt=1e-2, detector="photocount", engine=engine)
-        seqs = np.random.SeedSequence(1).spawn(2000)
-        blocks = [se.run_block(cfg, seed_seqs=seqs[lo:lo + 500])
-                  for lo in range(0, 2000, 500)]
-        count_times = np.concatenate([b.count_times for b in blocks])
+        cfg = SimConfig(t_end=23.0, dt=1e-2, ntraj=2000, seed=1, detector="photocount",
+                        engine=engine)
+        stats = se.count_photons(cfg)
+        count_times = stats.count_times
         counted = ~np.isnan(count_times)
         expect = 1.0 - 5.0 * np.exp(-2.0)
         assert abs(counted.mean() - expect) <= 4.0 * np.sqrt(expect * (1 - expect) / 2000)
@@ -619,7 +616,7 @@ class TestNoise:
         # Dvoretzky-Kiefer-Wolfowitz bound P(D > eps) <= 2 exp(-2 M eps^2)
         # holds for discrete laws too, so eps = sqrt(ln(2 / alpha) / (2 M))
         # = 0.0436 fails with probability at most alpha = 1e-3.
-        times = blocks[0].times
+        times = stats.times
         counts = np.sort(count_times)  # NaN (no count) sorts last
         law = 1.0 - analytic_mean_photon_series(cfg, times) - wp.tail_norm(
             wp.Wavepacket(cfg.gamma, cfg.t0), times)
@@ -633,8 +630,7 @@ class TestNoise:
         # its record reads 1 from there on and its photon number 0
         cfg = SimConfig(t_end=53.0, dt=1e-2, detector="photocount", engine=engine)
         v = np.array([0.2, 0.9, 0.01, 0.5, 0.9])
-        stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(0).spawn(5),
-                             noise=v, record_series=True)
+        stats = se.count_photons(cfg, noise=v, record_series=True)
         times = stats.times
         n = analytic_mean_photon_series(cfg, times)
         s = n + wp.tail_norm(wp.Wavepacket(cfg.gamma, cfg.t0), times)
@@ -664,9 +660,9 @@ class TestNoise:
         waits = s[:-1] >= 2.0**-53
         assert (s[1:][waits] <= s[:-1][waits]).all()
         v = np.array([2.0**-53, 1e-12, 1e-6, 0.3, 1.0 - 2.0**-53])
-        seqs = np.random.SeedSequence(0).spawn(200)
         for noise, m in ((v, v.size), (None, 200)):
-            stats = se.run_block(cfg, seed_seqs=seqs[:m], noise=noise, record_series=True)
+            stats = se.count_photons(replace(cfg, ntraj=m, seed=0), noise=noise,
+                                     record_series=True)
             for name in ("sum_n", "sumsq_n"):
                 assert np.isfinite(getattr(stats, name)).all(), name
             assert stats.count_times.shape == (m,) and not np.isnan(stats.count_times).any()
@@ -685,8 +681,7 @@ class TestNoise:
         # tau^2 + 1) at kappa = gamma, delta = 0 (tier-1 turns a numpy warning
         # into an error)
         cfg = SimConfig(kappa=kappa, delta=delta, t_end=8503.0, dt=0.5, detector="photocount")
-        stats = se.run_block(cfg, seed_seqs=np.random.SeedSequence(0).spawn(2),
-                             noise=np.array([0.0, 0.5]), record_series=True)
+        stats = se.count_photons(cfg, noise=np.array([0.0, 0.5]), record_series=True)
         s = analytic_mean_photon_series(cfg, stats.times) + wp.tail_norm(
             wp.Wavepacket(cfg.gamma, cfg.t0), stats.times)
         assert (s[-1] == 0.0) == (kappa >= cfg.gamma)
@@ -705,19 +700,76 @@ class TestNoise:
         # count, so with none (uniforms of 0) the run finishes with n in [0, 1]
         cfg = SimConfig(t0=2.0, t_end=8.0, dt=0.5, detector="photocount")
         object.__setattr__(cfg, "dt", 2.0)  # past the validator
-        seqs = np.random.SeedSequence(0).spawn(3)
-        stats = se.run_block(cfg, seed_seqs=seqs, noise=np.zeros(3),
-                             record_series=True)
+        stats = se.count_photons(cfg, noise=np.zeros(3), record_series=True)
         assert np.isnan(stats.count_times).all()
         assert 0.0 <= stats.series.min() and stats.series.max() <= 1.0
         # verify's photon-counting config with no count at all: the no-count
         # path stays physical to the end (an Euler no-jump step passes n = 1
         # at t = 88.5 here and a count probability of 0.1 per step at t = 141.03)
         cfg = SimConfig(t_end=203.0, dt=1e-2, detector="photocount")
-        stats = se.run_block(cfg, seed_seqs=seqs, noise=np.zeros(3),
-                             record_series=True)
+        stats = se.count_photons(cfg, noise=np.zeros(3), record_series=True)
         assert np.isnan(stats.count_times).all()
         assert 0.0 <= stats.series.min() and stats.series.max() <= 1.0
+
+
+class TestOnePass:
+    # photon counting runs a whole ensemble in one pass: all uniforms from
+    # the seed words at once, one closed form, one searchsorted; it must give
+    # what the runs block by block gave, to the bit
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        m=st.sampled_from([1, 499, 500, 501, 1000, 1501]),
+        seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**64, 2**130)),
+        delta=st.sampled_from([0.0, 0.7]),
+        dt=st.sampled_from([2e-2, 1e-2]),
+    )
+    @example(m=1501, seed=2**64 + 5, delta=0.7, dt=1e-2)
+    @example(m=501, seed=101, delta=0.0, dt=2e-2)
+    def test_matches_blocks(self, m, seed, delta, dt):
+        # at dt 1e-2 the grid's 5301 rows span two chunks of the closed form
+        cfg = SimConfig(t_end=53.0, dt=dt, delta=delta, ntraj=m, seed=seed,
+                        detector="photocount")
+        ours, ref = se.count_photons(cfg), count_photons_by_blocks(cfg)
+        for name in ("sum_n", "sumsq_n", "count_times"):
+            assert getattr(ours, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert (ours.m, ours.n_min, ours.n_max) == (ref.m, ref.n_min, ref.n_max)
+
+    @pytest.mark.parametrize("rows", [7, 4096])
+    def test_closed_forms_in_chunks(self, rows, monkeypatch):
+        # both closed forms are elementwise, so chunks of any size, with
+        # boundaries anywhere in the grid's 10301 rows, give the bytes of one
+        # evaluation over the whole grid
+        cfg = SimConfig(t_end=103.0, dt=1e-2, delta=0.7, ntraj=600, seed=3,
+                        detector="photocount")
+        times = cfg.times()
+        whole = np.abs(wp.cavity_amplitude(wp.Wavepacket(cfg.gamma, cfg.t0), cfg.kappa,
+                                           cfg.delta, times)) ** 2
+        ref = count_photons_by_blocks(cfg)
+        monkeypatch.setattr(wp, "ROWS", rows)
+        assert analytic_mean_photon_series(cfg, times).tobytes() == whole.tobytes()
+        ours = se.count_photons(cfg)
+        assert ours.sum_n.tobytes() == ref.sum_n.tobytes()
+        assert ours.sumsq_n.tobytes() == ref.sumsq_n.tobytes()
+
+    def test_divergence_names_index_in_run(self, monkeypatch):
+        # a non-finite n from t = 13 on, where only trajectory 700 still
+        # waits (uniforms of 1 count right after t0, 0 never): the error
+        # names its index in the run, not its column in its block of 500
+        cfg = SimConfig(t_end=23.0, dt=1e-2, detector="photocount")
+        v = np.ones(1000)
+        v[700] = 0.0
+        exact = wp.photon_and_tail_ratio
+
+        def poisoned(w, kappa, delta, t):
+            bb, ratio = exact(w, kappa, delta, t)
+            ratio[t >= 13.0] = np.nan
+            return bb, ratio
+
+        monkeypatch.setattr(wp, "photon_and_tail_ratio", poisoned)
+        with pytest.raises(FilterDivergenceError,
+                           match=r"^filter diverged to pi11\(n\) = nan at t=13 in trajectory 700$"):
+            se.count_photons(cfg, noise=v)
 
 
 class TestNoiseChunks:
@@ -772,29 +824,46 @@ class TestNoiseChunks:
                                                  ("cascade", "photocount")])
     def test_noise_shape_checked(self, engine, detector):
         # too few steps, the wrong m, or one column for all trajectories:
-        # the block raises rather than broadcast or count nothing
+        # the block raises rather than broadcast.  Photon counting takes one
+        # uniform per trajectory, as many as it is given, and raises on a
+        # scalar, on none or on a table rather than count nothing
         cfg = SimConfig(t_end=5.0, dt=5e-2, engine=engine, detector=detector)
         steps, m = 100, 3
         seqs = np.random.SeedSequence(0).spawn(m)
         if detector == "homodyne":
             want, bad = (steps, m), [(steps - 1, m), (steps, m - 1), (steps, m + 1), (steps, 1)]
+            run = functools.partial(se.run_block, cfg, seqs)
         else:
-            want, bad = (m,), [(m - 1,), (m + 1,), (steps, 1), (steps, m)]
+            want, bad = (m,), [(), (0,), (steps, 1), (1, m), (steps, m)]
+            run = functools.partial(se.count_photons, cfg)
         for shape in bad:
-            with pytest.raises(ValueError, match=re.escape(f"shape {want}, got {shape}")):
-                se.run_block(cfg, seed_seqs=seqs, noise=np.full(shape, 0.5))
-        se.run_block(cfg, seed_seqs=seqs, noise=np.full(want, 0.5))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"shape {'(m,)' if len(want) == 1 else want}, got {shape}")):
+                run(noise=np.full(shape, 0.5))
+        run(noise=np.full(want, 0.5))
+
+    def test_run_block_is_homodyne_only(self):
+        # photon counting steps nothing: a block runner given it raises
+        # rather than step homodyne detection under its name
+        cfg = SimConfig(t_end=5.0, dt=5e-2, detector="photocount")
+        with pytest.raises(ValueError, match="run_block steps homodyne detection"):
+            se.run_block(cfg, seed_seqs=np.random.SeedSequence(0).spawn(2))
 
     @pytest.mark.parametrize("bad", [1.5, -0.2, np.nan, np.inf])
     def test_photocount_noise_range_checked(self, bad):
         # above 1 every trajectory counted at t = 0 and the block then failed
         # on an empty minimum; below 0 or at nan the trajectory never counted
+        # on a trajectory past the first block of 500, the error names its
+        # index in the run
         cfg = SimConfig(t_end=23.0, dt=1e-2, detector="photocount")
-        seqs = np.random.SeedSequence(1).spawn(3)
         with pytest.raises(ValueError, match=re.escape(f"[0, 1], got {bad} in trajectory 1")):
-            se.run_block(cfg, seed_seqs=seqs, noise=np.array([0.5, bad, 0.25]))
-        with pytest.raises(ValueError, match=f"got {bad} in trajectory 0"):
-            se.run_block(cfg, seed_seqs=[np.random.SeedSequence(1)], noise=np.array([bad]))
+            se.count_photons(cfg, noise=np.array([0.5, bad, 0.25]))
+        with pytest.raises(ValueError, match=f"got {bad} in trajectory 0$"):
+            se.count_photons(cfg, noise=np.array([bad]))
+        v = np.full(1200, 0.5)
+        v[[700, 900]] = bad
+        with pytest.raises(ValueError, match=f"got {bad} in trajectory 700$"):
+            se.count_photons(cfg, noise=v)
 
     @pytest.mark.parametrize("engine,m,cfg,bound_mb", [
         # 4600 steps: a block that held 4096 steps of increments peaked at 19.4 MB
@@ -864,8 +933,7 @@ class TestTrajectory:
         devs = []
         for c in (cfg, replace(cfg, dt=5e-3)):
             ones = np.ones((c.steps, 1))
-            b = se.run_block(c, seed_seqs=[np.random.SeedSequence(9)],
-                             noise=np.zeros(1), record_series=True)
+            b = se.count_photons(c, noise=np.zeros(1), record_series=True)
             devs.append(np.abs(b.series - einsum_block(c, "photocount", ones)[0]).max())
         assert devs[0] <= 5e-4 and 1.8 <= devs[0] / devs[1] <= 2.2
 

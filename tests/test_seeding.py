@@ -1,14 +1,15 @@
 """The ensemble's seeding against numpy's own SeedSequence and default_rng.
 
 ``seeding`` recomputes SeedSequence's hashes for all children at once, and
-PCG64's seeding, step and output for photon counting's uniforms; these
-tests fail if a numpy release changes the algorithm (which NEP 19 rules out)
-or if one of the module's constants or steps differs from numpy's.
+PCG64's seeding, step and output for photon counting's uniforms, on lanes
+of Python ints; these tests fail if a numpy release changes the algorithm
+(which NEP 19 rules out), if one of the module's constants or steps differs
+from numpy's, or if a lane spills into its neighbour.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonfilter import master_ensemble as me
@@ -22,14 +23,18 @@ def _assert_same_as_numpy(seed, m):
     ours = seeding.children(seed, m)
     ref = np.random.SeedSequence(seed).spawn(m)
     assert [c.spawn_key for c in ours] == [r.spawn_key for r in ref]
+    lanes, _ = seeding._pools(seed, m)
+    pools = np.stack([np.frombuffer(p.to_bytes(8 * m, "little"), "<u4")[::2] for p in lanes],
+                     axis=1)
+    np.testing.assert_array_equal(pools, [r.pool for r in ref])
     for c, r in zip(ours, ref):
-        assert c.pool.dtype == r.pool.dtype
-        np.testing.assert_array_equal(c.pool, r.pool)
+        assert c.words.dtype == np.uint64
+        np.testing.assert_array_equal(c.words, r.generate_state(4, np.uint64))
     for g, r in zip(seeding.generators(ours), ref):
         rng = np.random.default_rng(r)
         assert g.random() == rng.random()
         np.testing.assert_array_equal(g.standard_normal(700), rng.standard_normal(700))
-    assert seeding.uniforms(ours) == [np.random.default_rng(r).random() for r in ref]
+    assert seeding.uniforms(seed, m) == [np.random.default_rng(r).random() for r in ref]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -54,10 +59,31 @@ def test_generators_take_seed_sequences():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_uniforms_take_seed_sequences(seed):
-    # photon counting's uniforms from numpy's own root and spawned
-    # SeedSequences, as a trajectory run and hand-built blocks pass them
+    # a trajectory run's uniform from numpy's own root and spawned
+    # SeedSequences, read from their pools
     seqs = [np.random.SeedSequence(seed), *np.random.SeedSequence(seed).spawn(20)]
-    assert seeding.uniforms(seqs) == [np.random.default_rng(s).random() for s in seqs]
+    assert [seeding.uniforms(s)[0] for s in seqs] == [np.random.default_rng(s).random()
+                                                       for s in seqs]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 5, 2**128 + 3, 3**100])
+def test_root_uniform_is_numpys(seed):
+    # a trajectory run's uniform from the seed words alone: the root's pool
+    # is its children's before their index word, for seeds of 1 to 6 words
+    pool, _ = seeding._pools(seed, None)
+    assert pool == np.random.SeedSequence(seed).pool.tolist()
+    assert seeding.uniforms(seed) == [np.random.default_rng(np.random.SeedSequence(seed)).random()]
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**64, 2**160)),
+       m=st.integers(1, 1600))
+@example(seed=1, m=1600)
+@example(seed=2**64 + 5, m=501)
+def test_lane_uniforms_are_numpys(seed, m):
+    # every trajectory's uniform in one pass over the lanes, up to m = 1600
+    assert seeding.uniforms(seed, m) == [np.random.default_rng(c).random()
+                                         for c in np.random.SeedSequence(seed).spawn(m)]
 
 
 # Targets for the PCG64 state after random()'s step: the output xors the
@@ -76,7 +102,8 @@ _LO = 0xFEDCBA9876543210
 def test_pcg_output_at_rotation_edges(target, rot, zero):
     # each pre-step state comes from its target through the multiplier's
     # inverse, and numpy's PCG64 set to it draws the same random(); an
-    # output below 2**11 draws 0.0
+    # output below 2**11 draws 0.0.  The same state drawn alone and in the
+    # middle 256-bit lane of three, beside all-ones states, gives the same
     inc = 0xDA3E39CB94B95BDB0DB9CE9B4AC6CA5F
     assert target >> 122 == rot
     state = (target - inc) * pow(seeding._MULT, -1, 2**128) % 2**128
@@ -84,7 +111,11 @@ def test_pcg_output_at_rotation_edges(target, rot, zero):
     g.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                              "has_uint32": 0, "uinteger": 0}
     expect = g.random()
-    assert seeding._pcg_random(state, inc) == expect
+    assert seeding._randoms(state, inc, 1) == [expect]
+    full, incs = seeding._M128, inc * seeding._ones(3, 32)
+    lanes = full | state << 256 | full << 512
+    assert seeding._randoms(lanes, incs, 3) == [*seeding._randoms(full, inc, 1), expect,
+                                                *seeding._randoms(full, inc, 1)]
     assert (expect == 0.0) == zero
 
 
@@ -109,8 +140,8 @@ def test_ensemble_is_byte_identical_to_numpys_seeding(run, workers, monkeypatch)
                         lambda seed, m: np.random.SeedSequence(seed).spawn(m))
     monkeypatch.setattr(seeding, "generators",
                         lambda seqs: [np.random.default_rng(s) for s in seqs])
-    monkeypatch.setattr(seeding, "uniforms",
-                        lambda seqs: [np.random.default_rng(s).random() for s in seqs])
+    monkeypatch.setattr(seeding, "uniforms", lambda seed, m: [
+        np.random.default_rng(c).random() for c in np.random.SeedSequence(seed).spawn(m)])
     ref = me.run_ensemble(cfg, workers=1)
     assert ours.mean.tobytes() == ref.mean.tobytes()
     assert ours.stderr.tobytes() == ref.stderr.tobytes()
