@@ -15,6 +15,7 @@ run can be reproduced from the file alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -33,7 +34,7 @@ from .verify import run_checks
 _WRITE_ROWS = 1024  # CSV rows formatted at once
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=0.1, help="cavity decay rate")
     p.add_argument("--gamma", type=float, default=0.1, help="wavepacket decay rate")
     p.add_argument("--delta", type=float, default=0.0, help="cavity detuning")
@@ -52,9 +53,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--detector", choices=DETECTORS, default="homodyne")
     p.add_argument("--out", default=None, help="output file path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; its subcommands share one parent's options."""
+    common = _add_common(argparse.ArgumentParser(add_help=False))
     parser = argparse.ArgumentParser(
         prog="photonfilter",
         description="Photon-number estimation for a cavity driven by a single photon",
@@ -66,8 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("ensemble", "trajectory ensemble with ME overlay"),
         ("verify", "run the invariant suite"),
     ):
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
+        p = sub.add_parser(name, help=helptext, parents=[common])
         if name == "ensemble":
             p.add_argument("--workers", type=int, default=1,
                            help="processes for homodyne blocks; photon counting is one pass")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -72,6 +73,8 @@ class SimConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # a numpy integer as a Python int, which the outputs' JSON can hold
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.detector not in DETECTORS:

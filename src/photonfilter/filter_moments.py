@@ -14,9 +14,9 @@ drift's xi^2 term S rho00 S^dag - rho00 is 0),
     F(xi) = F0 + xi F1,
 
 so each is compiled once into a packed array of shape (2, ...), and
-:func:`evaluate` gives it at a run of xi values in one (n, 2) . (2, r c)
-product (the hierarchy's xi and xi* terms share F1: their nonzero patterns
-are disjoint, so the sum is exact):
+:func:`evaluate` gives it, or any packed polynomial in xi, at a run of xi
+values in one (n, p) . (p, r c) product (the hierarchy's xi and xi* terms
+share F1: their nonzero patterns are disjoint, so the sum is exact):
 
     drift:      dx = Fd x dt
     homodyne:   dx += (Fg x - K x) dW,        K  = k . x  (real)
@@ -27,7 +27,7 @@ probability of no count (:func:`photonfilter.sde_engine.count_photons`).
 Every term is built from L and H with the Kronecker identity above.  The
 tests check the compiled maps against an independent einsum filter, which
 lives with them in ``tests/einsum_oracle.py``.  :func:`real_filter` gives
-the homodyne filter on real coordinates, which the runner steps.
+the homodyne filter on real coordinates of :func:`support`, which the runner steps.
 """
 
 from __future__ import annotations
@@ -135,6 +135,24 @@ def i11_residue(f: CompiledFilter) -> float:
                      np.abs(i11 @ f.diffusion - f.k).max()))
 
 
+def support(f: CompiledFilter, *maps) -> np.ndarray:
+    """Indices of the state entries that ``f.initial`` reaches through the
+    union of the nonzero patterns of ``maps`` (any power of xi; the drift
+    alone by default); the others stay exact zeros.  From the vacuum the
+    drift reaches five at every D: |0><0| and |1><1| of block 11, one
+    coherence each in blocks 10 and 01, and |0><0| of block 00.  Drift and
+    diffusion reach nine: all of |0>, |1> in block 11, |0><0| and |0><1| of
+    block 10, |0><0| and |1><0| of block 01, and |0><0| of block 00."""
+    # feeds[i, j]: entry j drives entry i
+    feeds = np.logical_or.reduce([(p != 0).any(axis=0) for p in maps or (f.drift,)])
+    on = f.initial != 0
+    while True:
+        grown = on | feeds[:, on].any(axis=1)
+        if (grown == on).all():
+            return np.flatnonzero(on)
+        on = grown
+
+
 def real_filter(f: CompiledFilter, on: np.ndarray) -> CompiledFilter:
     """The homodyne filter ``f`` on real coordinates of its entries ``on``.
 
@@ -192,9 +210,12 @@ def real_filter(f: CompiledFilter, on: np.ndarray) -> CompiledFilter:
 
 
 def evaluate(poly: np.ndarray, xi) -> np.ndarray:
-    """F0 + xi F1 at every entry of ``xi`` (a scalar or an array, real):
-    shape xi.shape + poly.shape[1:], from one product with weights (1, xi)
-    in the dtype of ``poly``."""
-    z = np.asarray(xi, dtype=poly.dtype)
-    weights = np.stack([np.ones_like(z), z], axis=-1)
-    return (weights @ poly.reshape(2, -1)).reshape(z.shape + poly.shape[1:])
+    """sum_p xi^p poly[p] at every entry of ``xi`` (a scalar or an array, real),
+    for two or more powers: shape xi.shape + poly.shape[1:], from one product
+    with the weights (1, xi, xi xi, ...), held in the dtype of ``poly``."""
+    z, p = np.asarray(xi), len(poly)
+    weights = np.empty(z.shape + (p,), dtype=poly.dtype)
+    weights[..., 0], weights[..., 1], zp = 1.0, z, z
+    for k in range(2, p):
+        weights[..., k] = zp = zp * z
+    return (weights @ poly.reshape(p, -1)).reshape(z.shape + poly.shape[1:])

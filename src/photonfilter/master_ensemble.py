@@ -87,7 +87,7 @@ def _rk4_gain(lams, dt: float) -> float:
 def _check_stable(cfg: SimConfig, drift, e0) -> None:
     """Raise :class:`UnstableStepError` unless RK4's step at ``cfg.dt`` is
     stable for every mode of the restricted drift F0 = ``drift[0]``, whose
-    map at xi = 0 is ``e0``.  In :func:`photonfilter.sde_engine._support`
+    map at xi = 0 is ``e0``.  In :func:`photonfilter.filter_moments.support`
     order F0 is upper triangular, so the eigenvalues of the step's multiplier
     I + e0 = R(dt F0) are 1 + diag(e0), read without a factorisation.  The
     largest stable dt named in the error bisects R over diag(F0), floored to
@@ -118,26 +118,26 @@ def master_path(cfg: SimConfig, f):
     arrives at t0, and the step t0 falls in is integrated from t0 on, so the
     right-hand side is smooth within every step.
 
-    Only the entries in :func:`photonfilter.sde_engine._support` are
+    Only the entries in :func:`photonfilter.filter_moments.support` are
     stepped, whatever the Fock truncation; the rest of every state is
     exactly 0.  There Fd = F0 + xi F1, and F1 only feeds block 00 into
     blocks 10 and 01 and those into block 11, so every product with three
     F1 factors is 0; on a full step, xi at t + h/2 and at t + h is xi(t)
     times a constant.  So a full step's increment map (:func:`_rk4_map`) is
     exactly E = M0 + xi M1 + xi^2 M2 in xi = xi(t): the three maps are
-    formed once per run from E at xi = 0, 1 and -1, and a chunk's maps come
-    from one product with the weights (1, xi, xi^2) of its steps.  The step
-    t0 falls in takes its map from :func:`_rk4_map` directly.  A step is
-    y + E y.  Before the first, :func:`_check_stable` checks I + M0.
+    formed once per run from E at xi = 0, 1 and -1, and evaluated at a
+    chunk's xi in one product (:func:`photonfilter.filter_moments.evaluate`).
+    The step t0 falls in takes its map from :func:`_rk4_map` directly.  A
+    step is y + E y.  Before the first, :func:`_check_stable` checks I + M0.
     """
     dt, t0, steps = cfg.dt, cfg.t0, cfg.steps
     w = wp.Wavepacket(cfg.gamma, t0)
-    on = se._support(f)
+    on = fm.support(f)
     drift = f.drift[:, on[:, None], on]
     mid, end = math.exp(-0.25 * cfg.gamma * dt), math.exp(-0.5 * cfg.gamma * dt)
     e0, ep, em = (_rk4_map(drift, dt, [x, x * mid, x * end]) for x in (0.0, 1.0, -1.0))
     _check_stable(cfg, drift, e0)
-    maps = np.stack([e0, 0.5 * (ep - em), 0.5 * (ep + em) - e0]).reshape(3, -1)
+    maps = np.stack([e0, 0.5 * (ep - em), 0.5 * (ep + em) - e0])
     buf = np.zeros((_PATH + 1, f.initial.size), dtype=np.complex128)
     y = np.empty((_PATH + 1, on.size), dtype=np.complex128)
     dy = np.empty(on.size, dtype=np.complex128)
@@ -145,9 +145,7 @@ def master_path(cfg: SimConfig, f):
     for k0 in range(0, steps, _PATH):
         n = min(_PATH, steps - k0)
         t = dt * np.arange(k0, k0 + n + 1)  # bit for bit the grid's times
-        z = wp.xi(w, t[:-1])
-        e = np.stack([np.ones_like(z), z, z * z], axis=1, dtype=np.complex128) @ maps
-        e = e.reshape(n, on.size, on.size)
+        e = fm.evaluate(maps, wp.xi(w, t[:-1]))
         e[t[1:] <= t0] = 0.0  # held until the wavepacket arrives
         for i in np.flatnonzero((t[:-1] < t0) & (t[1:] > t0)):  # t0 falls in step i
             h = t[i + 1] - t0
@@ -208,10 +206,6 @@ def run_ensemble(cfg: SimConfig, workers: int = 1) -> EnsembleStats:
     if cfg.detector != "homodyne":
         stats = se.count_photons(cfg)
     else:
-        # numpy.random, which the homodyne generators need, loads before the
-        # children are allocated, as it did under numpy's own spawn: loaded
-        # after them, it left the homodyne benchmark's peak RSS 0.16 MB higher.
-        seeding.load_random()
         children = seeding.children(cfg.seed, m_total)
         tasks = [(cfg, children[lo:lo + se._ENSEMBLE_BLOCK])
                  for lo in range(0, m_total, se._ENSEMBLE_BLOCK)]

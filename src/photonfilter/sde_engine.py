@@ -1,10 +1,10 @@
 """Reproducible noise and the trajectory driver.
 
 Every trajectory draws from ``default_rng`` of its own SeedSequence (child
-i of the master seed's for trajectory i of an ensemble), computed for all of
-them at once by a hash equal to numpy's under NEP 19
-(:mod:`photonfilter.seeding`), so results do not depend on scheduling, and
-a trajectory in a block matches itself run alone to rounding.
+i of the master seed's for trajectory i of an ensemble, the root for a
+``trajectory`` run), computed for all of them at once by a hash equal to
+numpy's under NEP 19 (:mod:`photonfilter.seeding`), so results do not
+depend on scheduling, and a trajectory in a block matches itself run alone to rounding.
 :func:`run_block` runs homodyne trajectories in lock-step, by
 Euler-Maruyama on the cascade's pure state or on the filter compiled by
 :mod:`photonfilter.filter_moments`.  Photon counting steps nothing:
@@ -47,7 +47,6 @@ class Trajectory:
     n_cond: np.ndarray
     record: np.ndarray
     jumps: list[float]
-    seed: object
 
 
 @dataclass
@@ -122,24 +121,6 @@ def _fail(exc, what: str, t: float, seed_seqs, j: int):
     raise exc(f"{what} at t={t:.6g} in trajectory {_name(seed_seqs, j)}")
 
 
-def _support(f, *maps) -> np.ndarray:
-    """Indices of the state entries that ``f.initial`` reaches through the
-    union of the nonzero patterns of ``maps`` (any power of xi; the drift
-    alone by default); the others stay exact zeros.  From the vacuum the
-    drift reaches five at every D: |0><0| and |1><1| of block 11, one
-    coherence each in blocks 10 and 01, and |0><0| of block 00.  Drift and
-    diffusion reach nine: all of |0>, |1> in block 11, |0><0| and |0><1| of
-    block 10, |0><0| and |1><0| of block 01, and |0><0| of block 00."""
-    # feeds[i, j]: entry j drives entry i
-    feeds = np.logical_or.reduce([(p != 0).any(axis=0) for p in maps or (f.drift,)])
-    on = f.initial != 0
-    while True:
-        grown = on | feeds[:, on].any(axis=1)
-        if (grown == on).all():
-            return np.flatnonzero(on)
-        on = grown
-
-
 def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
               record_series: bool = False) -> BlockStats:
     """Advance a block of homodyne trajectories (one per seed sequence) in
@@ -147,8 +128,8 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
 
     ``cfg.engine`` selects the filter: ``cascade`` steps one complex
     amplitude per trajectory (:func:`_cascade`); ``generic`` compiles it from
-    the cavity's (L, H), restricted to the nine entries its drift and
-    diffusion reach from the vacuum at every D (:func:`_support`), on real
+    the cavity's (L, H), restricted to the nine entries its drift and diffusion
+    reach from the vacuum at every D (:func:`filter_moments.support`), on real
     coordinates (:func:`filter_moments.real_filter` raises before the first
     step if the maps do not keep them real or do not conserve pi11(I)).  One
     product evaluates the stacked real map [Fd dt; Fg; k] at the xi(t) of
@@ -178,7 +159,7 @@ def run_block(cfg: SimConfig, seed_seqs, *, noise: np.ndarray | None = None,
         _cascade(cfg, stats, seed_seqs, gens, noise)
         return stats
     f = fm.compile_filter(SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
-    g = fm.real_filter(f, _support(f, f.drift, f.diffusion))
+    g = fm.real_filter(f, fm.support(f, f.drift, f.diffusion))
     del f  # the full maps are not held while stepping
     d = g.initial.size
     # A step's map: rows :d give Fd u dt, rows d:2d Fg u and the last K.
@@ -368,22 +349,18 @@ def _accumulate(stats, k, n):
         stats.series[rows] = n
 
 
-def simulate_trajectory(cfg: SimConfig, seed=None) -> Trajectory:
-    """Run one seeded trajectory of ``cfg.detector`` and return its full time series.
-
-    ``seed`` may be an int or a ``numpy.random.SeedSequence``; by default the
-    config's seed is used.  The record holds dY increments for homodyne
-    detection and cumulative counts for photon counting, and ``jumps`` the
-    count time, if any.  Homodyne detection runs a block of one (the cascade
-    steps it on Python floats); photon counting takes its uniform from the
-    seed's pool, without loading ``numpy.random``.
+def simulate_trajectory(cfg: SimConfig) -> Trajectory:
+    """Run the trajectory of ``cfg.detector`` seeded by ``cfg.seed`` and
+    return its full time series: exactly an ensemble block of one, whose
+    generator is ``default_rng(SeedSequence(cfg.seed))``, the root's
+    (:func:`seeding.children`), or whose uniform is that generator's first
+    ``random()`` (:func:`seeding.uniforms`, without loading ``numpy.random``).
+    The record holds dY increments for homodyne detection and cumulative
+    counts for photon counting, and ``jumps`` the count time, if any.
     """
-    seed = cfg.seed if seed is None else seed
-    if cfg.detector != "homodyne":
-        stats = count_photons(cfg, noise=seeding.uniforms(seed), record_series=True)
-    else:
-        ss = seed if hasattr(seed, "generate_state") else np.random.SeedSequence(seed)
-        stats = run_block(cfg, seed_seqs=[ss], record_series=True)
+    stats = (run_block(cfg, seed_seqs=seeding.children(cfg.seed), record_series=True)
+             if cfg.detector == "homodyne" else
+             count_photons(cfg, noise=seeding.uniforms(cfg.seed), record_series=True))
     t = float(stats.count_times[0])
     return Trajectory(stats.times, stats.series[:, 0].copy(), stats.record[:, 0].copy(),
-                      [] if math.isnan(t) else [t], seed)
+                      [] if math.isnan(t) else [t])

@@ -1,13 +1,13 @@
 """Every trajectory's generator, numpy's ``default_rng`` of child i of
-``SeedSequence(seed)``, or only its first ``random()`` (photon counting's
-one uniform), for a whole ensemble at once.
+``SeedSequence(seed)`` (of the root, for a ``trajectory`` run), or only its
+first ``random()`` (photon counting's one uniform), for a whole ensemble at once.
 
 SeedSequence's hashes and PCG64's seeding and step (all frozen by numpy's
 policy NEP 19) run over every child together, in lanes of one Python int:
 a 32-bit word in a 64-bit lane, a 128-bit state in a 256-bit lane, so a
 product stays in its lane.  (numpy's uint32 ufuncs would map 64-128 KB of
-numpy's code that no run touches otherwise.)  Only :func:`generators` loads
-``numpy.random``.
+numpy's code that no run touches otherwise.)  Only :func:`children` and
+:func:`generators` load ``numpy.random``, which the generators need.
 """
 
 from __future__ import annotations
@@ -24,24 +24,24 @@ _M64, _M128 = 2**64 - 1, 2**128 - 1
 
 
 class Child(NamedTuple):
-    """Child ``spawn_key[0]`` of a seed's SeedSequence, holding the words its
-    ``generate_state(4, uint64)`` gives: an ISeedSequence for PCG64."""
+    """Child ``spawn_key[0]`` of a seed's SeedSequence (the root itself at
+    ``spawn_key`` ()), holding the words its ``generate_state(4, uint64)``
+    gives: an ISeedSequence for PCG64."""
 
     words: np.ndarray
-    spawn_key: tuple[int]
+    spawn_key: tuple[int, ...]
 
     def generate_state(self, n_words, dtype=None):
         return self.words
 
 
-def load_random():
+def _load_random():
     """numpy.random's Generator and PCG64, loaded at the first call, with
     :class:`Child` registered as an ISeedSequence."""
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
-    if not issubclass(Child, ISeedSequence):
-        ISeedSequence.register(Child)
+    ISeedSequence.register(Child)  # a no-op once registered
     return Generator, PCG64
 
 
@@ -104,17 +104,21 @@ def _state(seed: int, m: int | None) -> list[int]:
     return [w[i] | w[i + 1] << 32 for i in range(0, 8, 2)]
 
 
-def children(seed: int, m: int) -> list[Child]:
-    """``SeedSequence(seed).spawn(m)``, each with its state words (:func:`_state`);
-    ``numpy.random`` does not load here, only in :func:`generators`."""
-    words = np.stack([np.frombuffer(w.to_bytes(8 * m, "little"), "<u8") for w in _state(seed, m)],
+def children(seed: int, m: int | None = None) -> list[Child]:
+    """``SeedSequence(seed).spawn(m)``, or with m None ``[SeedSequence(seed)]``,
+    each with its state words (:func:`_state`)."""
+    # numpy.random loads before the children are allocated, as under numpy's own
+    # spawn: loaded after them, it left the homodyne benchmark's peak RSS 0.16 MB higher.
+    _load_random()
+    n = 1 if m is None else m
+    words = np.stack([np.frombuffer(w.to_bytes(8 * n, "little"), "<u8") for w in _state(seed, m)],
                      axis=1).astype(np.uint64, copy=False)
-    return [Child(w, (i,)) for i, w in enumerate(words)]
+    return [Child(w, () if m is None else (i,)) for i, w in enumerate(words)]
 
 
 def generators(seed_seqs) -> list:
     """``[default_rng(s) for s in seed_seqs]``, of :class:`Child` or SeedSequences."""
-    Generator, PCG64 = load_random()
+    Generator, PCG64 = _load_random()
     return [Generator(PCG64(s)) for s in seed_seqs]
 
 
@@ -136,17 +140,13 @@ def _randoms(state: int, inc: int, m: int) -> list[float]:
     return [((x >> r | x << 64 - r & _M64) >> 11) * 2.0**-53 for x, r in xr]
 
 
-def uniforms(seed, m: int | None = None) -> list[float]:
+def uniforms(seed: int, m: int | None = None) -> list[float]:
     """``[default_rng(c).random() for c in SeedSequence(seed).spawn(m)]``, or
-    with m None ``[default_rng(seed).random()]`` (``seed`` an int or an
-    ISeedSequence), without numpy.random.  PCG64 takes the state words s0..s3
-    (:func:`_state`) as initstate s0:s1 and initseq s2:s3, sets inc = 2
-    initseq + 1, steps from 0, adds initstate and steps (:func:`_randoms`)."""
-    if m is None and hasattr(seed, "generate_state"):
-        s = [int(w) for w in seed.generate_state(4, np.uint64)]
-    else:
-        s = _state(seed, m)
-    n = 1 if m is None else m
+    with m None ``[default_rng(seed).random()]``, without numpy.random.  PCG64
+    takes the state words s0..s3 (:func:`_state`) as initstate s0:s1 and
+    initseq s2:s3, sets inc = 2 initseq + 1, steps from 0, adds initstate and
+    steps (:func:`_randoms`)."""
+    s, n = _state(seed, m), 1 if m is None else m
     ones = _ones(n, 32)
     inc = (_wide(s[3], s[2], n) << 1 | ones) & _M128 * ones
     return _randoms(((inc + _wide(s[1], s[0], n)) * _MULT + inc) & _M128 * ones, inc, n)

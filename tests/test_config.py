@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from photonfilter import cli
 from photonfilter import master_ensemble as me
 from photonfilter import sde_engine as se
 from photonfilter.config import DETECTORS, SimConfig
@@ -31,6 +34,22 @@ def test_rejects_seed_that_is_not_a_nonnegative_int(seed, message):
     assert SimConfig(seed=2**130 + 7).seed == 2**130 + 7
 
 
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**64 - 1)])
+def test_numpy_integer_seed_is_stored_as_int(seed, tmp_path):
+    # the config's seed goes into every output's JSON, which takes no
+    # numpy integer: it is held as the Python int of the same value
+    cfg = SimConfig(seed=seed)
+    assert type(cfg.seed) is int and cfg.seed == int(seed)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        cli.write_series(out, ["t", "n"], [[0.0, 1.0], [0.0, 0.5]], fmt=fmt,
+                         config=cfg.asdict(), seed=cfg.seed)
+        text = out.read_text()
+        config = (json.loads(text)["config"] if fmt == "json"
+                  else json.loads(text.splitlines()[0].removeprefix("# config: ")))
+        assert config["seed"] == int(seed)
+
+
 def test_ensemble_rejects_more_children_than_index_words():
     # child i's index is one 32-bit word of its entropy; an ensemble that
     # needs two raises before it allocates anything of its size
@@ -58,6 +77,8 @@ def test_config_is_the_one_gate():
     cfg = SimConfig(t_end=5.0, dt=5e-2)
     with pytest.raises(TypeError):
         se.simulate_trajectory(cfg, detector="Homodyne")
+    with pytest.raises(TypeError):
+        se.simulate_trajectory(cfg, seed=3)
     with pytest.raises(TypeError):
         me.run_ensemble(cfg, M=0)
     with pytest.raises(TypeError):

@@ -128,21 +128,19 @@ def test_jump_rejected_at_zero_intensity():
 @pytest.mark.parametrize("name", ["drift", "diffusion", "jump_gain", "k"])
 def test_evaluate_batch_matches_single(name):
     # one product over a run of real xi gives each map as the polynomial
-    # does, and as evaluated at that xi alone: the compiled maps are affine
-    # in xi (fm.evaluate), the jump gain quadratic (evaluate_powers)
+    # sum_p xi^p F_p does, and as evaluated at that xi alone: the compiled
+    # maps are affine in xi, the jump gain quadratic (three powers, as the
+    # master path's RK4 maps)
     model = SLHModel.cavity(2, KAPPA, 0.05)
-    if name == "jump_gain":
-        poly, evaluate = jump_gain(model), evaluate_powers
-    else:
-        poly, evaluate = getattr(fm.compile_filter(model), name), fm.evaluate
+    poly = jump_gain(model) if name == "jump_gain" else getattr(fm.compile_filter(model), name)
     assert len(poly) == (3 if name == "jump_gain" else 2)
     xis = np.random.default_rng(0).standard_normal((2, 3))
-    batch = evaluate(poly, xis)
+    batch = fm.evaluate(poly, xis)
     assert batch.shape == xis.shape + poly.shape[1:]
     for z, got in zip(xis.ravel(), batch.reshape(-1, *poly.shape[1:])):
         want = sum(z ** p * f for p, f in enumerate(poly))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(evaluate(poly, float(z)), want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(fm.evaluate(poly, float(z)), want, rtol=0, atol=1e-14)
 
 
 def test_scalar_steps_match_generic_filter():

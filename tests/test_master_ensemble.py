@@ -13,7 +13,6 @@ from photonfilter import sde_engine as se
 from photonfilter.config import SimConfig
 from photonfilter.errors import UnstableStepError
 from photonfilter.filter_generic import SLHModel
-from photonfilter.sde_engine import simulate_trajectory
 from photonfilter.wavepacket import Wavepacket, xi
 
 PEAK = 4.0 * np.exp(-2.0)  # matched-pulse absorption maximum
@@ -95,8 +94,8 @@ def test_single_trajectory_ensemble():
     cfg = SimConfig(t_end=13.0, dt=1e-2, ntraj=1, seed=4)
     stats = me.run_ensemble(cfg)
     child = np.random.SeedSequence(4).spawn(1)[0]
-    traj = simulate_trajectory(cfg, seed=child)
-    np.testing.assert_array_equal(stats.mean, traj.n_cond)
+    block = se.run_block(cfg, seed_seqs=[child], record_series=True)
+    np.testing.assert_array_equal(stats.mean, block.series[:, 0])
     np.testing.assert_array_equal(stats.stderr, np.zeros_like(stats.mean))
 
 
@@ -188,7 +187,7 @@ def test_weak_convergence_bias_blocks(monkeypatch):
 def _restricted_drift(cfg):
     """The compiled drift on the entries the master path steps."""
     f = fm.compile_filter(SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
-    on = se._support(f)
+    on = fm.support(f)
     return f, f.drift[:, on[:, None], on]
 
 

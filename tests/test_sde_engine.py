@@ -87,8 +87,8 @@ class TestMasterPath:
         states = _path_states(cfg, f)
         np.testing.assert_allclose(states, _full_rk4(cfg, f.drift, f.initial),
                                    rtol=0, atol=1e-12)
-        off = np.setdiff1d(np.arange(f.initial.size), se._support(f))
-        assert se._support(f).size == 5 and not states[:, off].any()
+        off = np.setdiff1d(np.arange(f.initial.size), fm.support(f))
+        assert fm.support(f).size == 5 and not states[:, off].any()
 
     @pytest.mark.parametrize("t0", [3.0, 3.004, 3.0001])
     @pytest.mark.parametrize("delta", [0.0, 0.7])
@@ -163,7 +163,7 @@ class TestGenericFilter:
         # drift and diffusion together: all of block 11 on |0>, |1>, two
         # coherences each in blocks 10 and 01, and |0><0| of block 00
         f = fm.compile_filter(SLHModel.cavity(dim, 1.0, delta))
-        on = se._support(f, f.drift, f.diffusion)
+        on = fm.support(f, f.drift, f.diffusion)
         n = dim * dim
         assert [(i // n, i % n % dim, i % n // dim) for i in on] == [
             (0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1),
@@ -179,7 +179,7 @@ class TestGenericFilter:
         # pi10(a^dag) = conj(pi01(a)), pi10(I) = conj(pi01(I)), ... hold to
         # the bit and K is real on every state the runner reaches
         f = fm.compile_filter(SLHModel.cavity(dim, 1.0, delta))
-        on = se._support(f, f.drift, f.diffusion)
+        on = fm.support(f, f.drift, f.diffusion)
         n = dim * dim
         blk, i, j = on // n, on % n % dim, on % n // dim
         mirror = np.array([fm.B11, fm.B01, fm.B10, fm.B00])[blk] * n + j + i * dim
@@ -198,7 +198,7 @@ class TestGenericFilter:
         # and B u0, the real filter is the complex one restricted to the nine
         # entries, power by power of xi, bit for bit
         f = fm.compile_filter(SLHModel.cavity(dim, 1.0, delta))
-        on = se._support(f, f.drift, f.diffusion)
+        on = fm.support(f, f.drift, f.diffusion)
         g = fm.real_filter(f, on)
         basis, inverse = _basis(f, on)
         for full, real in ((f.drift, g.drift), (f.diffusion, g.diffusion)):
@@ -340,9 +340,9 @@ class TestGenericFilter:
         children = np.random.SeedSequence(11).spawn(5)
         block = se.run_block(cfg, seed_seqs=children, record_series=True)
         for j, child in enumerate(children):
-            solo = se.simulate_trajectory(cfg, seed=child)
-            np.testing.assert_allclose(block.series[:, j], solo.n_cond, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(block.record[:, j], solo.record, rtol=0, atol=1e-15)
+            solo = se.run_block(cfg, seed_seqs=[child], record_series=True)
+            np.testing.assert_allclose(block.series[:, j], solo.series[:, 0], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(block.record[:, j], solo.record[:, 0], rtol=0, atol=1e-15)
 
 
 class TestNoCountPath:
@@ -893,16 +893,28 @@ class TestNoiseChunks:
 class TestTrajectory:
     def test_quiet_before_arrival(self):
         cfg = SimConfig(t_end=13.0, dt=1e-2)
-        traj = se.simulate_trajectory(cfg, seed=123)
+        traj = se.simulate_trajectory(replace(cfg, seed=123))
         before = traj.times <= cfg.t0
         assert np.abs(traj.n_cond[before]).max() <= 1e-12
 
     def test_same_seed_bitwise_identical(self):
         cfg = SimConfig(t_end=13.0, dt=1e-2, detector="homodyne")
-        a = se.simulate_trajectory(cfg, seed=7)
-        b = se.simulate_trajectory(cfg, seed=7)
+        a = se.simulate_trajectory(replace(cfg, seed=7))
+        b = se.simulate_trajectory(replace(cfg, seed=7))
         np.testing.assert_array_equal(a.n_cond, b.n_cond)
         np.testing.assert_array_equal(a.record, b.record)
+
+    @pytest.mark.parametrize("engine", ["cascade", "generic"])
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    def test_homodyne_is_a_block_of_one(self, engine, delta):
+        # a homodyne trajectory is the block of one seeded by numpy's own
+        # root SeedSequence of its seed, bit for bit
+        cfg = SimConfig(t_end=13.0, dt=1e-2, delta=delta, engine=engine, seed=2**64 + 5)
+        traj = se.simulate_trajectory(cfg)
+        ref = se.run_block(cfg, seed_seqs=[np.random.SeedSequence(cfg.seed)], record_series=True)
+        assert traj.n_cond.tobytes() == ref.series[:, 0].tobytes()
+        assert traj.record.tobytes() == ref.record[:, 0].tobytes()
+        assert traj.times.tobytes() == ref.times.tobytes() and traj.jumps == []
 
     def test_drift_only_tracks_master_equation(self):
         # with dW = 0 the generic filter's homodyne step is the explicit Euler
@@ -941,7 +953,7 @@ class TestTrajectory:
         cfg = SimConfig(t_end=103.0, dt=1e-2, detector="photocount")
         jumps_seen = 0
         for seed in range(12):
-            traj = se.simulate_trajectory(cfg, seed=seed)
+            traj = se.simulate_trajectory(replace(cfg, seed=seed))
             assert len(traj.jumps) <= 1
             if traj.jumps:
                 jumps_seen += 1
@@ -959,9 +971,11 @@ class TestTrajectory:
             cfg = SimConfig(t_end=13.0, dt=1e-2, delta=delta)
             block = se.run_block(cfg, seed_seqs=children, record_series=True)
             for j, child in enumerate(children):
-                solo = se.simulate_trajectory(cfg, seed=child)
-                np.testing.assert_allclose(block.series[:, j], solo.n_cond, rtol=0, atol=atol)
-                np.testing.assert_allclose(block.record[:, j], solo.record, rtol=0, atol=atol)
+                solo = se.run_block(cfg, seed_seqs=[child], record_series=True)
+                np.testing.assert_allclose(block.series[:, j], solo.series[:, 0], rtol=0,
+                                           atol=atol)
+                np.testing.assert_allclose(block.record[:, j], solo.record[:, 0], rtol=0,
+                                           atol=atol)
 
     def test_unknown_engine(self):
         for engine in ("exact", "moments"):

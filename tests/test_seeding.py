@@ -49,8 +49,8 @@ def test_any_seed_is_numpys(seed, m):
 
 
 def test_generators_take_seed_sequences():
-    # run_block's entries may be numpy's own SeedSequences: a trajectory run
-    # passes one, and so do tests that build blocks by hand
+    # run_block's entries may be numpy's own SeedSequences, as in the tests
+    # that build blocks by hand
     seqs = [np.random.SeedSequence(9), *np.random.SeedSequence(4).spawn(3)]
     for g, s in zip(seeding.generators(seqs), seqs):
         np.testing.assert_array_equal(g.standard_normal(50),
@@ -58,12 +58,25 @@ def test_generators_take_seed_sequences():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_uniforms_take_seed_sequences(seed):
-    # a trajectory run's uniform from numpy's own root and spawned
-    # SeedSequences, read from their pools
+def test_root_and_child_uniforms_are_numpys(seed):
+    # a trajectory run's uniform, the root's, and an ensemble's, its
+    # children's, from the integer seed alone
     seqs = [np.random.SeedSequence(seed), *np.random.SeedSequence(seed).spawn(20)]
-    assert [seeding.uniforms(s)[0] for s in seqs] == [np.random.default_rng(s).random()
-                                                       for s in seqs]
+    assert seeding.uniforms(seed) + seeding.uniforms(seed, 20) == [
+        np.random.default_rng(s).random() for s in seqs]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 5, 2**128 + 3, 3**100])
+def test_root_is_numpys(seed):
+    # a trajectory run's generator: the root SeedSequence's state words,
+    # with the root's empty spawn key, for seeds of 1 to 6 words
+    (root,) = seeding.children(seed)
+    ref = np.random.SeedSequence(seed)
+    assert root.spawn_key == ref.spawn_key == ()
+    assert root.words.dtype == np.uint64
+    np.testing.assert_array_equal(root.words, ref.generate_state(4, np.uint64))
+    np.testing.assert_array_equal(seeding.generators([root])[0].standard_normal(50),
+                                  np.random.default_rng(ref).standard_normal(50))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 5, 2**128 + 3, 3**100])
