@@ -15,6 +15,7 @@ run can be reproduced from the file alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -32,58 +33,49 @@ from .sde_engine import simulate_trajectory
 from .verify import run_checks
 
 _WRITE_ROWS = 1024  # CSV rows formatted at once
-
-
-def _add_common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    p.add_argument("--kappa", type=float, default=0.1, help="cavity decay rate")
-    p.add_argument("--gamma", type=float, default=0.1, help="wavepacket decay rate")
-    p.add_argument("--delta", type=float, default=0.0, help="cavity detuning")
-    p.add_argument("--t0", type=float, default=3.0, help="photon arrival time")
-    p.add_argument("--tend", type=float, default=103.0, help="end of the time grid")
-    p.add_argument("--dt", type=float, default=1e-3, help="integrator step")
-    p.add_argument("--dim", type=int, default=2,
-                   help="Fock truncation of the generic filter and the master "
-                        "equation; both are the same at every --dim >= 2")
-    p.add_argument("--ntraj", type=int, default=100, help="ensemble size")
-    p.add_argument("--seed", type=int, default=1, help="master seed")
-    p.add_argument("--engine", choices=ENGINES, default="cascade",
-                   help="homodyne filter: the cascade's pure state (no Fock "
-                        "truncation) or the filter compiled from (L, H) at --dim; "
-                        "photon counting samples the exact closed form (cascade only)")
-    p.add_argument("--detector", choices=DETECTORS, default="homodyne")
-    p.add_argument("--out", default=None, help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    return p
+_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; its subcommands share one parent's options."""
-    common = _add_common(argparse.ArgumentParser(add_help=False))
+    """The parser, built once per process.  Each subcommand takes only the
+    options it reads; a run setting left out takes its default from
+    :class:`SimConfig`, so the parents suppress theirs."""
+    seed = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    seed.add_argument("--seed", type=int, help="master seed")
+    run = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    run.add_argument("--kappa", type=float, help="cavity decay rate")
+    run.add_argument("--gamma", type=float, help="wavepacket decay rate")
+    run.add_argument("--delta", type=float, help="cavity detuning")
+    run.add_argument("--t0", type=float, help="photon arrival time")
+    run.add_argument("--tend", dest="t_end", metavar="TEND", type=float,
+                     help="end of the time grid")
+    run.add_argument("--dt", type=float, help="integrator step")
+    run.add_argument("--dim", dest="fock_dim", metavar="DIM", type=int,
+                     help="Fock truncation of the generic filter and the master "
+                          "equation; both are the same at every --dim >= 2")
+    run.add_argument("--out", default=None, help="output file path")
+    run.add_argument("--format", choices=("csv", "json"), default="csv")
+    homodyne = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    homodyne.add_argument("--engine", choices=ENGINES,
+                          help="homodyne filter: the cascade's pure state (no Fock "
+                               "truncation) or the filter compiled from (L, H) at --dim; "
+                               "photon counting samples the exact closed form (cascade only)")
+    homodyne.add_argument("--detector", choices=DETECTORS)
     parser = argparse.ArgumentParser(
         prog="photonfilter",
         description="Photon-number estimation for a cavity driven by a single photon",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("me", "master-equation series"),
-        ("trajectory", "single seeded trajectory"),
-        ("ensemble", "trajectory ensemble with ME overlay"),
-        ("verify", "run the invariant suite"),
-    ):
-        p = sub.add_parser(name, help=helptext, parents=[common])
-        if name == "ensemble":
-            p.add_argument("--workers", type=int, default=1,
-                           help="processes for homodyne blocks; photon counting is one pass")
+    sub.add_parser("me", help="master-equation series", parents=[seed, run])
+    sub.add_parser("trajectory", help="single seeded trajectory", parents=[seed, run, homodyne])
+    p = sub.add_parser("ensemble", help="trajectory ensemble with ME overlay",
+                       parents=[seed, run, homodyne])
+    p.add_argument("--ntraj", type=int, default=argparse.SUPPRESS, help="ensemble size")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes for homodyne blocks; photon counting is one pass")
+    sub.add_parser("verify", help="run the invariant suite", parents=[seed])
     return parser
-
-
-def _config_from_args(args) -> SimConfig:
-    return SimConfig(
-        kappa=args.kappa, gamma=args.gamma, delta=args.delta, t0=args.t0,
-        t_end=args.tend, dt=args.dt, fock_dim=args.dim, ntraj=args.ntraj,
-        seed=args.seed, engine=args.engine, detector=args.detector,
-    )
 
 
 def write_series(path, columns, series, fmt="csv", config=None, seed=None) -> None:
@@ -152,7 +144,7 @@ def _cmd_trajectory(cfg: SimConfig, args) -> int:
 
 
 def _cmd_ensemble(cfg: SimConfig, args) -> int:
-    stats = run_ensemble(cfg, workers=getattr(args, "workers", 1))
+    stats = run_ensemble(cfg, workers=args.workers)
     me = analytic_mean_photon_series(cfg, stats.times)  # the master equation's exact <n>
     sup = float(np.abs(stats.mean - me).max())
     print(f"ensemble: M = {stats.count}, seed {cfg.seed}, sup|mean - ME| = {sup:.4f}")
@@ -171,7 +163,7 @@ def _cmd_verify(cfg: SimConfig, args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        cfg = SimConfig(**{k: v for k, v in vars(args).items() if k in _FIELDS})
         handler = {
             "me": _cmd_me,
             "trajectory": _cmd_trajectory,

@@ -16,6 +16,6 @@ class FilterDivergenceError(PhotonFilterError):
 
 
 class UnstableStepError(PhotonFilterError):
-    """The step of a deterministic integration lies outside its method's
-    stability region for a mode of the drift: raised when the integration is
-    set up, before its first step."""
+    """The step of a deterministic integration is too long for its flow to be
+    formed in double precision: raised when the integration is set up,
+    before its first step."""

@@ -4,16 +4,17 @@ The master equation is obtained by zeroing the martingale terms of the Ito
 hierarchy (classical averaging kills dW and the compensated counting
 increments), which leaves the linear drift of the compiled filter.  From
 the vacuum that drift reaches five entries of the state at every Fock
-truncation, and the classical fixed-step RK4 of :func:`master_path` steps
-only those, with one 5 x 5 increment map per step that is a quadratic in
-xi built once per run, so the series is the same at every D >= 2; ``me``
-reports it and ``verify`` checks it.  A step outside RK4's stability region
-for a mode of the drift raises :class:`~photonfilter.errors.UnstableStepError`
-before the first step.  Homodyne ensembles run the filter of
-``cfg.engine`` in blocks, photon-counting ones sample all their count times
-from the closed form below in one pass, and ``ensemble`` sets both beside
-that closed form (evaluated a chunk of rows at a time), never computed from
-the RK4 path it cross-checks: with c = i delta + kappa/2,
+truncation, and :func:`master_path` steps only those by the drift's exact
+flow, with one 5 x 5 increment map per step that is a quadratic in xi built
+once per run, so the series is the same at every D >= 2 and stable at any
+step; ``me`` reports it and ``verify`` checks it.  A step too long for the
+flow to be formed in double precision raises
+:class:`~photonfilter.errors.UnstableStepError` before the first step.
+Homodyne ensembles run the filter of ``cfg.engine`` in blocks,
+photon-counting ones sample all their count times from the closed form
+below in one pass, and ``ensemble`` sets both beside that closed form
+(evaluated a chunk of rows at a time), never computed from the master path
+it cross-checks: with c = i delta + kappa/2,
 
     <n>(t) = kappa * | integral_{t0}^{t} exp(-c (t-s)) xi(s) ds |^2 = |beta(t)|^2
 
@@ -38,8 +39,10 @@ from .filter_generic import SLHModel
 # Steps of the master equation's path held at once; their increment maps
 # take 400 bytes a step.
 _PATH = 64
-# The largest |R(lambda dt)| allowed: a mode with lambda = 0 gives exactly 1.
-_STABLE = 1.0 + 1e-12
+# The most doublings a step's flow may take (:func:`_flow`).  Their rounding
+# grows with h |G|: at this bound, h |G|_1 <= 2^15, <n> stayed within 3e-8
+# of its peak from the closed form (kappa = gamma = 0.1, dt 1e-3 and 1e-2).
+_DOUBLINGS = 16
 
 
 @dataclass
@@ -61,83 +64,63 @@ class EnsembleStats:
     diagnostics: se.BlockStats | None = None
 
 
-def _rk4_map(drift, h: float, xis) -> np.ndarray:
-    """RK4's increment map over one step of length h of dx = F(xi) x dt, for
-    the drift ``drift`` (packed on 1 and xi) with xi at the step's start,
-    middle and end given by ``xis``: E = (h/6)(K1 + 2 K2 + 2 K3 + K4) with
-    K1 = A, K2 = B(I + h/2 K1), K3 = B(I + h/2 K2), K4 = C(I + h K3) for the
-    drift A, B, C there.  The step is y + E y."""
-    a, b, c = fm.evaluate(drift, xis)
-    eye = np.eye(len(a))
-    k2 = b @ (0.5 * h * a + eye)
-    k3 = b @ (0.5 * h * k2 + eye)
-    e = c @ (h * k3 + eye)  # K4
-    e += 2.0 * (k2 + k3) + a
-    e *= h / 6.0
-    return e
+def _flow(cfg: SimConfig, drift, h: float) -> np.ndarray:
+    """The maps (M0, M1, M2) of the exact flow of dx = (F0 + xi F1) x dt
+    over a step of length h, for the drift ``drift`` packed on 1 and xi: the
+    step is y + (M0 + xi M1 + xi^2 M2) y for xi at the step's start.
 
-
-def _rk4_gain(lams, dt: float) -> float:
-    """max |R(lambda dt)| over the modes ``lams``, for RK4's multiplier
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
-    return max(abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))) for z in
-               (lam * dt for lam in lams))
-
-
-def _check_stable(cfg: SimConfig, drift, e0) -> None:
-    """Raise :class:`UnstableStepError` unless RK4's step at ``cfg.dt`` is
-    stable for every mode of the restricted drift F0 = ``drift[0]``, whose
-    map at xi = 0 is ``e0``.  In :func:`photonfilter.filter_moments.support`
-    order F0 is upper triangular, so the eigenvalues of the step's multiplier
-    I + e0 = R(dt F0) are 1 + diag(e0), read without a factorisation.  The
-    largest stable dt named in the error bisects R over diag(F0), floored to
-    four significant digits."""
-    d = len(e0)
-    assert not e0[np.arange(d)[:, None] > np.arange(d)].any(), "drift not triangular"
-    gain = float(np.abs(1.0 + e0.diagonal()).max())
-    if gain <= _STABLE:
-        return
-    lams = drift[0].diagonal().tolist()
-    lo, hi = 0.0, cfg.dt
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _rk4_gain(lams, mid) <= _STABLE else (lo, mid)
-    scale = 10.0 ** (3 - math.floor(math.log10(lo)))
-    raise UnstableStepError(
-        f"RK4 of the master equation is unstable at dt={cfg.dt:g} for delta={cfg.delta:g}: "
-        f"a mode of the drift grows by {gain:.6g} per step; dt <= "
-        f"{math.floor(lo * scale) / scale:g} is stable")
+    On a step xi(t + s) = xi(t) e^{-gamma s/2}, so the maps are the top block
+    row of exp(hG) - I for G = [[F0, F1, 0], [0, F0 - gamma/2, F1],
+    [0, 0, F0 - gamma]] (Van Loan, IEEE Trans. Autom. Control 23, 1978),
+    formed without the identity, whose subtraction would cancel digits: 20
+    terms of the Taylor series of exp - I on hG / 2^s, of 1-norm at most
+    1/2, then s doublings E <- 2E + E E.  Each doubling adds its rounding,
+    so a step that takes more than ``_DOUBLINGS`` of them raises
+    :class:`UnstableStepError`, naming the largest dt that takes no more."""
+    (f0, f1), d = drift, drift.shape[1]
+    z, i = np.zeros((d, d)), np.eye(d)
+    g = np.block([[f0, f1, z], [z, f0 - 0.5 * cfg.gamma * i, f1], [z, z, f0 - cfg.gamma * i]])
+    norm = float(np.abs(g).sum(axis=0).max())
+    if h * norm > 2.0 ** (_DOUBLINGS - 1):
+        largest = 2.0 ** (_DOUBLINGS - 1) / norm
+        scale = 10.0 ** (3 - math.floor(math.log10(largest)))
+        raise UnstableStepError(
+            f"the master equation's flow over dt={cfg.dt:g} for delta={cfg.delta:g} "
+            f"takes more than {_DOUBLINGS} doublings, more than double precision carries; "
+            f"dt <= {math.floor(largest * scale) / scale:g} stays within them")
+    s = max(0, math.ceil(math.log2(2.0 * h * norm)))
+    a, eye = g * (h / 2.0 ** s), np.eye(3 * d)
+    e = a / 20.0
+    for k in range(19, 0, -1):
+        e = a @ (eye + e) / k
+    for _ in range(s):
+        e = 2.0 * e + e @ e
+    return e[:d].reshape(d, 3, d).transpose(1, 0, 2)
 
 
 def master_path(cfg: SimConfig, f):
-    """Classical RK4 of the master equation dx = Fd(xi(t)) x dt from the vacuum.
+    """The exact flow of the master equation dx = Fd(xi(t)) x dt from the vacuum.
 
     Yields (k0, states) for chunks of at most ``_PATH`` steps: the full
     states at steps k0, k0 + 1, ... of the grid of ``cfg``, in a buffer that
     the next chunk overwrites.  The state is held until the wavepacket
-    arrives at t0, and the step t0 falls in is integrated from t0 on, so the
-    right-hand side is smooth within every step.
+    arrives at t0, and the step t0 falls in is integrated from t0 on.
 
     Only the entries in :func:`photonfilter.filter_moments.support` are
     stepped, whatever the Fock truncation; the rest of every state is
-    exactly 0.  There Fd = F0 + xi F1, and F1 only feeds block 00 into
-    blocks 10 and 01 and those into block 11, so every product with three
-    F1 factors is 0; on a full step, xi at t + h/2 and at t + h is xi(t)
-    times a constant.  So a full step's increment map (:func:`_rk4_map`) is
-    exactly E = M0 + xi M1 + xi^2 M2 in xi = xi(t): the three maps are
-    formed once per run from E at xi = 0, 1 and -1, and evaluated at a
-    chunk's xi in one product (:func:`photonfilter.filter_moments.evaluate`).
-    The step t0 falls in takes its map from :func:`_rk4_map` directly.  A
-    step is y + E y.  Before the first, :func:`_check_stable` checks I + M0.
+    exactly 0.  There Fd = F0 + xi F1 with F0 block-diagonal, and F1 only
+    feeds block 00 into blocks 10 and 01 and those into block 11, so every
+    product with three F1 factors is 0 and a step's flow is exactly
+    I + M0 + xi M1 + xi^2 M2 in xi at the step's start (:func:`_flow`).  The
+    three maps are formed once per run and evaluated at a chunk's xi in one
+    product (:func:`photonfilter.filter_moments.evaluate`); the step t0
+    falls in takes the maps of its own length at xi(t0).  A step is y + E y.
     """
     dt, t0, steps = cfg.dt, cfg.t0, cfg.steps
     w = wp.Wavepacket(cfg.gamma, t0)
     on = fm.support(f)
     drift = f.drift[:, on[:, None], on]
-    mid, end = math.exp(-0.25 * cfg.gamma * dt), math.exp(-0.5 * cfg.gamma * dt)
-    e0, ep, em = (_rk4_map(drift, dt, [x, x * mid, x * end]) for x in (0.0, 1.0, -1.0))
-    _check_stable(cfg, drift, e0)
-    maps = np.stack([e0, 0.5 * (ep - em), 0.5 * (ep + em) - e0])
+    maps = _flow(cfg, drift, dt)
     buf = np.zeros((_PATH + 1, f.initial.size), dtype=np.complex128)
     y = np.empty((_PATH + 1, on.size), dtype=np.complex128)
     dy = np.empty(on.size, dtype=np.complex128)
@@ -148,8 +131,7 @@ def master_path(cfg: SimConfig, f):
         e = fm.evaluate(maps, wp.xi(w, t[:-1]))
         e[t[1:] <= t0] = 0.0  # held until the wavepacket arrives
         for i in np.flatnonzero((t[:-1] < t0) & (t[1:] > t0)):  # t0 falls in step i
-            h = t[i + 1] - t0
-            e[i] = _rk4_map(drift, h, wp.xi(w, [t0, t[i + 1] - 0.5 * h, t[i + 1]]))
+            e[i] = fm.evaluate(_flow(cfg, drift, t[i + 1] - t0), wp.xi(w, t0))
         for ei, yi, yn in zip(e, y, y[1:]):
             np.dot(ei, yi, out=dy)
             np.add(yi, dy, out=yn)
@@ -159,11 +141,12 @@ def master_path(cfg: SimConfig, f):
 
 
 def integrate_master(cfg: SimConfig) -> SeriesND:
-    """RK4 integration of the compiled drift (:func:`master_path`); returns
+    """The compiled drift's exact flow (:func:`master_path`) read out as
     <n>(t), the same at every ``cfg.fock_dim``.  Raises
-    :class:`UnstableStepError` before the first step on a grid RK4 cannot
-    step, and :class:`FilterDivergenceError` naming the time where <n>
-    stops being finite."""
+    :class:`UnstableStepError` before the first step where dt is too long
+    for the flow to be formed in double precision, and
+    :class:`FilterDivergenceError` naming the time where <n> stops being
+    finite."""
     f = fm.compile_filter(SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
     times = cfg.times()
     out = np.empty(times.shape)

@@ -24,8 +24,8 @@ def _check(results, name, passed, detail):
     results.append(CheckResult(name, bool(passed), detail))
 
 
-def run_checks(seed: int = 2024) -> list[CheckResult]:
-    """Run the full invariant suite; all checks must pass for a clean build."""
+def run_checks(seed: int) -> list[CheckResult]:
+    """Run the full invariant suite at ``seed``; all must pass for a clean build."""
     results: list[CheckResult] = []
 
     # The detuned cavity's maps, whose trace the generic filter keeps at 1
@@ -37,7 +37,7 @@ def run_checks(seed: int = 2024) -> list[CheckResult]:
     _check(results, "pi11(I) conserved by the generic filter's maps, exactly (delta=0.7)",
            off == 0.0, f"max of |i11.u0-1|, |i11.G|, |i11.D-k| {off:.2e}")
 
-    # Photon counting samples the closed form s = <n> + tail; the RK4 path
+    # Photon counting samples the closed form s = <n> + tail; the master path
     # must give the same s (its |pi01(a)|^2 against |beta|^2, the tail being
     # common to both) and a real pi11(n).
     s_dev = im_n = 0.0
@@ -46,7 +46,7 @@ def run_checks(seed: int = 2024) -> list[CheckResult]:
         n_closed = analytic_mean_photon_series(cfg_pc, cfg_pc.dt * np.arange(k, k + len(x)))
         s_dev = max(s_dev, float(np.abs(np.abs(r[:, 1]) ** 2 - n_closed).max()))
         im_n = max(im_n, float(np.abs(r[:, 0].imag).max()))
-    _check(results, "no-count s on the RK4 path within 1e-9 of closed form (delta=0.7)",
+    _check(results, "no-count s on the master path within 1e-9 of closed form (delta=0.7)",
            s_dev <= 1e-9, f"max |s - closed form| {s_dev:.2e}")
     _check(results, "pi11(n) real on the master path (delta=0.7)",
            im_n <= 1e-9, f"max |Im| {im_n:.2e}")

@@ -103,7 +103,7 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_criterion_6_invariant_suite():
-    checks = run_checks()
+    checks = run_checks(2024)
     failed = [c.name for c in checks if not c.passed]
     _report(6, "invariant suite (verify subcommand)",
             not failed,

@@ -102,8 +102,8 @@ def test_ensemble_me_column_is_closed_form(tmp_path, detector):
 
 
 def test_ensemble_runs_no_master_equation_integration(tmp_path, monkeypatch):
-    # the RK4 of the master equation serves me and verify; an ensemble
-    # never steps it
+    # the master equation's path serves me and verify; an ensemble never
+    # steps it
     def refuse(*args, **kwargs):
         raise AssertionError("ensemble integrated the master equation")
 
@@ -125,13 +125,27 @@ def test_photocount_trajectory_prints_jumps(capsys):
 
 @pytest.mark.parametrize("grid", [["--delta", "57", "--dt", "0.05", "--tend", "53"],
                                   ["--delta", "2900", "--tend", "13"]])
-def test_unstable_me_exits_one_naming_dt(tmp_path, capsys, grid):
-    # RK4 cannot step these grids: the run stops at setup, writing nothing
+def test_me_runs_past_rk4_edge(tmp_path, capsys, grid):
+    # RK4 could not step these grids (a coherence's multiplier left the unit
+    # disc); the exact flow runs them and tracks the closed form
     out = tmp_path / "me.csv"
-    assert cli.main(["me", *grid, "--out", str(out)]) == 1
+    assert cli.main(["me", *grid, "--out", str(out)]) == 0
+    sup = float(capsys.readouterr().out.split("sup|ME - oracle| = ")[1])
+    assert sup <= 1e-12
+    data = np.loadtxt(str(out), delimiter=",", skiprows=2)
+    assert np.abs(data[:, 1] - data[:, 2]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("delta", ["1e20", "1e300"])
+def test_me_far_detuned_errors_without_warning(tmp_path, capsys, delta):
+    # a step whose flow needs more doublings than double precision carries
+    # is refused at setup, writing nothing, with an error line and no numpy
+    # warning (RuntimeWarnings are errors under the test configuration)
+    out = tmp_path / "me.csv"
+    assert cli.main(["me", "--delta", delta, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: RK4 ") and "dt=" in err and "is stable" in err
-    assert not out.exists()
+    assert err.startswith("error: the master equation's flow over dt=0.001 ")
+    assert "dt <= " in err and not out.exists()
 
 
 def test_me_divergence_exits_one(monkeypatch, capsys):
@@ -177,6 +191,34 @@ def test_no_workers_exits_one(capsys):
 def test_unwritable_output_exits_one(tmp_path, capsys):
     rc = cli.main(["me", *FAST, "--out", str(tmp_path / "no" / "dir" / "x.csv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tend", "1"], ["verify", "--out", "x.csv"], ["verify", "--delta", "0.7"],
+    ["me", "--ntraj", "0"], ["me", "--engine", "generic", "--detector", "photocount"],
+    ["me", "--workers", "2"], ["trajectory", "--ntraj", "5"], ["trajectory", "--workers", "2"],
+])
+def test_subcommand_rejects_flags_it_does_not_read(argv, tmp_path, monkeypatch):
+    # each subcommand takes only the options it reads: any other is a usage
+    # error, before anything runs or is written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_settings_default_to_simconfig(tmp_path, monkeypatch):
+    # a setting left out takes SimConfig's default, and verify runs at
+    # SimConfig's seed
+    out = tmp_path / "me.csv"
+    assert cli.main(["me", *FAST, "--out", str(out)]) == 0
+    header = json.loads(out.read_text().splitlines()[0].removeprefix("# config: "))
+    assert header == SimConfig(t_end=13.0, dt=0.01).asdict()
+    seeds = []
+    monkeypatch.setattr(cli, "run_checks", lambda seed: seeds.append(seed) or [])
+    assert cli.main(["verify"]) == 0 and cli.main(["verify", "--seed", "2"]) == 0
+    assert seeds == [SimConfig().seed, 2]
 
 
 def test_unknown_subcommand_usage_error():

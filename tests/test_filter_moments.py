@@ -130,7 +130,7 @@ def test_evaluate_batch_matches_single(name):
     # one product over a run of real xi gives each map as the polynomial
     # sum_p xi^p F_p does, and as evaluated at that xi alone: the compiled
     # maps are affine in xi, the jump gain quadratic (three powers, as the
-    # master path's RK4 maps)
+    # master path's flow maps)
     model = SLHModel.cavity(2, KAPPA, 0.05)
     poly = jump_gain(model) if name == "jump_gain" else getattr(fm.compile_filter(model), name)
     assert len(poly) == (3 if name == "jump_gain" else 2)

@@ -207,55 +207,68 @@ class TestRK4Maps:
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 7.0])
     @pytest.mark.parametrize("delta", [0.0, 0.7, 57.0])
     def test_step_map_quadratic_in_xi(self, delta, gamma):
-        # a full step's map at xi(t) is M0 + xi M1 + xi^2 M2, fitted at xi =
-        # 0, 1 and -1, to rounding, at any xi the wavepacket takes
-        dt = 1e-3
-        _, drift = _restricted_drift(SimConfig(delta=delta, gamma=gamma, dt=dt))
-        mid, end = math.exp(-0.25 * gamma * dt), math.exp(-0.5 * gamma * dt)
-
-        def step_map(x):
-            return me._rk4_map(drift, dt, [x, x * mid, x * end])
-
-        e0, ep, em = step_map(0.0), step_map(1.0), step_map(-1.0)
-        for x in np.linspace(0.0, math.sqrt(gamma), 9):
-            quad = e0 + x * 0.5 * (ep - em) + x * x * (0.5 * (ep + em) - e0)
-            np.testing.assert_allclose(quad, step_map(x), rtol=0, atol=1e-17)
+        # a step's flow from xi at its start is exactly I + M0 + xi M1 +
+        # xi^2 M2: against RK4 of the propagator in 1,000 substeps per unit
+        # of delta h (at least 1,000), on which xi decays as e^{-gamma s/2},
+        # at xi up to the wavepacket's sqrt(gamma), over a full step (up to
+        # 4 doublings here) and over the shorter step that t0 cuts
+        dt = 0.01 / max(0.1, gamma)
+        cfg = SimConfig(delta=delta, gamma=gamma, dt=dt)
+        _, drift = _restricted_drift(cfg)
+        xis = np.linspace(0.0, math.sqrt(gamma), 5)
+        for h in (dt, 0.37 * dt):
+            maps = me._flow(cfg, drift, h)
+            subs = 1000 * max(1, math.ceil(abs(delta) * h))
+            u = h / subs
+            phi = np.broadcast_to(np.eye(5, dtype=complex), (xis.size, 5, 5)).copy()
+            for j in range(subs):
+                fa, fb, fc = (drift[0] + np.multiply.outer(xis * math.exp(-0.5 * gamma * s),
+                                                           drift[1])
+                              for s in (j * u, (j + 0.5) * u, (j + 1) * u))
+                k1 = fa @ phi
+                k2 = fb @ (phi + 0.5 * u * k1)
+                k3 = fb @ (phi + 0.5 * u * k2)
+                k4 = fc @ (phi + u * k3)
+                phi += (u / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            np.testing.assert_allclose(fm.evaluate(maps, xis), phi - np.eye(5),
+                                       rtol=0, atol=1e-13)
 
 
 class TestRK4Stability:
-    @pytest.mark.parametrize("delta, dt, t_end", [(57.0, 0.05, 53.0), (2900.0, 1e-3, 13.0)])
-    def test_unstable_grid_raises_before_first_step(self, delta, dt, t_end):
-        # RK4's multiplier of the coherences, -kappa/2 +- i delta, leaves the
-        # unit disc (max |R| = 1.0508 at delta 57, dt 0.05)
-        cfg = SimConfig(delta=delta, dt=dt, t_end=t_end)
-        f, _ = _restricted_drift(cfg)
-        path = me.master_path(cfg, f)
-        with pytest.raises(UnstableStepError, match=rf"dt={dt:g} for delta={delta:g}"):
-            next(path)
-        with pytest.raises(UnstableStepError):
-            me.integrate_master(cfg)
+    # the exact flow is stable at any step; it refuses only a step whose
+    # flow takes more doublings than double precision can carry
 
-    def test_named_dt_is_the_largest_stable(self):
-        # the dt the error names runs, and stays bounded; a step 0.2% longer
-        # does not run.  At this edge of RK4's region the coherences are
-        # barely damped and n dips to -8.3e-7 (delta dt = 2.8300); the check
-        # bounds growth, not accuracy
-        cfg = SimConfig(delta=57.0, dt=0.05, t_end=53.0)
-        with pytest.raises(UnstableStepError) as info:
+    def test_named_dt_is_the_largest_that_runs(self):
+        # the dt the error names runs, and tracks the closed form; a step
+        # 0.2% longer does not run
+        cfg = SimConfig(delta=1e6, dt=0.05, t0=0.0, t_end=50.0)
+        with pytest.raises(UnstableStepError, match=r"dt=0.05 for delta=1e\+06") as info:
             me.integrate_master(cfg)
         named = float(str(info.value).split("dt <= ")[1].split()[0])
-        n = me.integrate_master(SimConfig(delta=57.0, dt=named, t_end=1000 * named)).values
-        assert np.abs(n).max() <= 1e-4
+        cfg = SimConfig(delta=1e6, dt=named, t0=0.0, t_end=1000 * named)
+        series = me.integrate_master(cfg)
+        oracle = me.analytic_mean_photon_series(cfg, series.times)
+        assert np.abs(series.values - oracle).max() <= 1e-9 * oracle.max()
         with pytest.raises(UnstableStepError):
-            me.integrate_master(SimConfig(delta=57.0, dt=1.002 * named, t_end=1000 * named * 1.002))
+            me.integrate_master(SimConfig(delta=1e6, dt=1.002 * named, t0=0.0,
+                                          t_end=1000 * named * 1.002))
+
+    @pytest.mark.parametrize("delta, dt, t_end", [(57.0, 0.05, 53.0), (2900.0, 1e-3, 13.0)])
+    def test_past_rk4_edge_tracks_closed_form(self, delta, dt, t_end):
+        # RK4's multiplier of the coherences, -kappa/2 +- i delta, left the
+        # unit disc past delta dt = 2.83; the flow has no such edge
+        cfg = SimConfig(delta=delta, dt=dt, t_end=t_end)
+        series = me.integrate_master(cfg)
+        oracle = me.analytic_mean_photon_series(cfg, series.times)
+        assert np.abs(series.values - oracle).max() <= 1e-12
 
     def test_stable_just_inside(self):
-        # delta 56 at dt 0.05: max |R| is 1 to rounding, and the path tracks
-        # the closed form
+        # delta 56 at dt 0.05, just inside RK4's old edge, where RK4 was
+        # within 8.8e-6 of the closed form: the flow is within rounding
         cfg = SimConfig(delta=56.0, dt=0.05, t_end=53.0)
         series = me.integrate_master(cfg)
         oracle = me.analytic_mean_photon_series(cfg, series.times)
-        assert np.abs(series.values - oracle).max() <= 1e-5
+        assert np.abs(series.values - oracle).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -268,17 +281,22 @@ class TestRK4Stability:
     )
     @example(kappa=0.1, gamma=0.1, delta=57.0, t0=3.0, coarse=0.005, after=1000)
     @example(kappa=0.1, gamma=0.1, delta=56.0, t0=3.0, coarse=0.005, after=1000)
+    # at kappa = gamma, <n> touches 0 at delta (t - t0) = 2 pi k, where RK4
+    # went below it
+    @example(kappa=0.0625, gamma=0.0625, delta=0.375, t0=0.0, coarse=0.0625, after=67)
+    @example(kappa=0.375, gamma=0.375, delta=1.9140625, t0=0.0, coarse=0.0703125, after=1000)
+    @example(kappa=0.05, gamma=0.05, delta=1.0, t0=0.25, coarse=0.005, after=189)
+    @example(kappa=1.0, gamma=1.0, delta=2.0, t0=0.0, coarse=0.09375, after=67)
+    @example(kappa=0.3125, gamma=0.3125, delta=1.0, t0=0.0, coarse=0.05078125, after=116)
+    @example(kappa=1.0, gamma=1.0, delta=2.7578125, t0=0.5546875, coarse=0.06739179851793352,
+             after=34)
     def test_accepted_grid_raises_at_setup_or_is_physical(self, kappa, gamma, delta, t0,
                                                           coarse, after):
-        # on any grid the validator accepts, the master equation either
-        # refuses before its first step or keeps n in [0, 1]
+        # on any grid the validator accepts, the master equation keeps n in
+        # [0, 1].  It refuses only a step of more than 2^15 / |G|_1, and
+        # these grids stay far inside that (|delta| dt <= 200)
         dt = coarse / max(kappa, gamma)
         steps = math.floor(t0 / dt) + after
         cfg = SimConfig(kappa=kappa, gamma=gamma, delta=delta, t0=t0, t_end=steps * dt, dt=dt)
-        try:
-            n = me.integrate_master(cfg).values
-        except UnstableStepError:
-            _, drift = _restricted_drift(cfg)
-            assert me._rk4_gain(drift[0].diagonal().tolist(), dt) > 1.0 + 1e-12
-            return
+        n = me.integrate_master(cfg).values
         assert -1e-9 <= n.min() and n.max() <= 1.0 + 1e-9

@@ -39,7 +39,7 @@ def _path_states(cfg, f):
 
 
 def _path_s(cfg):
-    """The probability of no count on the RK4 path: |pi01(a)|^2 + tail."""
+    """The probability of no count on the master path: |pi01(a)|^2 + tail."""
     f = fm.compile_filter(SLHModel.cavity(cfg.fock_dim, cfg.kappa, cfg.delta))
     times = cfg.times()
     s = np.empty(times.size)
@@ -73,19 +73,41 @@ def _full_rk4(cfg, poly, x0):
     return x
 
 
+def _full_flow(cfg, drift, x0):
+    """The exact flow of dx = Fd(xi(t)) x dt on all 4 D^2 entries, one
+    matrix-vector product per step, with the maps of the step's length
+    (``master_ensemble._flow`` of the whole drift) at xi at its start: x0 is
+    held until t0, and the step t0 falls in runs from t0 on, as in
+    ``master_path``."""
+    times = cfg.times()
+    w = wp.Wavepacket(cfg.gamma, cfg.t0)
+    full = master_ensemble._flow(cfg, drift, cfg.dt)
+    x = np.empty((times.size, x0.size), dtype=complex)
+    x[0] = x0
+    for k in range(times.size - 1):
+        start = max(times[k], cfg.t0)
+        if times[k + 1] <= start:
+            x[k + 1] = x[k]
+            continue
+        maps = full if start == times[k] else master_ensemble._flow(cfg, drift,
+                                                                    times[k + 1] - start)
+        x[k + 1] = x[k] + evaluate_powers(maps, wp.xi(w, start)) @ x[k]
+    return x
+
+
 class TestMasterPath:
-    # the RK4 path steps only the five entries the vacuum reaches
+    # the master path steps only the five entries the vacuum reaches
 
     @pytest.mark.parametrize("t0", [3.0, 3.004, 3.0001])
     @pytest.mark.parametrize("delta", [0.0, 0.7])
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_matches_full_state(self, dim, delta, t0):
-        # the same RK4 on all 4 D^2 entries; t0 = 3.004 falls inside a step,
-        # 3.0001 just after a grid point
+        # the exact flow on all 4 D^2 entries; t0 = 3.004 falls inside a
+        # step, 3.0001 just after a grid point
         cfg = SimConfig(delta=delta, t0=t0, fock_dim=dim, t_end=23.0, dt=1e-2)
         f = fm.compile_filter(SLHModel.cavity(dim, cfg.kappa, delta))
         states = _path_states(cfg, f)
-        np.testing.assert_allclose(states, _full_rk4(cfg, f.drift, f.initial),
+        np.testing.assert_allclose(states, _full_flow(cfg, f.drift, f.initial),
                                    rtol=0, atol=1e-12)
         off = np.setdiff1d(np.arange(f.initial.size), fm.support(f))
         assert fm.support(f).size == 5 and not states[:, off].any()
@@ -346,7 +368,7 @@ class TestGenericFilter:
 
 
 class TestNoCountPath:
-    # the master equation's RK4 path against the closed form the runner samples
+    # the master equation's path against the closed form the runner samples
 
     @pytest.mark.parametrize("delta,gamma,dim", [(0.0, 0.1, 2), (0.7, 0.25, 3)])
     def test_closed_form(self, delta, gamma, dim):
@@ -366,14 +388,15 @@ class TestNoCountPath:
         n = analytic_mean_photon_series(cfg, times)
         s = n + wp.tail_norm(w, times)
         np.testing.assert_allclose(r[:, fm.READOUTS.index("i11")], s, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(r[:, 0].real, integrate_master(cfg).values, rtol=0, atol=1e-12)
+        # the master equation's exact flow gives the cavity's <n> to rounding
+        np.testing.assert_allclose(integrate_master(cfg).values, n, rtol=0, atol=1e-14)
         # on the master equation's path the cavity's <n> is |pi01(a)|^2, the
-        # numerator the runner divides by s; RK4 keeps this quadratic identity
-        # to its O(dt^4) truncation (1.8e-12 at delta = 0.7, 1.1e-13 at dt / 2)
+        # numerator the runner divides by s; the flow keeps this quadratic
+        # identity to rounding
         for _, states in master_path(cfg, f):
             me = states @ f.readout.T
             np.testing.assert_allclose(np.abs(me[:, fm.READOUTS.index("a01")]) ** 2,
-                                       me[:, 0].real, rtol=0, atol=1e-11)
+                                       me[:, 0].real, rtol=0, atol=1e-14)
         # the runner's conditional photon number: n_cond = <n> / s
         stats = se.count_photons(cfg, noise=np.zeros(1), record_series=True)
         np.testing.assert_allclose(stats.series[:, 0], n / s, rtol=0, atol=1e-10)
@@ -394,7 +417,7 @@ class TestNoCountPath:
         # with no count, out to 20 lifetimes of the slower rate, on grids up
         # to the coarsest the validator accepts: the conditional photon
         # number stays in [0, 1], and the probability s of no count on the
-        # RK4 path never rises, so it falls from 1 and stays positive
+        # master path never rises, so it falls from 1 and stays positive
         dt = coarse / max(kappa, gamma)
         steps = int(np.ceil((t0 + 20.0 / min(kappa, gamma)) / dt))
         cfg = SimConfig(kappa=kappa, gamma=gamma, delta=delta, t0=t0, t_end=steps * dt,
@@ -924,7 +947,7 @@ class TestTrajectory:
         stats = se.run_block(cfg, seed_seqs=[np.random.SeedSequence(0)],
                              noise=np.zeros((steps, 1)), record_series=True)
         me = integrate_master(cfg)
-        # explicit Euler vs RK4: O(dt) agreement
+        # explicit Euler vs the exact flow: O(dt) agreement
         assert np.abs(stats.series[:, 0] - me.values).max() <= 1e-3
 
     def test_engines_agree_homodyne(self):
